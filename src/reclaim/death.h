@@ -62,6 +62,19 @@ class DeathOracle {
   virtual bool is_dead(int pid) const = 0;
 };
 
+// Park points: the instrumented crash windows of the reclaimer protocols.
+// A book that instruments them (shm::LeasedBook) lets a process stop at one
+// while still holding whatever it just published — the crash harnesses
+// (shm/pid_lease.h) kill it there; the in-process book ignores them.
+inline constexpr std::uint64_t kParkNone = 0;
+inline constexpr std::uint64_t kParkGuardPublished = 1;
+inline constexpr std::uint64_t kParkEpochAnnounced = 2;
+inline constexpr std::uint64_t kParkMidRetire = 3;
+// Between the structure's linking CAS and commit(p)'s in-flight clear: the
+// node is (possibly) reachable AND still marked — the window the quarantine
+// rule exists for.
+inline constexpr std::uint64_t kParkInFlight = 4;
+
 // Death state machine values (held in a per-process std::atomic<uint8_t>).
 inline constexpr std::uint8_t kDeathLive = 0;
 inline constexpr std::uint8_t kDeathSuspect = 1;

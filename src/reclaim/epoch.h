@@ -83,40 +83,39 @@
 // announcement (deferred mode self-heals: allocate under pressure flushes
 // the pending batch and refreshes p's own announcement before advancing).
 //
+// Books (the Book template parameter; reclaim/private_book.h lists the
+// interface): PrivateBook<P> (default) keeps the global epoch and the
+// announcements as Platform objects and the limbo in thread-private memory;
+// shm::LeasedBook (shm/leased_reclaimer.h) keeps the same state in a shared
+// arena under pid leases (LeasedEpochReclaimer is an alias of this class
+// over it, eager mode only). The protocol below is the same for both.
+//
 // Crash robustness (reclaim/death.h): a dead process's stale announcement
 // would otherwise freeze the epoch forever — the catastrophic version of
-// the stalled-reader weakness. With a DeathOracle installed, every advance
-// attempt sweeps all dead-looking processes — not just stale announcers: a
-// victim that died inside a post-region retire() has a quiescent
-// announcement but orphaned bookkeeping — through the two-phase
-// suspect/confirm handshake; the confirm winner
-// expropriates: writes the victim's announcement to quiescent (unfreezing
-// the epoch), splices its limbo (re-stamping its half-recorded retiree
-// conservatively) and free list into its own, drains its pending retire
-// batch (re-stamped with the current epoch, so a batch parked in a dead
-// process's ring is bounded garbage like the quarantine, never a leak), and
-// quarantines its in-flight allocation. Entry points self-check the
-// caller's own death word and self-fence via LeaseRevoked once
-// expropriated. With no oracle every path is inert and the step sequence is
-// the classic protocol.
+// the stalled-reader weakness. Every advance attempt sweeps the book for
+// dead-looking processes — not just stale announcers: a victim that died
+// inside a post-region retire() has a quiescent announcement but orphaned
+// bookkeeping — through the two-phase suspect/confirm handshake; the
+// confirm winner expropriates: writes the victim's announcement to
+// quiescent (unfreezing the epoch), re-stamps its orphans — the
+// half-recorded retiree and any staged or deferred batch — with the current
+// epoch (a full fresh grace period, so an orphan is bounded garbage like the
+// quarantine, never a leak and never freed early), and the book splices its
+// limbo and free list into its own and quarantines its in-flight
+// allocation. Entry points self-check the caller's own death state and
+// self-fence via LeaseRevoked once expropriated. With PrivateBook and no
+// oracle every path is inert and the step sequence is the classic protocol.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <iterator>
-#include <memory>
 #include <optional>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/platform.h"
-#include "reclaim/death.h"
+#include "reclaim/private_book.h"
 #include "reclaim/reclaimer.h"
-#include "structures/ring_buffer.h"
 #include "util/assert.h"
 #include "util/cacheline.h"
 
@@ -130,11 +129,16 @@ struct DeferredAnnounce {
   static constexpr bool kDeferred = true;
 };
 
-template <Platform P, class Mode = EagerAnnounce, std::size_t kBatchOverride = 0>
+template <Platform P, class Mode = EagerAnnounce, std::size_t kBatchOverride = 0,
+          class Book = PrivateBook<P>>
 class EpochBasedReclaimer {
  public:
+  using Env = typename Book::Env;
+  using Fence = typename Book::Fence;
   static constexpr bool kDeferred = Mode::kDeferred;
-  static constexpr const char* kName = kDeferred ? "epoch_deferred" : "epoch";
+  static constexpr const char* kName =
+      Book::kCrossProcess ? "leased_epoch"
+                          : (kDeferred ? "epoch_deferred" : "epoch");
   static constexpr bool kNeedsGuard = false;
   // Retires between advance attempts: amortizes the O(n) announcement scan.
   static constexpr std::size_t kAdvanceEvery = 4;
@@ -146,8 +150,7 @@ class EpochBasedReclaimer {
   // deferred advance cadence equals the eager one and sim searches cross
   // the batch boundary constantly. kBatchOverride pins it for the E9
   // retire-batch-size axis.
-  static constexpr bool kHeavyAdvance =
-      !std::is_same_v<PlatformFenceT<P>, util::NoFence>;
+  static constexpr bool kHeavyAdvance = !std::is_same_v<Fence, util::NoFence>;
   static constexpr std::size_t kRetireBatch =
       kBatchOverride != 0 ? kBatchOverride
                           : (kHeavyAdvance ? 256 : kAdvanceEvery);
@@ -161,26 +164,21 @@ class EpochBasedReclaimer {
                 "eager epoch needs seq_cst orderings; use "
                 "DeferredEpochReclaimer on asymmetric-fence platforms");
 
-  EpochBasedReclaimer(typename P::Env& env, int n, FreeLists initial_free)
+  EpochBasedReclaimer(Env& env, int n, FreeLists initial_free)
       : n_(n),
-        global_(env, "epoch.global", 0, sim::BoundSpec::unbounded()),
-        procs_(static_cast<std::size_t>(n)) {
-    ABA_CHECK(static_cast<int>(initial_free.size()) == n);
-    for (int p = 0; p < n; ++p) {
-      procs_[p].free = std::move(initial_free[p]);
-      pool_size_ += procs_[p].free.size();
-    }
-    announce_.reserve(static_cast<std::size_t>(n));
-    for (int p = 0; p < n; ++p) {
-      announce_.push_back(std::make_unique<typename P::Register>(
-          env, "epoch.announce", kQuiescent, sim::BoundSpec::unbounded()));
-    }
-  }
+        book_(env, n, std::move(initial_free)),
+        global_(env, "epoch.global"),
+        announce_(env, "epoch.announce", n, kQuiescent),
+        locals_(static_cast<std::size_t>(n)) {}
 
-  // Installs the liveness oracle that arms the expropriation paths (see
-  // the header comment). Not a transfer of ownership; call before any
-  // process operates.
-  void set_death_oracle(const DeathOracle* oracle) { death_oracle_ = oracle; }
+  // Installs the liveness oracle that arms the expropriation paths (books
+  // with a pluggable oracle only). Not a transfer of ownership; call before
+  // any process operates.
+  void set_death_oracle(const DeathOracle* oracle)
+    requires requires(Book& b, const DeathOracle* o) { b.set_death_oracle(o); }
+  {
+    book_.set_death_oracle(oracle);
+  }
 
   // Announce-then-validate: after writing the announcement we re-read the
   // global epoch and retry until it matches. Without the validation a
@@ -192,42 +190,36 @@ class EpochBasedReclaimer {
   // vetoes anything further), which is what the reuse bound relies on.
   //
   // Deferred mode adds the cache fast path: when the read epoch equals the
-  // announcement already published (the thread-private mirror — no shared
+  // announcement already published (the process-local mirror — no shared
   // re-read), the store AND the validation are skipped; the old validated
   // publish still carries the invariant, because its visibility guarantee
   // is permanent once established (see the header comment).
+  //
+  // The announcement is visible from each write on (on asymmetric
+  // platforms: from the next heavy advance on): a process parked at the
+  // validation read already pins the epoch, which is exactly the worst step
+  // the schedule-search engine aims for — so the phase flips before it.
   void begin_op(int p) {
-    death_self_check(procs_[p].death);
+    book_.enter(p);
+    Local& local = locals_[p];
     if constexpr (kDeferred) {
       std::uint64_t e = global_.read();
-      if (procs_[p].announce_mirror == e) {  // Hit: zero shared stores.
-        procs_[p].phase = ReclaimPhase::kEpochAnnounced;
-        return;
-      }
-      for (;;) {
-        announce_[p]->write(e);
-        PlatformFenceT<P>::light();
-        // The announcement is visible from here on (on asymmetric
-        // platforms: from the next heavy advance on): a process parked at
-        // the validation read below already pins the epoch.
-        procs_[p].announce_mirror = e;
-        procs_[p].phase = ReclaimPhase::kEpochAnnounced;
-        const std::uint64_t now = global_.read();
-        if (now == e) return;
-        e = now;
+      while (announce_.mirror(p, 0) != e) {  // A hit stores nothing.
+        announce_.write(p, 0, e);
+        Fence::light();
+        local.phase = ReclaimPhase::kEpochAnnounced;
+        e = global_.read();
       }
     } else {
       for (;;) {
         const std::uint64_t e = global_.read();
-        announce_[p]->write(e);
-        // The announcement is visible from here on: a process parked at the
-        // validation read below already pins the epoch, which is exactly the
-        // worst step the schedule-search engine aims for.
-        procs_[p].announce_mirror = e;
-        procs_[p].phase = ReclaimPhase::kEpochAnnounced;
-        if (global_.read() == e) return;
+        announce_.write(p, 0, e);
+        local.phase = ReclaimPhase::kEpochAnnounced;
+        if (global_.read() == e) break;
       }
     }
+    local.phase = ReclaimPhase::kEpochAnnounced;
+    book_.park(p, kParkEpochAnnounced);
   }
 
   void guard(int /*p*/, int /*slot*/, std::uint64_t /*idx*/) {}
@@ -235,11 +227,8 @@ class EpochBasedReclaimer {
   // Eager: announce quiescence. Deferred: nothing — the published
   // announcement IS the cache; detach(p) is the release point.
   void end_op(int p) {
-    if constexpr (!kDeferred) {
-      announce_[p]->write(kQuiescent);
-      procs_[p].announce_mirror = kQuiescent;
-    }
-    procs_[p].phase = ReclaimPhase::kIdle;
+    if constexpr (!kDeferred) announce_.write(p, 0, kQuiescent);
+    locals_[p].phase = ReclaimPhase::kIdle;
   }
 
   // The explicit release: announce quiescence and drop the cache. Call when
@@ -248,21 +237,19 @@ class EpochBasedReclaimer {
   // quiescent (eager mode outside a region), so structures may forward it
   // unconditionally.
   void detach(int p) {
-    if (procs_[p].announce_mirror != kQuiescent) {
-      announce_[p]->write(kQuiescent);
-      procs_[p].announce_mirror = kQuiescent;
+    if (announce_.mirror(p, 0) != kQuiescent) {
+      announce_.write(p, 0, kQuiescent);
     }
   }
 
   std::optional<std::uint64_t> allocate(int p) {
-    death_self_check(procs_[p].death);
-    auto& free = procs_[p].free;
-    if (free.empty()) {
+    book_.enter(p);
+    if (book_.free_empty(p)) {
       // Pool pressure: a fresh retiree needs two advances to mature, so try
       // up to two advance+flush rounds before reporting exhaustion. The
-      // deferred batch buffer flushes first — its nodes are invisible to
-      // flush() until stamped — and each advance round self-refreshes p's
-      // own parked announcement (try_advance), the self-heal that keeps
+      // deferred batch flushes first — its nodes are invisible to flush()
+      // until stamped — and each advance round self-refreshes p's own
+      // parked announcement (try_advance), the self-heal that keeps
       // allocate's outside-a-region contract honest in deferred mode.
       //
       // Heavy-fence throttle (FastAsymmetric only): when the epoch is
@@ -276,44 +263,47 @@ class EpochBasedReclaimer {
       // current epoch. Coasting frees nothing new — by construction
       // nothing CAN mature while the epoch is frozen — so refusals are
       // identical; only the fence cadence changes. All throttle state is
-      // thread-private, and the stride bounds how long a recovered system
+      // process-local, and the stride bounds how long a recovered system
       // waits for its next real advance attempt.
       if constexpr (kDeferred && kHeavyAdvance) {
-        auto& proc = procs_[p];
-        const std::uint64_t g = global_.read();
-        global_mirror_.store(g, std::memory_order_relaxed);
-        if (proc.coast_epoch == g + 1 &&
-            ++proc.coast_tries % kCoastStride != 0) {
+        Local& local = locals_[p];
+        const std::uint64_t g = read_epoch();
+        if (local.coast_epoch == g + 1 &&
+            ++local.coast_tries % kCoastStride != 0) {
           flush(p, g);
-          if (!free.empty()) proc.coast_epoch = 0;
+          if (!book_.free_empty(p)) local.coast_epoch = 0;
         } else {
           flush_pending(p);
           std::uint64_t e = g;
-          for (int round = 0; round < 2 && free.empty(); ++round) {
+          for (int round = 0; round < 2 && book_.free_empty(p); ++round) {
             e = try_advance(p);
             flush(p, e);
           }
-          proc.coast_epoch = (free.empty() && e == g) ? g + 1 : 0;
-          proc.coast_tries = 0;
+          local.coast_epoch = (book_.free_empty(p) && e == g) ? g + 1 : 0;
+          local.coast_tries = 0;
         }
       } else {
         if constexpr (kDeferred) flush_pending(p);
-        for (int round = 0; round < 2 && free.empty(); ++round) {
+        for (int round = 0; round < 2 && book_.free_empty(p); ++round) {
           flush(p, try_advance(p));
         }
       }
     }
-    if (free.empty()) return std::nullopt;
-    const std::uint64_t idx = free.front();
-    free.pop_front();
-    // In-flight marker: if p dies before its linking CAS commits, an
-    // expropriator quarantines this node instead of freeing it.
-    procs_[p].in_flight = idx + 1;
+    const std::optional<std::uint64_t> idx = book_.take_free(p);
+    if (Book::kCrossProcess && idx) {
+      // The crash-marked window opens: the node stays marked in flight
+      // through the structure's linking CAS until commit(p).
+      locals_[p].resume = locals_[p].phase;
+      locals_[p].phase = ReclaimPhase::kMidAllocate;
+    }
     return idx;
   }
 
   // The structure's linking CAS for p's in-flight node just succeeded.
-  void commit(int p) { procs_[p].in_flight = 0; }
+  void commit(int p) {
+    book_.commit(p);
+    if constexpr (Book::kCrossProcess) locals_[p].phase = locals_[p].resume;
+  }
 
   // Eager: stamps the node with the global epoch read *now* (one shared
   // read per retire), not with the retiring region's announced epoch: a
@@ -322,86 +312,68 @@ class EpochBasedReclaimer {
   // stamp would let the node mature while that reader is active. With the
   // retire-time stamp g, every reader that can hold the node announced
   // a ≤ g, and the epoch cannot pass a+1 ≤ g+1 < g+2 while it is active.
+  // The in-retire window around the stamp read is a crash marker: a victim
+  // that dies there is re-recorded by its expropriator.
   //
-  // Deferred: ZERO shared steps — the index lands in the pending ring; a
-  // full ring flushes the whole batch under one stamp read (flush-time
-  // g' ≥ each retire-time g, so the grace period only lengthens — strictly
-  // conservative) plus one amortized advance.
+  // Deferred: ZERO shared steps — the index lands in the book's deferred
+  // ring; a full ring flushes the whole batch under one stamp read
+  // (flush-time g' ≥ each retire-time g, so the grace period only
+  // lengthens — strictly conservative) plus one amortized advance.
   void retire(int p, std::uint64_t idx) {
-    death_self_check(procs_[p].death);
-    const ReclaimPhase resume = procs_[p].phase;
-    procs_[p].phase = ReclaimPhase::kMidRetire;
+    book_.enter(p);
+    const ReclaimPhase resume = locals_[p].phase;
+    locals_[p].phase = ReclaimPhase::kMidRetire;
     if constexpr (kDeferred) {
-      procs_[p].pending.enqueue(idx);
-      if (procs_[p].pending.full()) flush_pending(p);
+      defer(p, idx);
     } else {
-      // In-retire marker: the global read below is a shared step p can die
-      // at, with idx unlinked but not yet on any list. An expropriator that
-      // finds the marker set re-records the node itself.
-      procs_[p].in_retire = idx + 1;
-      const std::uint64_t g = global_.read();
-      global_mirror_.store(g, std::memory_order_relaxed);
-      procs_[p].limbo.push_back(Limbo{idx, g});
-      procs_[p].in_retire = 0;
-      if (++procs_[p].retires_since_advance >= kAdvanceEvery) {
-        procs_[p].retires_since_advance = 0;
-        flush(p, try_advance(p));
-      }
+      book_.begin_retire(p, idx);
+      book_.end_retire(p, idx, read_epoch());
+      advance_after(p, 1);
     }
-    procs_[p].phase = resume;
+    locals_[p].phase = resume;
   }
 
-  // Batch hand-off (the Reclaimer concept's batched verb): all n indices
-  // stamped under ONE global read, then one amortized advance+flush. In
-  // deferred mode the batch routes through the pending ring (flushing
-  // whenever it fills), so crash accounting is identical to retire()'s.
+  // Batch hand-off (the Reclaimer concept's batched verb): each staged
+  // chunk is stamped under ONE global read — the whole batch is one chunk
+  // unless the book bounds its staging window — then one amortized
+  // advance+flush. In deferred mode the batch routes through the deferred
+  // ring (flushing whenever it fills), so crash accounting is identical to
+  // retire()'s.
   void retire_batch(int p, const std::uint64_t* idxs, std::size_t count) {
-    death_self_check(procs_[p].death);
+    book_.enter(p);
     if (count == 0) return;
-    const ReclaimPhase resume = procs_[p].phase;
-    procs_[p].phase = ReclaimPhase::kMidRetire;
+    const ReclaimPhase resume = locals_[p].phase;
+    locals_[p].phase = ReclaimPhase::kMidRetire;
     if constexpr (kDeferred) {
-      for (std::size_t i = 0; i < count; ++i) {
-        procs_[p].pending.enqueue(idxs[i]);
-        if (procs_[p].pending.full()) flush_pending(p);
-      }
+      for (std::size_t i = 0; i < count; ++i) defer(p, idxs[i]);
     } else {
-      const std::uint64_t g = global_.read();
-      global_mirror_.store(g, std::memory_order_relaxed);
-      for (std::size_t i = 0; i < count; ++i) {
-        procs_[p].limbo.push_back(Limbo{idxs[i], g});
+      for (std::size_t done = 0; done < count;) {
+        const std::size_t chunk = book_.stage(p, idxs + done, count - done);
+        book_.record_staged(p, idxs + done, chunk, read_epoch());
+        done += chunk;
       }
-      procs_[p].retires_since_advance += count;
-      if (procs_[p].retires_since_advance >= kAdvanceEvery) {
-        procs_[p].retires_since_advance = 0;
-        flush(p, try_advance(p));
-      }
+      advance_after(p, count);
     }
-    procs_[p].phase = resume;
+    locals_[p].phase = resume;
   }
 
-  // Drains p's pending ring into limbo under one stamp read, then runs the
+  // Records p's deferred ring into limbo under one stamp read, then runs the
   // amortized advance+flush. The only shared step before the ring empties
   // is the stamp read itself, so a death at any shared step leaves the
-  // batch either entirely in the ring (swept by expropriate()) or entirely
-  // in limbo (spliced as usual) — no half-recorded gap.
+  // batch either entirely in the ring (re-stamped by the expropriator) or
+  // entirely in limbo (spliced as usual) — no half-recorded gap.
   void flush_pending(int p) {
-    auto& pending = procs_[p].pending;
-    if (pending.empty()) return;
-    const std::uint64_t g = global_.read();
-    global_mirror_.store(g, std::memory_order_relaxed);
-    while (!pending.empty()) {
-      procs_[p].limbo.push_back(Limbo{pending.dequeue(), g});
-    }
+    if (book_.deferred_count(p) == 0) return;
+    book_.record_deferred(p, read_epoch());
     flush(p, try_advance(p));
   }
 
   // Attempts one epoch advance; returns the freshest global epoch known.
   // Advance succeeds only when every announcement is quiescent or current —
-  // a single stale reader (announcement < e) vetoes it... unless the oracle
-  // says that reader is dead, in which case the two-phase handshake runs
-  // and a confirmed death is expropriated (its announcement written
-  // quiescent) instead of vetoing. p is the advancing process (the splice
+  // a single stale reader (announcement < e) vetoes it... unless the book
+  // finds that reader dead, in which case the two-phase handshake runs and
+  // a confirmed death is expropriated (its announcement written quiescent)
+  // instead of vetoing. p is the advancing process (the splice
   // destination); p < 0 — the engine-side/test overload — never
   // expropriates (and never self-refreshes).
   //
@@ -409,9 +381,8 @@ class EpochBasedReclaimer {
   // shaped heavy side (membarrier on FastAsymmetric; free elsewhere) that
   // makes every pending light announce visible before the scan below.
   std::uint64_t try_advance(int p = -1) {
-    if constexpr (kDeferred) PlatformFenceT<P>::heavy();
-    const std::uint64_t e = global_.read();
-    global_mirror_.store(e, std::memory_order_relaxed);
+    if constexpr (kDeferred) Fence::heavy();
+    const std::uint64_t e = read_epoch();
     if constexpr (kDeferred) {
       // Self-refresh: the deferred end_op leaves p's announcement
       // published, so p's own cache would veto p's own advance forever.
@@ -419,11 +390,10 @@ class EpochBasedReclaimer {
       // are post-end_op by the structure contract), so re-announcing the
       // current epoch is safe — p holds no snapshots the old value
       // protected.
-      if (p >= 0 && procs_[p].announce_mirror != kQuiescent &&
-          procs_[p].announce_mirror != e) {
-        announce_[p]->write(e);
-        PlatformFenceT<P>::light();
-        procs_[p].announce_mirror = e;
+      if (p >= 0 && announce_.mirror(p, 0) != kQuiescent &&
+          announce_.mirror(p, 0) != e) {
+        announce_.write(p, 0, e);
+        Fence::light();
       }
     }
     // Dead-lease sweep first — every dead-looking process, not just the
@@ -432,16 +402,25 @@ class EpochBasedReclaimer {
     // announcement but an orphaned in-retire node plus limbo and free
     // lists. Sweeping unconditionally drains those too; a confirmed death's
     // now-quiescent announcement then no longer vetoes the advance below.
-    expropriate_dead(p, e);
+    // The orphans' stamp is the epoch current at the seizure — at least the
+    // epoch of the victim's unlink, so no reader that can hold an orphan
+    // outlives its grace period. (The kNoRestamp lease mutant skips exactly
+    // this.)
+    if (p >= 0) {
+      book_.sweep(p, [this, e](int q) {
+        announce_.write(q, 0, kQuiescent);
+        book_.restamp_orphans(q, global_.current(e));
+      });
+    }
     for (int q = 0; q < n_; ++q) {
-      const std::uint64_t a = announce_[q]->read();
+      const std::uint64_t a = announce_.read(static_cast<std::size_t>(q));
       if (a == kQuiescent || a == e) continue;
       // Stale announcement by a live (or merely suspected) holder: veto.
       return e;
     }
     // CAS, not write: concurrent advancers must bump at most once from e.
     if (global_.cas(e, e + 1)) {
-      global_mirror_.store(e + 1, std::memory_order_relaxed);
+      global_.note(e + 1);
       return e + 1;
     }
     return e;
@@ -449,93 +428,26 @@ class EpochBasedReclaimer {
 
   // Moves p's matured limbo nodes (stamped ≤ epoch − 2) to the free list.
   void flush(int p, std::uint64_t epoch) {
-    auto& limbo = procs_[p].limbo;
-    while (!limbo.empty() && limbo.front().epoch + 2 <= epoch) {
-      procs_[p].free.push_back(limbo.front().index);
-      limbo.pop_front();
-    }
+    book_.release(p, [epoch](std::uint64_t, std::uint64_t stamp) {
+      return stamp + 2 <= epoch;
+    });
   }
 
-  // Two-phase dead-lease sweep (reclaim/death.h), run at every advance
-  // attempt: suspect on one visit, confirm — re-consulting the oracle — on
-  // a later one. With no oracle (or no deaths) this performs no shared
-  // steps, keeping the committed schedule corpus bit-identical.
-  void expropriate_dead(int p, std::uint64_t e) {
-    if (death_oracle_ == nullptr || p < 0) return;
-    for (int q = 0; q < n_; ++q) {
-      if (q == p || !death_oracle_->is_dead(q)) continue;
-      if (advance_death(procs_[q].death) == DeathStep::kConfirmed) {
-        expropriate(p, q, e);
-      }
-    }
-  }
-
-  // p won the confirm CAS on q's death word during an advance that read
-  // global epoch e: drain q. One shared write (the quiescent announcement);
-  // the list splices are q's orphaned, now exclusively-owned bookkeeping.
-  void expropriate(int p, int q, std::uint64_t e) {
-    auto& victim = procs_[q];
-    auto& mine = procs_[p];
-    announce_[q]->write(kQuiescent);
-    victim.announce_mirror = kQuiescent;
-    if (victim.in_retire != 0) {
-      // q died inside retire, after unlinking but possibly before the limbo
-      // push. Re-record conservatively with the current epoch (a full fresh
-      // grace period) unless the push did land.
-      const std::uint64_t idx = victim.in_retire - 1;
-      bool listed = false;
-      for (const auto& l : victim.limbo) {
-        if (l.index == idx) {
-          listed = true;
-          break;
-        }
-      }
-      if (!listed) victim.limbo.push_back(Limbo{idx, e});
-      victim.in_retire = 0;
-    }
-    // A batch parked in the dead process's pending ring: every entry is
-    // unlinked but unstamped. Re-stamp with the current epoch (a full fresh
-    // grace period, the in_retire rule applied batch-wide) — e is the
-    // maximum stamp in flight, so appending keeps the limbo stamp-sorted.
-    // Bounded garbage: at most kRetireBatch nodes per crash.
-    while (!victim.pending.empty()) {
-      victim.limbo.push_back(Limbo{victim.pending.dequeue(), e});
-    }
-    // Both limbo deques are stamp-sorted; merge keeps flush()'s
-    // pop-matured-from-the-front invariant.
-    std::deque<Limbo> merged;
-    std::merge(mine.limbo.begin(), mine.limbo.end(), victim.limbo.begin(),
-               victim.limbo.end(), std::back_inserter(merged),
-               [](const Limbo& a, const Limbo& b) { return a.epoch < b.epoch; });
-    mine.limbo = std::move(merged);
-    victim.limbo.clear();
-    while (!victim.free.empty()) {
-      mine.free.push_back(victim.free.front());
-      victim.free.pop_front();
-    }
-    if (victim.in_flight != 0) {
-      // Possibly linked by a CAS whose bookkeeping store never ran —
-      // quarantine, never free.
-      mine.quarantine.push_back(victim.in_flight - 1);
-      victim.in_flight = 0;
-    }
-    ++mine.expropriations;
-  }
+  // flush() against the current global epoch.
+  void collect(int p) { flush(p, global_epoch()); }
 
   std::uint64_t global_epoch() { return global_.read(); }
-  std::size_t pool_size() const { return pool_size_; }
-  std::size_t unreclaimed(int p) const {
-    return procs_[p].limbo.size() + procs_[p].pending.size();
-  }
-  std::size_t free_count(int p) const { return procs_[p].free.size(); }
-  std::size_t pending_count(int p) const { return procs_[p].pending.size(); }
+  std::size_t pool_size() const { return book_.pool_size(); }
+  std::size_t unreclaimed(int p) const { return book_.unreclaimed(p); }
+  std::size_t free_count(int p) const { return book_.free_count(p); }
+  std::size_t pending_count(int p) const { return book_.deferred_count(p); }
 
   // Engine-side observability (reclaimer.h). The epoch lag — how far the
   // freshest-known global epoch has left the oldest *active* announcement
-  // behind — is computed from relaxed mirror fields maintained at the write
-  // sites, because reading the real platform registers would cost shared
-  // steps (and, on the simulator, could only run on a simulated thread).
-  // The deferred mode keeps the same discipline: the cache hit updates no
+  // behind — comes from the words' step-free peeks: with PrivateBook those
+  // are the mirrors maintained at the write sites (reading the real
+  // platform registers would cost shared steps and, on the simulator, could
+  // only run on a simulated thread). The deferred cache hit updates no
   // mirror (the announcement did not change), so stats stay mirror-only
   // with no new shared steps. A lag that stays pinned at 0 while retires
   // accumulate is the signature of a frozen epoch: the stalled announcer IS
@@ -543,52 +455,31 @@ class EpochBasedReclaimer {
   // process's parked announcement counts toward the lag — honest, because
   // it pins the epoch exactly like an active region until detach.
   ReclaimStats stats() const {
-    ReclaimStats s;
-    s.pool_size = pool_size_;
-    const std::uint64_t global = global_mirror_.load(std::memory_order_relaxed);
-    for (const auto& proc : procs_) {
-      s.retired_unreclaimed += proc.limbo.size() + proc.pending.size();
-      s.free_nodes += proc.free.size();
-      if (proc.announce_mirror != kQuiescent &&
-          global > proc.announce_mirror) {
-        const std::uint64_t lag = global - proc.announce_mirror;
-        if (lag > s.epoch_lag) s.epoch_lag = lag;
+    ReclaimStats s = book_.stats();
+    const std::uint64_t global = global_.peek();
+    for (int q = 0; q < n_; ++q) {
+      const std::uint64_t a = announce_.peek(q, 0);
+      if (a != kQuiescent && global > a && global - a > s.epoch_lag) {
+        s.epoch_lag = global - a;
       }
-      // proc.in_retire is deliberately NOT folded into retired_unreclaimed:
-      // the committed schedule corpus's golden peaks sample stats while a
-      // process is parked inside retire, where the marker is transiently
-      // set. Conservation tests account for it explicitly.
-      s.quarantined += proc.quarantine.size();
-      if (proc.in_flight != 0) ++s.in_flight;
-      s.expropriations += proc.expropriations;
     }
     return s;
   }
-  ReclaimPhase phase(int p) const { return procs_[p].phase; }
+  ReclaimPhase phase(int p) const { return locals_[p].phase; }
 
-  // The thread-private state the signature key misses: limbo stamps,
-  // free-list order and pending-batch contents decide what future flushes
-  // release, the advance counter decides *when* the next amortized advance
-  // fires, and the crash bookkeeping decides what an expropriator would
-  // drain.
+  // The state the simulator's signature key misses: the book (limbo stamps,
+  // free-list order, deferred ring, crash bookkeeping), the announcement
+  // mirrors, and each process's protocol position and advance counter
+  // (which decides *when* the next amortized advance fires).
   std::uint64_t fingerprint() const {
     Fingerprint fp;
-    for (const auto& proc : procs_) {
-      fp.mix_range(proc.free);
-      fp.mix(proc.limbo.size());
-      for (const Limbo& l : proc.limbo) fp.mix(l.index).mix(l.epoch);
-      fp.mix(proc.retires_since_advance);
-      fp.mix(proc.pending.size());
-      for (std::size_t i = 0; i < proc.pending.size(); ++i) {
-        fp.mix(proc.pending.peek(i));
-      }
-      fp.mix(proc.announce_mirror);
-      fp.mix(static_cast<std::uint64_t>(proc.phase));
-      fp.mix(proc.in_flight);
-      fp.mix(proc.in_retire);
-      fp.mix_range(proc.quarantine);
-      fp.mix(proc.expropriations);
-      fp.mix(proc.death.load(std::memory_order_relaxed));
+    book_.fingerprint_into(fp);
+    global_.fingerprint_into(fp);
+    announce_.fingerprint_into(fp);
+    for (const Local& local : locals_) {
+      fp.mix(static_cast<std::uint64_t>(local.phase));
+      fp.mix(static_cast<std::uint64_t>(local.resume));
+      fp.mix(local.retires_since_advance);
     }
     return fp.value();
   }
@@ -596,54 +487,49 @@ class EpochBasedReclaimer {
  private:
   static constexpr std::uint64_t kQuiescent = ~std::uint64_t{0};
 
-  struct Limbo {
-    std::uint64_t index;
-    std::uint64_t epoch;  // Global epoch at retire (or batch-flush) time.
-  };
+  // A global-epoch read that also records the value as the freshest known
+  // (stats only). begin_op's reads deliberately skip the record.
+  std::uint64_t read_epoch() {
+    const std::uint64_t e = global_.read();
+    global_.note(e);
+    return e;
+  }
 
-  // Thread-private bookkeeping, one cache line per process so the limbo/
-  // free container headers touched on every retire/allocate never
-  // false-share between processes.
-  struct alignas(util::kCacheLineSize) PerProcess {
-    std::deque<std::uint64_t> free;
-    std::deque<Limbo> limbo;
+  // Deferred retire: into the book's ring, flushed once kRetireBatch wait.
+  void defer(int p, std::uint64_t idx) {
+    book_.defer(p, idx);
+    if (book_.deferred_count(p) >= kRetireBatch) flush_pending(p);
+  }
+
+  // The amortized advance: every kAdvanceEvery retires by p pay one
+  // advance attempt plus a flush.
+  void advance_after(int p, std::size_t retired) {
+    Local& local = locals_[p];
+    local.retires_since_advance += retired;
+    if (local.retires_since_advance >= kAdvanceEvery) {
+      local.retires_since_advance = 0;
+      flush(p, try_advance(p));
+    }
+  }
+
+  // Process-local protocol state, one line per process: the phase for the
+  // schedule-search engine (resume is what commit() restores), the advance
+  // cadence, and the pressure-path throttle (heavy-advance platforms only):
+  // g+1 of the epoch a starved advance round failed at (0 = not coasting),
+  // and the starved allocates since. See allocate().
+  struct alignas(util::kCacheLineSize) Local {
+    ReclaimPhase phase = ReclaimPhase::kIdle;
+    ReclaimPhase resume = ReclaimPhase::kIdle;
     std::size_t retires_since_advance = 0;
-    // Pressure-path throttle (heavy-advance platforms only): g+1 of the
-    // epoch a starved advance round failed at (0 = not coasting), and the
-    // starved allocates since. See allocate().
     std::uint64_t coast_epoch = 0;
     std::uint64_t coast_tries = 0;
-    // The deferred retire batch: unlinked, unstamped indices awaiting the
-    // one-shot flush. Always allocated (eager mode simply never fills it),
-    // so both modes share every accounting path.
-    structures::LocalRing<std::uint64_t> pending{kRetireBatch};
-    // Observability mirrors (reclaimer.h): p's own view of its announcement
-    // and protocol position. Written only by p, read by the engine while
-    // the processes are parked — no shared steps, no races.
-    std::uint64_t announce_mirror = kQuiescent;
-    ReclaimPhase phase = ReclaimPhase::kIdle;
-    // Crash-robustness bookkeeping (reclaim/death.h). in_flight is p's
-    // allocated-but-unlinked node, in_retire its unlinked-but-unrecorded
-    // retiree (both stored +1); quarantine holds nodes p quarantined from
-    // victims it expropriated; death is p's own word in the suspect/confirm
-    // handshake — the one field other processes write.
-    std::uint64_t in_flight = 0;
-    std::uint64_t in_retire = 0;
-    std::vector<std::uint64_t> quarantine;
-    std::size_t expropriations = 0;
-    std::atomic<std::uint8_t> death{kDeathLive};
   };
 
-  const DeathOracle* death_oracle_ = nullptr;
   int n_;
-  typename P::WritableCas global_;
-  // Freshest global epoch any process has observed; relaxed because it is
-  // instrumentation (stats only), never part of the protocol.
-  std::atomic<std::uint64_t> global_mirror_{0};
-  // unique_ptr: platform objects are immovable; Fast pads each to a line.
-  std::vector<std::unique_ptr<typename P::Register>> announce_;
-  std::vector<PerProcess> procs_;
-  std::size_t pool_size_ = 0;
+  Book book_;
+  typename Book::Counter global_;
+  typename Book::template Words<1> announce_;
+  std::vector<Local> locals_;
 };
 
 // The deferred-announce instantiation under its own name (the reclaimer

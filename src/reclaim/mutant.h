@@ -64,14 +64,14 @@ enum class LeaseMutation : std::uint8_t {
                      // gone-AND-heartbeat-unmoved pass, so a live-but-slow
                      // (parked) process can be confirmed dead and its
                      // guards/lists seized while it still holds a snapshot.
-  kNoQuarantine,     // SharedBook::drain_dead frees a dead process's
+  kNoQuarantine,     // LeasedBook::drain_dead frees a dead process's
                      // ambiguous in-flight node instead of quarantining it:
                      // a node that was already linked into the structure
                      // when the kill landed goes back into circulation
                      // while still reachable.
-  kNoRestamp,        // LeasedEpochReclaimer::expropriate_dead skips the
-                     // orphan re-stamp: a node orphaned mid-retire keeps
-                     // its stale/zero epoch stamp, so collect() frees it
+  kNoRestamp,        // LeasedBook::restamp_orphans skips the orphan
+                     // re-stamp: a node orphaned mid-retire keeps its
+                     // stale/zero epoch stamp, so the epoch flush frees it
                      // before readers announced in earlier epochs are done
                      // with it (the exact bug the PR 6 review fixed).
 };

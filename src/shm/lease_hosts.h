@@ -12,8 +12,8 @@
 //                     and park points are no-ops. This is what the native
 //                     determinism suites run the leased reclaimers on —
 //                     same protocol code, zero fork/shm machinery.
-//   LeasedFacade    — owns arena + lease table + an Env-templated base
-//                     reclaimer and presents the standard Reclaimer
+//   LeasedFacade    — owns arena + lease table + a reclaimer core over
+//                     LeasedBook<Env> and presents the standard Reclaimer
 //                     concept surface, so a leased reclaimer can be
 //                     plugged into TreiberStack/MsQueue on ANY platform
 //                     (native or sim) via the usual (Env&, n, FreeLists)
@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -42,8 +43,8 @@ namespace aba::shm {
 
 // The ShmArena placement API (place / place_array, tag + count) over heap
 // memory. Tags are ignored — there is no cross-process layout to agree on —
-// but keeping the signature identical means SharedBook and the reclaimers
-// place their words through the exact same calls on every host.
+// but keeping the signature identical means LeasedBook places its words
+// through the exact same calls on every host.
 class HeapArena {
  public:
   template <class T>
@@ -160,8 +161,8 @@ struct HostedEnv {
 template <class Base>
 class LeasedFacade {
  public:
-  using Table = typename Base::Leases;
-  using Env = typename Base::EnvT;
+  using Env = typename Base::Env;
+  using Table = std::remove_pointer_t<decltype(Env::leases)>;
 
   static constexpr const char* kName = Base::kName;
   static constexpr bool kNeedsGuard = Base::kNeedsGuard;
@@ -216,10 +217,10 @@ using ThreadEnv = HostedEnv<ThreadLeaseTable>;
 // protocol runs for real (self_check/beat/staleness suspicion — vetoes
 // only, never confirms). Constructible from any platform Env; the platform
 // env is unused because all leased state is hosted here.
-template <bool kCached>
+template <class Mode>
 class ThreadLeasedHazardReclaimerT final
-    : public LeasedFacade<LeasedHazardReclaimerT<kCached, detail::ThreadEnv>> {
-  using Facade = LeasedFacade<LeasedHazardReclaimerT<kCached, detail::ThreadEnv>>;
+    : public LeasedFacade<LeasedHazard<detail::ThreadEnv, Mode>> {
+  using Facade = LeasedFacade<LeasedHazard<detail::ThreadEnv, Mode>>;
 
  public:
   template <class PlatformEnv>
@@ -230,8 +231,8 @@ class ThreadLeasedHazardReclaimerT final
 };
 
 class ThreadLeasedEpochReclaimer final
-    : public LeasedFacade<LeasedEpochReclaimerT<detail::ThreadEnv>> {
-  using Facade = LeasedFacade<LeasedEpochReclaimerT<detail::ThreadEnv>>;
+    : public LeasedFacade<LeasedEpoch<detail::ThreadEnv>> {
+  using Facade = LeasedFacade<LeasedEpoch<detail::ThreadEnv>>;
 
  public:
   template <class PlatformEnv>
@@ -241,7 +242,9 @@ class ThreadLeasedEpochReclaimer final
                reclaim::LeaseMutation::kNone, reclaim::LeaseMutation::kNone) {}
 };
 
-using ThreadLeasedHazardReclaimer = ThreadLeasedHazardReclaimerT<false>;
-using ThreadLeasedCachedHazardReclaimer = ThreadLeasedHazardReclaimerT<true>;
+using ThreadLeasedHazardReclaimer =
+    ThreadLeasedHazardReclaimerT<reclaim::EagerGuards>;
+using ThreadLeasedCachedHazardReclaimer =
+    ThreadLeasedHazardReclaimerT<reclaim::CachedGuards>;
 
 }  // namespace aba::shm

@@ -1,12 +1,14 @@
-// Leased reclaimers — crash-robust hazard-pointer and epoch reclamation
-// whose bookkeeping lives in the shared arena, covered by pid leases.
+// LeasedBook — the crash-robust cross-process bookkeeping backend of the
+// two reclaimer cores (reclaim/hazard_pointer.h, reclaim/epoch.h): the same
+// hazard scan and epoch advance/flush as the in-process tier, with every
+// word and list in a shared arena and every process covered by a pid lease.
 //
-// The in-process reclaimers (reclaim/hazard_pointer.h, reclaim/epoch.h)
-// keep retired/free lists in thread-private heap memory: correct across
-// threads, but a SIGKILLed *process* takes its lists to the grave — every
-// node it owned leaks forever and its published guards/announcements pin
-// (hazard) or freeze (epoch) the survivors' reclamation permanently. The
-// leased variants move all of that state into the segment:
+// The in-process book (reclaim/private_book.h) keeps retired/free lists in
+// thread-private heap memory: correct across threads, but a SIGKILLed
+// *process* takes its lists to the grave — every node it owned leaks
+// forever and its published guards/announcements pin (hazard) or freeze
+// (epoch) the survivors' reclamation permanently. LeasedBook moves all of
+// that state into the segment:
 //
 //   links[pool]          — intrusive next-words; a node is on exactly one
 //                          list (free, retired/limbo, or quarantine), so
@@ -16,61 +18,75 @@
 //                          them while p is alive; after the pid-lease
 //                          confirm CAS (pid_lease.h) exactly one survivor
 //                          owns them instead and splices them into its own.
-//   in_flight[p]         — allocate() records the node it is *about to*
+//   stamps[pool]         — retire stamps (the epoch family's; hazard
+//                          leaves them 0), per node, so they travel with
+//                          the nodes through a splice.
+//   in_flight[p]         — take_free() records the node it is *about to*
 //                          unlink from the free list before unlinking it,
-//                          and the structure's commit(p) hook clears it
-//                          after the linking CAS. An expropriator that finds
-//                          the marker set checks membership: still on the
-//                          free list means the crash hit between intent and
+//                          and commit(p) clears it after the structure's
+//                          linking CAS. An expropriator that finds the
+//                          marker set checks membership: still on the free
+//                          list means the crash hit between intent and
 //                          unlink (node is safe in the splice); otherwise
 //                          the node may or may not be reachable from the
 //                          structure — it is QUARANTINED, never freed, so a
 //                          kill landing between the linking CAS and the
 //                          bookkeeping store can never cause a double-free.
 //                          Cost: at most one pool slot per crash. The window
-//                          is first-class for the crash harnesses: allocate
-//                          moves the process to ReclaimPhase::kMidAllocate
-//                          and commit() parks at kParkInFlight before
-//                          clearing the marker, so both the fork/SIGKILL
-//                          driver and the model checker's crash grants can
-//                          land a kill exactly between the linking CAS and
-//                          the in_flight clear — the one window where the
-//                          quarantine rule is load-bearing.
-//   in_retire[p]         — the mirror marker around retire(): set before
-//                          the node joins the retired list, cleared after.
-//                          The expropriator re-homes a marked node that
-//                          never made it onto the list.
+//                          is first-class for the crash harnesses: the
+//                          cores report ReclaimPhase::kMidAllocate there
+//                          (kCrossProcess) and commit() parks at
+//                          kParkInFlight before clearing the marker, so both
+//                          the fork/SIGKILL harness and the model checker's
+//                          crash grants can land a kill exactly between the
+//                          linking CAS and the in_flight clear — the one
+//                          window where the quarantine rule is load-bearing.
+//   in_retire[p]         — the mirror marker around retire(): set (then a
+//                          kParkMidRetire park point) before the node joins
+//                          the retired list, cleared after. The
+//                          expropriator re-homes a marked node that never
+//                          made it onto the list.
+//   pending[p][16]       — retire_batch's staging window: a chunk is
+//                          recorded here (then the same park point) BEFORE
+//                          any of it moves onto the retired list, so a kill
+//                          mid-drain leaves every node either staged or
+//                          already retired, never unlisted.
+//   shared words         — hazard slots, epoch announcements and the global
+//                          epoch (Words / Counter): arena atomics, seq_cst,
+//                          so the fence pair is NoFence.
 //
-// Recovery bound: a death is suspected at the first survivor scan that
-// probes it and confirmed (then fully drained — guards cleared, lists
-// spliced, markers resolved, lease reaped) at the second, so every node a
-// dead process owned is back in circulation within TWO survivor scans —
-// except the at-most-one quarantined in-flight node, which is the price of
-// never double-freeing. The epoch variant additionally clears the dead
-// process's frozen announcement, so the global epoch advances again and the
-// spliced limbo drains by the normal two-advance rule.
+// Recovery bound: a death is suspected at the first survivor scan/advance
+// that probes it and confirmed (then fully drained — words seized, orphans
+// re-stamped, lists spliced, markers resolved, lease reaped) at the second,
+// so every node a dead process owned is back in circulation within TWO
+// survivor passes — except the at-most-one quarantined in-flight node,
+// which is the price of never double-freeing. The epoch family additionally
+// clears the dead process's frozen announcement, so the global epoch
+// advances again and the spliced limbo drains by the normal two-advance
+// rule.
 //
 // Suspicion is driven by BOTH liveness probes and heartbeat staleness: a
-// scan suspects a peer whose pid looks gone OR whose heartbeat has not
-// moved across this scanner's whole previous-to-current scan interval (each
-// scanner remembers the last heartbeat it saw per peer). Staleness can only
-// ever *suspect* — confirmation still requires the pid definitively gone
-// AND the heartbeat unchanged since suspicion — so a live-but-slow process
-// is vetoed back to kLive at its next entry point instead of being seized
-// (the two-phase handshake in pid_lease.h). The staleness edge is what
-// makes suspicion reachable on hosts where "gone" is rare or meaningless
-// (the simulator, where a crashed process simply never runs again), and it
-// is the decision the kStaleConfirm lease mutant removes.
+// sweep suspects a peer whose pid looks gone OR whose heartbeat has not
+// moved across this sweeper's whole previous-to-current sweep interval
+// (each sweeper remembers the last heartbeat it saw per peer). Staleness
+// can only ever *suspect* — confirmation still requires the pid definitively
+// gone AND the heartbeat unchanged since suspicion — so a live-but-slow
+// process is vetoed back to kLive at its next entry point instead of being
+// seized (the two-phase handshake in pid_lease.h). The staleness edge is
+// what makes suspicion reachable on hosts where "gone" is rare or
+// meaningless (the simulator, where a crashed process simply never runs
+// again), and it is the decision the kStaleConfirm lease mutant removes.
 //
-// Host/Env templating: both reclaimers are templated over the platform Env
-// (default ShmPlatform::Env) and derive the lease-table type from
-// Env::leases, so the same protocol code runs over the production shm
-// arena, a plain heap arena (shm/lease_hosts.h, for single-process
-// determinism tests), or the simulator's arena + SimPlatform-hosted lease
-// table (sim/sim_lease.h, where the model checker searches the
-// suspect/confirm/veto CASes as first-class steps). An Env may carry a
-// `mutation` field (reclaim::LeaseMutation) — the test-only seam the
-// lease-mutant zoo uses; envs without the field get shipped behavior.
+// Host/Env templating: LeasedBook is templated over the platform Env and
+// derives the lease-table type from Env::leases, so the same protocol code
+// runs over the production shm arena, a plain heap arena
+// (shm/lease_hosts.h, for single-process determinism tests), or the
+// simulator's arena + SimPlatform-hosted lease table (sim/sim_lease.h, where
+// the model checker searches the suspect/confirm/veto CASes as first-class
+// steps). An Env may carry a `mutation` field (reclaim::LeaseMutation) — the
+// test-only seam the lease-mutant zoo uses (kNoQuarantine in drain_dead,
+// kNoRestamp in restamp_orphans); envs without the field get shipped
+// behavior.
 #pragma once
 
 #include <algorithm>
@@ -82,10 +98,14 @@
 #include <vector>
 
 #include "reclaim/death.h"
+#include "reclaim/epoch.h"
+#include "reclaim/hazard_pointer.h"
 #include "reclaim/mutant.h"
+#include "reclaim/private_book.h"
 #include "reclaim/reclaimer.h"
 #include "shm/pid_lease.h"
 #include "shm/shm_platform.h"
+#include "util/asymmetric_fence.h"
 #include "util/assert.h"
 
 namespace aba::shm {
@@ -185,77 +205,328 @@ class NodeLists {
   std::uint64_t pool_;
 };
 
-// The bookkeeping shared by both leased reclaimers: per-lease free and
-// retired lists (with counters), the two crash markers, and the global
-// quarantine. Placed in one deterministic burst so creator and attachers
-// agree on offsets.
-struct SharedBook {
-  // The batched retire hand-off's staging window, per lease. A retire_batch
-  // chunk is recorded here — in the segment — BEFORE any of it moves onto
-  // the retired list, so a kill mid-drain leaves every node either staged
-  // (swept by drain_dead, the suspect/confirm path) or already retired,
-  // never unlisted. Bounded like the quarantine: at most kPendingCap nodes
-  // can be parked in a dead process's window.
+}  // namespace detail
+
+template <class EnvT>
+class LeasedBook {
+ public:
+  using Env = EnvT;
+  using Leases = std::remove_pointer_t<decltype(Env::leases)>;
+  using Fence = util::NoFence;  // Every arena access is seq_cst.
+  static constexpr bool kCrossProcess = true;
+  // Bound on one staged retire_batch chunk — and so on the nodes that can
+  // be parked in a dead process's window.
   static constexpr std::size_t kPendingCap = 16;
 
-  NodeLists lists;
-  std::atomic<std::uint64_t>* free_head;      // [n]
-  std::atomic<std::uint64_t>* free_count;     // [n]
-  std::atomic<std::uint64_t>* retired_head;   // [n]
-  std::atomic<std::uint64_t>* retired_count;  // [n]
-  std::atomic<std::uint64_t>* in_flight;      // [n], idx+1 or 0.
-  std::atomic<std::uint64_t>* in_retire;      // [n], idx+1 or 0.
-  std::atomic<std::uint64_t>* pending;        // [n * kPendingCap], idx+1 or 0.
-  std::atomic<std::uint64_t>* pending_count;  // [n], staged chunk size.
-  std::atomic<std::uint64_t>* quarantine_head;
-  std::atomic<std::uint64_t>* quarantine_count;
-  std::atomic<std::uint64_t>* expropriations;
-  std::size_t pool = 0;
-  reclaim::LeaseMutation mutation = reclaim::LeaseMutation::kNone;
+  // n processes × k single-writer arena words, placed as one array. The
+  // mirror is what THIS process last wrote: exact for its own words only —
+  // a victim's mirror died with it, so seizing a victim's word always
+  // stores.
+  template <int k>
+  class Words {
+   public:
+    Words(Env& env, const char* name, int n, std::uint64_t initial)
+        : size_(static_cast<std::size_t>(n) * k),
+          words_(env.arena->template place_array<std::atomic<std::uint64_t>>(
+              name, size_)),
+          mirrors_(size_, initial) {
+      if (env.owner) {
+        for (std::size_t i = 0; i < size_; ++i) {
+          words_[i].store(initial, std::memory_order_relaxed);
+        }
+      }
+    }
 
-  template <class Env>
-  SharedBook(Env& env, int n, const reclaim::FreeLists& initial)
-      : lists(*env.arena, "book.links", pool_of(initial)),
-        pool(pool_of(initial)),
-        mutation(mutation_of(env)) {
+    std::size_t size() const { return size_; }
+    std::uint64_t read(std::size_t flat) {
+      return words_[flat].load(std::memory_order_seq_cst);
+    }
+    void write(int p, int i, std::uint64_t v) {
+      words_[at(p, i)].store(v, std::memory_order_seq_cst);
+      mirrors_[at(p, i)] = v;
+    }
+    std::uint64_t mirror(int p, int i) const { return mirrors_[at(p, i)]; }
+    std::uint64_t peek(int p, int i) const {
+      return words_[at(p, i)].load(std::memory_order_seq_cst);
+    }
+    void clear_if_set(int p, int i, std::uint64_t v) {
+      words_[at(p, i)].store(v, std::memory_order_seq_cst);
+    }
+    // The words are plain process atomics, outside the simulator's
+    // signature: fold them in with the mirrors.
+    void fingerprint_into(reclaim::Fingerprint& fp) const {
+      for (std::size_t i = 0; i < size_; ++i) {
+        fp.mix(words_[i].load(std::memory_order_seq_cst));
+      }
+      fp.mix_range(mirrors_);
+    }
+
+   private:
+    static std::size_t at(int p, int i) {
+      return static_cast<std::size_t>(p) * k + static_cast<std::size_t>(i);
+    }
+    std::size_t size_;
+    std::atomic<std::uint64_t>* words_;
+    std::vector<std::uint64_t> mirrors_;
+  };
+
+  // The global epoch: one arena word, counting from 1 — 0 is what a
+  // zero-filled stamp reads, so no real stamp is ever mistaken for "never
+  // stamped".
+  class Counter {
+   public:
+    Counter(Env& env, const char* name)
+        : word_(env.arena->template place<std::atomic<std::uint64_t>>(name)) {
+      if (env.owner) word_->store(1, std::memory_order_relaxed);
+    }
+    std::uint64_t read() { return word_->load(std::memory_order_seq_cst); }
+    bool cas(std::uint64_t e, std::uint64_t d) {
+      return word_->compare_exchange_strong(e, d, std::memory_order_seq_cst,
+                                            std::memory_order_seq_cst);
+    }
+    void note(std::uint64_t /*v*/) {}
+    // The epoch now: a sweep interleaves lease steps, during which the
+    // epoch may have moved past the advance's e — re-read.
+    std::uint64_t current(std::uint64_t /*e*/) const { return peek(); }
+    std::uint64_t peek() const {
+      return word_->load(std::memory_order_seq_cst);
+    }
+    void fingerprint_into(reclaim::Fingerprint& fp) const { fp.mix(peek()); }
+
+   private:
+    std::atomic<std::uint64_t>* word_;
+  };
+
+  // Places (creator) or binds (attacher) the book in one deterministic
+  // burst, so creator and attachers agree on offsets.
+  LeasedBook(Env& env, int n, const reclaim::FreeLists& initial)
+      : leases_(env.leases),
+        n_(n),
+        pool_(pool_of(initial)),
+        lists_(*env.arena, "book.links", pool_),
+        mutation_(detail::mutation_of(env)),
+        hb_seen_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
+                 0) {
+    ABA_CHECK_MSG(leases_ != nullptr,
+                  "leased reclaimers need Env::leases (a pid-lease table)");
+    ABA_CHECK(leases_->max_procs() >= n);
     auto& a = *env.arena;
     const auto count = static_cast<std::size_t>(n);
-    free_head = a.template place_array<std::atomic<std::uint64_t>>(
-        "book.free_head", count);
-    free_count = a.template place_array<std::atomic<std::uint64_t>>(
-        "book.free_count", count);
-    retired_head = a.template place_array<std::atomic<std::uint64_t>>(
-        "book.retired_head", count);
-    retired_count = a.template place_array<std::atomic<std::uint64_t>>(
-        "book.retired_count", count);
-    in_flight = a.template place_array<std::atomic<std::uint64_t>>(
-        "book.in_flight", count);
-    in_retire = a.template place_array<std::atomic<std::uint64_t>>(
-        "book.in_retire", count);
-    pending = a.template place_array<std::atomic<std::uint64_t>>(
-        "book.pending", count * kPendingCap);
-    pending_count = a.template place_array<std::atomic<std::uint64_t>>(
-        "book.pending_count", count);
-    quarantine_head =
+    const auto array = [&a, count](const char* tag, std::size_t per = 1) {
+      return a.template place_array<std::atomic<std::uint64_t>>(tag,
+                                                                 count * per);
+    };
+    free_head_ = array("book.free_head");
+    free_count_ = array("book.free_count");
+    retired_head_ = array("book.retired_head");
+    retired_count_ = array("book.retired_count");
+    in_flight_ = array("book.in_flight");
+    in_retire_ = array("book.in_retire");
+    pending_ = array("book.pending", kPendingCap);
+    pending_count_ = array("book.pending_count");
+    quarantine_head_ =
         a.template place<std::atomic<std::uint64_t>>("book.quarantine_head");
-    quarantine_count =
+    quarantine_count_ =
         a.template place<std::atomic<std::uint64_t>>("book.quarantine_count");
-    expropriations =
+    expropriations_ =
         a.template place<std::atomic<std::uint64_t>>("book.expropriations");
+    stamps_ = a.template place_array<std::atomic<std::uint64_t>>(
+        "book.stamps", pool_);
     if (env.owner) {
       for (int p = 0; p < n; ++p) {
         for (const std::uint64_t idx : initial[static_cast<std::size_t>(p)]) {
-          lists.push(free_head[p], idx);
-          free_count[p].fetch_add(1, std::memory_order_relaxed);
+          push_free(p, idx);
         }
       }
     }
   }
 
+  // ---- death: the pid-lease hooks
+
+  void enter(int p) {
+    leases_->self_check(p);
+    leases_->beat(p);
+  }
+  // Re-validates after a park point: a process expropriated while parked
+  // (the simulated-kill rendezvous) must self-fence here instead of
+  // touching lists that now belong to the expropriator.
+  void recheck(int p) { leases_->self_check(p); }
+  void park(int p, std::uint64_t point) { leases_->maybe_park(p, point); }
+
+  // The survivor side of the handshake over the pid-lease table: suspect a
+  // dead-looking (or heartbeat-stale) lease on one visit, confirm —
+  // re-probing liveness — on a later one; the confirm winner seizes the
+  // victim's words (the family's part), drains its lists, and reaps the
+  // lease.
+  template <class Seize>
+  void sweep(int p, Seize&& seize) {
+    for (int q = 0; q < n_; ++q) {
+      if (q == p || !leases_->is_held(q)) continue;
+      if (leases_->advance_death(q, stale_for(p, q)) ==
+          reclaim::DeathStep::kConfirmed) {
+        seize(q);
+        drain_dead(p, q);
+        leases_->reap(q);
+      }
+    }
+  }
+
+  // ---- free list and the in-flight window
+
+  bool free_empty(int p) const {
+    return free_head_[p].load(std::memory_order_seq_cst) == 0;
+  }
+
+  // The crash-safe pop: intent marker BEFORE the unlink.
+  std::optional<std::uint64_t> take_free(int p) {
+    const std::uint64_t h = free_head_[p].load(std::memory_order_seq_cst);
+    if (h == 0) return std::nullopt;
+    in_flight_[p].store(h, std::memory_order_seq_cst);
+    auto popped = lists_.pop(free_head_[p]);
+    free_count_[p].fetch_sub(1, std::memory_order_relaxed);
+    return popped;
+  }
+
+  // Park BEFORE the marker clear: the node is (possibly) linked and still
+  // marked — the exact instant the quarantine rule exists for, and the
+  // instant the crash harnesses want to land a kill on.
+  void commit(int p) {
+    park(p, kParkInFlight);
+    in_flight_[p].store(0, std::memory_order_seq_cst);
+  }
+
+  // ---- retire windows
+
+  void begin_retire(int p, std::uint64_t idx) {
+    in_retire_[p].store(idx + 1, std::memory_order_seq_cst);
+    park(p, kParkMidRetire);
+    recheck(p);
+  }
+  void end_retire(int p, std::uint64_t idx, std::uint64_t stamp) {
+    push_retired(p, idx, stamp);
+    in_retire_[p].store(0, std::memory_order_seq_cst);
+  }
+
+  // Stages up to kPendingCap of the batch in p's pending window — the
+  // crash-safe point of record — then parks; returns the chunk size.
+  std::size_t stage(int p, const std::uint64_t* idxs, std::size_t count) {
+    const std::size_t chunk = std::min(count, kPendingCap);
+    for (std::size_t i = 0; i < chunk; ++i) {
+      pending_slot(p, i).store(idxs[i] + 1, std::memory_order_seq_cst);
+    }
+    pending_count_[p].store(chunk, std::memory_order_seq_cst);
+    park(p, kParkMidRetire);
+    recheck(p);
+    return chunk;
+  }
+  // Each staged node reaches the retired list, then its slot clears so a
+  // later sweep cannot double-record it.
+  void record_staged(int p, const std::uint64_t* idxs, std::size_t chunk,
+                     std::uint64_t stamp) {
+    for (std::size_t i = 0; i < chunk; ++i) {
+      push_retired(p, idxs[i], stamp);
+      pending_slot(p, i).store(0, std::memory_order_seq_cst);
+    }
+    pending_count_[p].store(0, std::memory_order_seq_cst);
+  }
+
+  // Pops every retiree, frees the ones `reclaimable(index, stamp)` accepts
+  // and pushes the rest back. Bounded by the pool: after an expropriation
+  // this may be walking a list the victim was mutating when it died — it
+  // must terminate even if the links are cyclic.
+  template <class Pred>
+  void release(int p, Pred&& reclaimable) {
+    std::vector<std::uint64_t> keep;
+    for (std::size_t seen = 0; seen < pool_; ++seen) {
+      auto idx = lists_.pop(retired_head_[p]);
+      if (!idx) break;
+      if (reclaimable(*idx, stamp_of(*idx))) {
+        push_free(p, *idx);
+        retired_count_[p].fetch_sub(1, std::memory_order_relaxed);
+      } else {
+        keep.push_back(*idx);
+      }
+    }
+    for (const std::uint64_t idx : keep) lists_.push(retired_head_[p], idx);
+  }
+
+  // A victim killed inside retire() can leave in_retire set with the node's
+  // stamp never written (the stamp read follows the mid-retire park point),
+  // and one killed mid-retire_batch leaves its staged window unstamped — a
+  // stale/zero stamp would pass the two-epoch grace test immediately,
+  // freeing a node that readers announced in earlier epochs may still
+  // hold. Re-stamp every orphan before drain_dead re-homes it, so it waits
+  // a full grace period like any other retiree. The kNoRestamp lease mutant
+  // removes exactly this decision.
+  void restamp_orphans(int q, std::uint64_t stamp) {
+    if (mutation_ == reclaim::LeaseMutation::kNoRestamp) return;
+    const std::uint64_t mr = in_retire_[q].load(std::memory_order_seq_cst);
+    if (mr != 0) stamps_[mr - 1].store(stamp, std::memory_order_seq_cst);
+    for (std::size_t i = 0; i < staged(q); ++i) {
+      const std::uint64_t w = pending_slot(q, i).load(std::memory_order_seq_cst);
+      if (w != 0) stamps_[w - 1].store(stamp, std::memory_order_seq_cst);
+    }
+  }
+
+  // ---- observability
+
+  std::size_t pool_size() const { return pool_; }
+  std::size_t unreclaimed(int p) const {
+    return static_cast<std::size_t>(
+        retired_count_[p].load(std::memory_order_relaxed));
+  }
+  std::size_t free_count(int p) const {
+    return static_cast<std::size_t>(
+        free_count_[p].load(std::memory_order_relaxed));
+  }
+
+  reclaim::ReclaimStats stats() const {
+    reclaim::ReclaimStats s;
+    s.pool_size = pool_;
+    for (int p = 0; p < n_; ++p) {
+      s.retired_unreclaimed += unreclaimed(p);
+      s.free_nodes += free_count(p);
+      if (in_flight_[p].load(std::memory_order_relaxed) != 0) ++s.in_flight;
+    }
+    s.quarantined = static_cast<std::size_t>(
+        quarantine_count_->load(std::memory_order_relaxed));
+    s.expropriations = static_cast<std::size_t>(
+        expropriations_->load(std::memory_order_relaxed));
+    return s;
+  }
+
+  // Every book word that decides future allocations, scans and drains, the
+  // per-peer heartbeat history and the lease table's own host words —
+  // folded into the reclaimer fingerprint so the model checker's DPOR state
+  // key can never merge two configurations whose reclamation futures
+  // differ. All plain-atomic reads: safe from the engine thread.
+  void fingerprint_into(reclaim::Fingerprint& fp) const {
+    lists_.fingerprint_into(pool_, fp);
+    for (int p = 0; p < n_; ++p) {
+      fp.mix(free_head_[p].load(std::memory_order_seq_cst));
+      fp.mix(free_count_[p].load(std::memory_order_seq_cst));
+      fp.mix(retired_head_[p].load(std::memory_order_seq_cst));
+      fp.mix(retired_count_[p].load(std::memory_order_seq_cst));
+      fp.mix(in_flight_[p].load(std::memory_order_seq_cst));
+      fp.mix(in_retire_[p].load(std::memory_order_seq_cst));
+      fp.mix(pending_count_[p].load(std::memory_order_seq_cst));
+      for (std::size_t i = 0; i < kPendingCap; ++i) {
+        fp.mix(pending_slot(p, i).load(std::memory_order_seq_cst));
+      }
+    }
+    fp.mix(quarantine_head_->load(std::memory_order_seq_cst));
+    fp.mix(quarantine_count_->load(std::memory_order_seq_cst));
+    fp.mix(expropriations_->load(std::memory_order_seq_cst));
+    for (std::size_t i = 0; i < pool_; ++i) fp.mix(stamp_of(i));
+    fp.mix_range(hb_seen_);
+    fp.mix(leases_->fingerprint());
+  }
+
+ private:
   // The pool spans every index the structure may hand to retire(), not just
   // the initially-free ones — MsQueue's dummy node starts on no free list
-  // but is retired (and must have a links_/stamps_ entry) once dequeued
-  // past. Size by the highest index, so links_[idx] can never alias the
+  // but is retired (and must have a links/stamps entry) once dequeued
+  // past. Size by the highest index, so links[idx] can never alias the
   // next arena placement.
   static std::size_t pool_of(const reclaim::FreeLists& initial) {
     std::size_t pool = 0;
@@ -267,747 +538,136 @@ struct SharedBook {
     return pool;
   }
 
-  // allocate()'s crash-safe pop: intent marker BEFORE the unlink.
-  std::optional<std::uint64_t> allocate_from(int p) {
-    const std::uint64_t h = free_head[p].load(std::memory_order_seq_cst);
-    if (h == 0) return std::nullopt;
-    in_flight[p].store(h, std::memory_order_seq_cst);
-    auto popped = lists.pop(free_head[p]);
-    free_count[p].fetch_sub(1, std::memory_order_relaxed);
-    return popped;
+  std::atomic<std::uint64_t>& pending_slot(int p, std::size_t i) const {
+    return pending_[static_cast<std::size_t>(p) * kPendingCap + i];
+  }
+  std::size_t staged(int q) const {
+    const std::uint64_t pc = pending_count_[q].load(std::memory_order_seq_cst);
+    return pc < kPendingCap ? static_cast<std::size_t>(pc) : kPendingCap;
+  }
+  std::uint64_t stamp_of(std::uint64_t idx) const {
+    return stamps_[idx].load(std::memory_order_seq_cst);
   }
 
-  void retire_onto(int p, std::uint64_t idx) {
-    lists.push(retired_head[p], idx);
-    retired_count[p].fetch_add(1, std::memory_order_relaxed);
+  void push_free(int p, std::uint64_t idx) {
+    lists_.push(free_head_[p], idx);
+    free_count_[p].fetch_add(1, std::memory_order_relaxed);
+  }
+  void push_retired(int p, std::uint64_t idx, std::uint64_t stamp) {
+    stamps_[idx].store(stamp, std::memory_order_seq_cst);
+    lists_.push(retired_head_[p], idx);
+    retired_count_[p].fetch_add(1, std::memory_order_relaxed);
+  }
+  // Re-homes a node q unlinked but may never have listed: the contains()
+  // probe filters the one the crash caught between the list push and the
+  // marker clear.
+  void rehome(int q, std::uint64_t idx) {
+    if (lists_.contains(retired_head_[q], idx)) return;
+    lists_.push(retired_head_[q], idx);
+    retired_count_[q].fetch_add(1, std::memory_order_relaxed);
   }
 
-  void free_node(int p, std::uint64_t idx) {
-    lists.push(free_head[p], idx);
-    free_count[p].fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // Stages a retire_batch chunk (count <= kPendingCap) in p's pending
-  // window: the crash-safe point of record before the drain moves nodes
-  // onto the retired list one by one.
-  void stage_pending(int p, const std::uint64_t* idxs, std::size_t count) {
-    ABA_ASSERT(count <= kPendingCap);
-    for (std::size_t i = 0; i < count; ++i) {
-      pending[static_cast<std::size_t>(p) * kPendingCap + i].store(
-          idxs[i] + 1, std::memory_order_seq_cst);
-    }
-    pending_count[p].store(count, std::memory_order_seq_cst);
-  }
-
-  // Slot i of p's staged chunk reached the retired list; clear it so a
-  // later sweep cannot double-record it.
-  void clear_pending_slot(int p, std::size_t i) {
-    pending[static_cast<std::size_t>(p) * kPendingCap + i].store(
-        0, std::memory_order_seq_cst);
-  }
-
-  void finish_pending(int p) {
-    pending_count[p].store(0, std::memory_order_seq_cst);
+  // Heartbeat staleness: p remembers the last heartbeat it saw per peer; a
+  // peer whose heartbeat has not moved since p's previous sweep is
+  // suspected (never confirmed) on staleness alone. See the file comment.
+  bool stale_for(int p, int q) {
+    const std::size_t at =
+        static_cast<std::size_t>(p) * static_cast<std::size_t>(n_) +
+        static_cast<std::size_t>(q);
+    const std::uint64_t hb = leases_->heartbeat(q);
+    const bool stale = hb_seen_[at] != 0 && hb_seen_[at] == hb;
+    hb_seen_[at] = hb;
+    return stale;
   }
 
   // Resolves a dead q's crash markers and splices its lists into p's.
-  // Caller (the confirm winner) must have exclusive ownership of q.
+  // Caller (the confirm winner) has exclusive ownership of q.
   void drain_dead(int p, int q) {
-    // Half-finished retire: the marked node may never have reached q's
-    // retired list — re-home it there before the splice if so.
-    const std::uint64_t mr = in_retire[q].load(std::memory_order_seq_cst);
+    // Half-finished retire / retire_batch: the marked node and every
+    // still-set staged slot were unlinked by q but may never have reached
+    // its retired list. Bounded work: at most kPendingCap + 1 probes.
+    const std::uint64_t mr = in_retire_[q].load(std::memory_order_seq_cst);
     if (mr != 0) {
-      if (!lists.contains(retired_head[q], mr - 1)) {
-        lists.push(retired_head[q], mr - 1);
-        retired_count[q].fetch_add(1, std::memory_order_relaxed);
-      }
-      in_retire[q].store(0, std::memory_order_seq_cst);
+      rehome(q, mr - 1);
+      in_retire_[q].store(0, std::memory_order_seq_cst);
     }
-    // Half-finished retire_batch: every still-set pending slot names a node
-    // that was unlinked by q but may never have reached its retired list —
-    // the contains() probe filters the one the crash caught between the
-    // list push and the slot clear. Bounded work: at most kPendingCap
-    // probes per crash.
-    const std::uint64_t pc = pending_count[q].load(std::memory_order_seq_cst);
-    if (pc != 0) {
-      const std::size_t staged =
-          pc < kPendingCap ? static_cast<std::size_t>(pc) : kPendingCap;
-      for (std::size_t i = 0; i < staged; ++i) {
-        auto& slot = pending[static_cast<std::size_t>(q) * kPendingCap + i];
-        const std::uint64_t w = slot.load(std::memory_order_seq_cst);
-        if (w != 0) {
-          if (!lists.contains(retired_head[q], w - 1)) {
-            lists.push(retired_head[q], w - 1);
-            retired_count[q].fetch_add(1, std::memory_order_relaxed);
-          }
-          slot.store(0, std::memory_order_seq_cst);
-        }
+    for (std::size_t i = 0; i < staged(q); ++i) {
+      auto& slot = pending_slot(q, i);
+      const std::uint64_t w = slot.load(std::memory_order_seq_cst);
+      if (w != 0) {
+        rehome(q, w - 1);
+        slot.store(0, std::memory_order_seq_cst);
       }
-      pending_count[q].store(0, std::memory_order_seq_cst);
     }
+    pending_count_[q].store(0, std::memory_order_seq_cst);
     // Half-finished allocate: still on the free list means the crash hit
     // between intent and unlink (the splice below recovers it); otherwise
     // the node may be linked into the structure — quarantine, never free.
-    const std::uint64_t mf = in_flight[q].load(std::memory_order_seq_cst);
+    const std::uint64_t mf = in_flight_[q].load(std::memory_order_seq_cst);
     if (mf != 0) {
-      if (!lists.contains(free_head[q], mf - 1)) {
-        if (mutation == reclaim::LeaseMutation::kNoQuarantine) {
+      if (!lists_.contains(free_head_[q], mf - 1)) {
+        if (mutation_ == reclaim::LeaseMutation::kNoQuarantine) {
           // The mutant: put the ambiguous node straight back into
           // circulation. If the kill landed after the linking CAS the node
           // is still reachable from the structure — reallocating it is the
           // double-free the quarantine exists to prevent.
-          lists.push(free_head[q], mf - 1);
-          free_count[q].fetch_add(1, std::memory_order_relaxed);
+          push_free(q, mf - 1);
         } else {
           // The quarantine head is the one list with concurrent pushers
           // (confirm winners of *different* victims), so it takes the CAS
           // push, not the single-owner one.
-          lists.push_shared(*quarantine_head, mf - 1);
-          quarantine_count->fetch_add(1, std::memory_order_relaxed);
+          lists_.push_shared(*quarantine_head_, mf - 1);
+          quarantine_count_->fetch_add(1, std::memory_order_relaxed);
         }
       }
-      in_flight[q].store(0, std::memory_order_seq_cst);
+      in_flight_[q].store(0, std::memory_order_seq_cst);
     }
     const std::uint64_t moved_retired =
-        lists.splice(retired_head[q], retired_head[p]);
-    retired_count[q].store(0, std::memory_order_relaxed);
-    retired_count[p].fetch_add(moved_retired, std::memory_order_relaxed);
-    const std::uint64_t moved_free = lists.splice(free_head[q], free_head[p]);
-    free_count[q].store(0, std::memory_order_relaxed);
-    free_count[p].fetch_add(moved_free, std::memory_order_relaxed);
-    expropriations->fetch_add(1, std::memory_order_relaxed);
-  }
-
-  reclaim::ReclaimStats stats_base(int n) const {
-    reclaim::ReclaimStats s;
-    s.pool_size = pool;
-    for (int p = 0; p < n; ++p) {
-      s.retired_unreclaimed += static_cast<std::size_t>(
-          retired_count[p].load(std::memory_order_relaxed));
-      s.free_nodes += static_cast<std::size_t>(
-          free_count[p].load(std::memory_order_relaxed));
-      if (in_flight[p].load(std::memory_order_relaxed) != 0) ++s.in_flight;
-    }
-    s.quarantined = static_cast<std::size_t>(
-        quarantine_count->load(std::memory_order_relaxed));
-    s.expropriations = static_cast<std::size_t>(
-        expropriations->load(std::memory_order_relaxed));
-    return s;
-  }
-
-  // Every book word that decides future allocations, scans and drains —
-  // folded into the reclaimer fingerprint so the model checker's DPOR state
-  // key can never merge two configurations whose reclamation futures
-  // differ. All plain-atomic reads: safe from the engine thread.
-  void fingerprint_into(int n, reclaim::Fingerprint& fp) const {
-    lists.fingerprint_into(pool, fp);
-    const auto count = static_cast<std::size_t>(n);
-    for (std::size_t p = 0; p < count; ++p) {
-      fp.mix(free_head[p].load(std::memory_order_seq_cst));
-      fp.mix(free_count[p].load(std::memory_order_seq_cst));
-      fp.mix(retired_head[p].load(std::memory_order_seq_cst));
-      fp.mix(retired_count[p].load(std::memory_order_seq_cst));
-      fp.mix(in_flight[p].load(std::memory_order_seq_cst));
-      fp.mix(in_retire[p].load(std::memory_order_seq_cst));
-      fp.mix(pending_count[p].load(std::memory_order_seq_cst));
-      for (std::size_t i = 0; i < kPendingCap; ++i) {
-        fp.mix(pending[p * kPendingCap + i].load(std::memory_order_seq_cst));
-      }
-    }
-    fp.mix(quarantine_head->load(std::memory_order_seq_cst));
-    fp.mix(quarantine_count->load(std::memory_order_seq_cst));
-    fp.mix(expropriations->load(std::memory_order_seq_cst));
-  }
-};
-
-}  // namespace detail
-
-// ------------------------------------------------------- hazard (leased)
-
-// Michael-style hazard pointers over the shared arena. kCached keeps slots
-// published across operations (the guard-caching mode of PR 4); the leased
-// variant's cache is process-local, so after a crash the expropriator reads
-// the authoritative shared slots, not the cache.
-template <bool kCached, class Env = ShmPlatform::Env>
-class LeasedHazardReclaimerT {
- public:
-  using EnvT = Env;
-  using Leases = std::remove_pointer_t<decltype(Env::leases)>;
-
-  static constexpr const char* kName =
-      kCached ? "leased_hazard_cached" : "leased_hazard";
-  static constexpr bool kNeedsGuard = true;
-  static constexpr int kSlotsPerProcess = 2;
-
-  LeasedHazardReclaimerT(Env& env, int n, reclaim::FreeLists initial_free)
-      : leases_(env.leases), n_(n), book_(env, n, initial_free) {
-    ABA_CHECK_MSG(leases_ != nullptr,
-                  "leased reclaimers need Env::leases (a pid-lease table)");
-    ABA_CHECK(leases_->max_procs() >= n);
-    slots_ = env.arena->template place_array<std::atomic<std::uint64_t>>(
-        "hp.slots", static_cast<std::size_t>(n) * kSlotsPerProcess);
-    published_.assign(static_cast<std::size_t>(n) * kSlotsPerProcess, 0);
-    phases_.assign(static_cast<std::size_t>(n), reclaim::ReclaimPhase::kIdle);
-    alloc_resume_.assign(static_cast<std::size_t>(n),
-                         reclaim::ReclaimPhase::kIdle);
-    hb_seen_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-                    0);
-  }
-
-  void begin_op(int p) {
-    leases_->self_check(p);
-    leases_->beat(p);
-    phases_[p] = reclaim::ReclaimPhase::kInRegion;
-  }
-
-  void guard(int p, int slot, std::uint64_t idx) {
-    ABA_ASSERT(slot >= 0 && slot < kSlotsPerProcess);
-    const std::uint64_t word = idx + 1;
-    std::uint64_t& cached = published_[cache_index(p, slot)];
-    phases_[p] = reclaim::ReclaimPhase::kGuardPublished;
-    if constexpr (kCached) {
-      if (cached == word) {
-        leases_->maybe_park(p, kParkGuardPublished);
-        return;
-      }
-    }
-    slot_ref(p, slot).store(word, std::memory_order_seq_cst);
-    cached = word;
-    leases_->maybe_park(p, kParkGuardPublished);
-  }
-
-  void end_op(int p) {
-    if constexpr (!kCached) clear_published(p);
-    phases_[p] = reclaim::ReclaimPhase::kIdle;
-  }
-
-  void detach(int p) { clear_published(p); }
-
-  std::optional<std::uint64_t> allocate(int p) {
-    leases_->self_check(p);
-    leases_->beat(p);
-    if (book_.free_head[p].load(std::memory_order_seq_cst) == 0) {
-      scan(p);
-      if constexpr (kCached) {
-        if (book_.free_head[p].load(std::memory_order_seq_cst) == 0 &&
-            has_published(p)) {
-          detach(p);
-          scan(p);
-        }
-      }
-    }
-    auto idx = book_.allocate_from(p);
-    if (idx) {
-      // The crash-marked window opens: in_flight[p] is set and stays set
-      // through the structure's linking CAS until commit(p).
-      alloc_resume_[p] = phases_[p];
-      phases_[p] = reclaim::ReclaimPhase::kMidAllocate;
-    }
-    return idx;
-  }
-
-  void commit(int p) {
-    // Park BEFORE the marker clear: the node is (possibly) linked and still
-    // marked — the exact instant the quarantine rule exists for, and the
-    // instant the crash harnesses want to land a kill on.
-    leases_->maybe_park(p, kParkInFlight);
-    book_.in_flight[p].store(0, std::memory_order_seq_cst);
-    phases_[p] = alloc_resume_[p];
-  }
-
-  void retire(int p, std::uint64_t idx) {
-    leases_->self_check(p);
-    leases_->beat(p);
-    const reclaim::ReclaimPhase resume = phases_[p];
-    phases_[p] = reclaim::ReclaimPhase::kMidRetire;
-    book_.in_retire[p].store(idx + 1, std::memory_order_seq_cst);
-    leases_->maybe_park(p, kParkMidRetire);
-    // Re-validate after the park: a worker that was expropriated while
-    // parked (the simulated-kill rendezvous) must self-fence here instead
-    // of pushing onto lists that now belong to the expropriator.
-    leases_->self_check(p);
-    book_.retire_onto(p, idx);
-    book_.in_retire[p].store(0, std::memory_order_seq_cst);
-    if (book_.retired_count[p].load(std::memory_order_relaxed) >=
-        scan_threshold()) {
-      scan(p);
-    }
-    phases_[p] = resume;
-  }
-
-  // Batch hand-off: each chunk is staged in the shm pending window before
-  // any node moves to the retired list (crash-safe — a batch parked in a
-  // dead process's window is swept by the suspect/confirm expropriation),
-  // and the whole batch pays ONE threshold check / scan.
-  void retire_batch(int p, const std::uint64_t* idxs, std::size_t count) {
-    leases_->self_check(p);
-    leases_->beat(p);
-    const reclaim::ReclaimPhase resume = phases_[p];
-    phases_[p] = reclaim::ReclaimPhase::kMidRetire;
-    std::size_t done = 0;
-    while (done < count) {
-      const std::size_t chunk =
-          std::min(count - done, detail::SharedBook::kPendingCap);
-      book_.stage_pending(p, idxs + done, chunk);
-      leases_->maybe_park(p, kParkMidRetire);
-      leases_->self_check(p);
-      for (std::size_t i = 0; i < chunk; ++i) {
-        book_.retire_onto(p, idxs[done + i]);
-        book_.clear_pending_slot(p, i);
-      }
-      book_.finish_pending(p);
-      done += chunk;
-    }
-    if (count != 0 &&
-        book_.retired_count[p].load(std::memory_order_relaxed) >=
-            scan_threshold()) {
-      scan(p);
-    }
-    phases_[p] = resume;
-  }
-
-  // One pass: sweep dead leases (two-phase; a confirmed death is fully
-  // drained here), then free every retiree no live slot guards.
-  void scan(int p) {
-    expropriate_dead(p);
-    std::vector<std::uint64_t> guarded;
-    guarded.reserve(static_cast<std::size_t>(n_) * kSlotsPerProcess);
-    for (int i = 0; i < n_ * kSlotsPerProcess; ++i) {
-      const std::uint64_t w = slots_[i].load(std::memory_order_seq_cst);
-      if (w != 0) guarded.push_back(w - 1);
-    }
-    std::vector<std::uint64_t> keep;
-    // Bounded by the pool: after an expropriation this may be walking a
-    // list the victim was mutating when it died — it must terminate even
-    // if the links are cyclic.
-    for (std::size_t seen = 0; seen < book_.pool; ++seen) {
-      auto idx = book_.lists.pop(book_.retired_head[p]);
-      if (!idx) break;
-      bool pinned = false;
-      for (const std::uint64_t g : guarded) {
-        if (g == *idx) {
-          pinned = true;
-          break;
-        }
-      }
-      if (pinned) {
-        keep.push_back(*idx);
-      } else {
-        book_.lists.push(book_.free_head[p], *idx);
-        book_.free_count[p].fetch_add(1, std::memory_order_relaxed);
-        book_.retired_count[p].fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    for (const std::uint64_t idx : keep) {
-      book_.lists.push(book_.retired_head[p], idx);
-    }
-  }
-
-  std::size_t scan_threshold() const {
-    return 2 * static_cast<std::size_t>(n_) * kSlotsPerProcess;
-  }
-
-  std::size_t pool_size() const { return book_.pool; }
-  std::size_t unreclaimed(int p) const {
-    return static_cast<std::size_t>(
-        book_.retired_count[p].load(std::memory_order_relaxed));
-  }
-
-  reclaim::ReclaimStats stats() const {
-    reclaim::ReclaimStats s = book_.stats_base(n_);
-    for (int i = 0; i < n_ * kSlotsPerProcess; ++i) {
-      if (slots_[i].load(std::memory_order_seq_cst) != 0) {
-        ++s.guard_slots_occupied;
-      }
-    }
-    return s;
-  }
-
-  reclaim::ReclaimPhase phase(int p) const { return phases_[p]; }
-
-  // Everything outside the simulator's announced-word signature that
-  // decides this reclaimer's future: the book, the authoritative guard
-  // slots, the process-local caches and phases, the per-peer heartbeat
-  // history, and the lease table's own host words.
-  std::uint64_t fingerprint() const {
-    reclaim::Fingerprint fp;
-    book_.fingerprint_into(n_, fp);
-    for (int i = 0; i < n_ * kSlotsPerProcess; ++i) {
-      fp.mix(slots_[i].load(std::memory_order_seq_cst));
-    }
-    fp.mix_range(published_);
-    for (const auto ph : phases_) fp.mix(static_cast<std::uint64_t>(ph));
-    for (const auto ph : alloc_resume_) fp.mix(static_cast<std::uint64_t>(ph));
-    fp.mix_range(hb_seen_);
-    fp.mix(leases_->fingerprint());
-    return fp.value();
-  }
-
- private:
-  std::size_t cache_index(int p, int slot) const {
-    return static_cast<std::size_t>(p) * kSlotsPerProcess +
-           static_cast<std::size_t>(slot);
-  }
-  std::atomic<std::uint64_t>& slot_ref(int p, int slot) {
-    return slots_[cache_index(p, slot)];
-  }
-
-  bool has_published(int p) const {
-    for (int slot = 0; slot < kSlotsPerProcess; ++slot) {
-      if (published_[cache_index(p, slot)] != 0) return true;
-    }
-    return false;
-  }
-
-  void clear_published(int p) {
-    for (int slot = 0; slot < kSlotsPerProcess; ++slot) {
-      if (published_[cache_index(p, slot)] != 0) {
-        slot_ref(p, slot).store(0, std::memory_order_seq_cst);
-        published_[cache_index(p, slot)] = 0;
-      }
-    }
-  }
-
-  // Heartbeat staleness: p remembers the last heartbeat it saw per peer; a
-  // peer whose heartbeat has not moved since p's previous scan is suspected
-  // (never confirmed) on staleness alone. See the file comment.
-  bool stale_for(int p, int q) {
-    const std::size_t at =
-        static_cast<std::size_t>(p) * static_cast<std::size_t>(n_) +
-        static_cast<std::size_t>(q);
-    const std::uint64_t hb = leases_->heartbeat(q);
-    const bool stale = hb_seen_[at] != 0 && hb_seen_[at] == hb;
-    hb_seen_[at] = hb;
-    return stale;
-  }
-
-  void expropriate_dead(int p) {
-    for (int q = 0; q < n_; ++q) {
-      if (q == p || !leases_->is_held(q)) continue;
-      if (leases_->advance_death(q, stale_for(p, q)) ==
-          reclaim::DeathStep::kConfirmed) {
-        // Clear the victim's published guards so this very scan's slot
-        // reads no longer see them.
-        for (int slot = 0; slot < kSlotsPerProcess; ++slot) {
-          slot_ref(q, slot).store(0, std::memory_order_seq_cst);
-        }
-        book_.drain_dead(p, q);
-        leases_->reap(q);
-      }
-    }
+        lists_.splice(retired_head_[q], retired_head_[p]);
+    retired_count_[q].store(0, std::memory_order_relaxed);
+    retired_count_[p].fetch_add(moved_retired, std::memory_order_relaxed);
+    const std::uint64_t moved_free = lists_.splice(free_head_[q], free_head_[p]);
+    free_count_[q].store(0, std::memory_order_relaxed);
+    free_count_[p].fetch_add(moved_free, std::memory_order_relaxed);
+    expropriations_->fetch_add(1, std::memory_order_relaxed);
   }
 
   Leases* leases_;
   int n_;
-  detail::SharedBook book_;
-  std::atomic<std::uint64_t>* slots_;  // [n * kSlotsPerProcess], idx+1 or 0.
-  // Process-local guard cache / dirty tracking; authoritative state is in
-  // slots_ (which is what expropriation reads).
-  std::vector<std::uint64_t> published_;
-  std::vector<reclaim::ReclaimPhase> phases_;
-  std::vector<reclaim::ReclaimPhase> alloc_resume_;
-  std::vector<std::uint64_t> hb_seen_;  // [n*n]: last heartbeat p saw of q.
-};
-
-using LeasedHazardReclaimer = LeasedHazardReclaimerT<false>;
-using LeasedCachedHazardReclaimer = LeasedHazardReclaimerT<true>;
-
-// -------------------------------------------------------- epoch (leased)
-
-// Epoch-based reclamation over the shared arena: per-lease announcements
-// against a global epoch; a retired node frees two advances after its
-// stamp. A dead process's frozen announcement would block the advance
-// forever — the sweep inside try_advance expropriates it instead (clears
-// the announcement, splices the limbo; stamps live in a per-node array, so
-// they travel with the nodes).
-template <class Env = ShmPlatform::Env>
-class LeasedEpochReclaimerT {
- public:
-  using EnvT = Env;
-  using Leases = std::remove_pointer_t<decltype(Env::leases)>;
-
-  static constexpr const char* kName = "leased_epoch";
-  static constexpr bool kNeedsGuard = false;
-  static constexpr std::uint64_t kQuiescent = 0;
-  static constexpr std::size_t kAdvanceEvery = 4;
-
-  LeasedEpochReclaimerT(Env& env, int n, reclaim::FreeLists initial_free)
-      : leases_(env.leases),
-        n_(n),
-        book_(env, n, initial_free),
-        mutation_(detail::mutation_of(env)) {
-    ABA_CHECK_MSG(leases_ != nullptr,
-                  "leased reclaimers need Env::leases (a pid-lease table)");
-    ABA_CHECK(leases_->max_procs() >= n);
-    global_ = env.arena->template place<std::atomic<std::uint64_t>>("ep.global");
-    announce_ = env.arena->template place_array<std::atomic<std::uint64_t>>(
-        "ep.announce", static_cast<std::size_t>(n));
-    stamps_ = env.arena->template place_array<std::atomic<std::uint64_t>>(
-        "ep.stamps", book_.pool);
-    if (env.owner) global_->store(1, std::memory_order_seq_cst);
-    phases_.assign(static_cast<std::size_t>(n), reclaim::ReclaimPhase::kIdle);
-    alloc_resume_.assign(static_cast<std::size_t>(n),
-                         reclaim::ReclaimPhase::kIdle);
-    hb_seen_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-                    0);
-  }
-
-  void begin_op(int p) {
-    leases_->self_check(p);
-    leases_->beat(p);
-    announce_[p].store(global_->load(std::memory_order_seq_cst),
-                       std::memory_order_seq_cst);
-    phases_[p] = reclaim::ReclaimPhase::kEpochAnnounced;
-    leases_->maybe_park(p, kParkEpochAnnounced);
-  }
-
-  void guard(int /*p*/, int /*slot*/, std::uint64_t /*idx*/) {}
-
-  void end_op(int p) {
-    announce_[p].store(kQuiescent, std::memory_order_seq_cst);
-    phases_[p] = reclaim::ReclaimPhase::kIdle;
-  }
-
-  std::optional<std::uint64_t> allocate(int p) {
-    leases_->self_check(p);
-    leases_->beat(p);
-    if (book_.free_head[p].load(std::memory_order_seq_cst) == 0) {
-      try_advance(p);
-      collect(p);
-    }
-    auto idx = book_.allocate_from(p);
-    if (idx) {
-      // The crash-marked window opens (see the hazard variant).
-      alloc_resume_[p] = phases_[p];
-      phases_[p] = reclaim::ReclaimPhase::kMidAllocate;
-    }
-    return idx;
-  }
-
-  void commit(int p) {
-    leases_->maybe_park(p, kParkInFlight);
-    book_.in_flight[p].store(0, std::memory_order_seq_cst);
-    phases_[p] = alloc_resume_[p];
-  }
-
-  void retire(int p, std::uint64_t idx) {
-    leases_->self_check(p);
-    leases_->beat(p);
-    const reclaim::ReclaimPhase resume = phases_[p];
-    phases_[p] = reclaim::ReclaimPhase::kMidRetire;
-    book_.in_retire[p].store(idx + 1, std::memory_order_seq_cst);
-    leases_->maybe_park(p, kParkMidRetire);
-    // Re-validate after the park: a worker that was expropriated while
-    // parked (the simulated-kill rendezvous) must self-fence here instead
-    // of stamping and pushing onto lists that now belong to the
-    // expropriator.
-    leases_->self_check(p);
-    stamps_[idx].store(global_->load(std::memory_order_seq_cst),
-                       std::memory_order_seq_cst);
-    book_.retire_onto(p, idx);
-    book_.in_retire[p].store(0, std::memory_order_seq_cst);
-    if (book_.retired_count[p].load(std::memory_order_relaxed) %
-            kAdvanceEvery ==
-        0) {
-      try_advance(p);
-      collect(p);
-    }
-    phases_[p] = resume;
-  }
-
-  // Batch hand-off: each chunk is staged in the shm pending window before
-  // any node is stamped or listed (crash-safe — drain_dead sweeps a dead
-  // process's window), the whole chunk is stamped under ONE global-epoch
-  // read, and the whole batch pays one advance+collect at the end.
-  void retire_batch(int p, const std::uint64_t* idxs, std::size_t count) {
-    leases_->self_check(p);
-    leases_->beat(p);
-    const reclaim::ReclaimPhase resume = phases_[p];
-    phases_[p] = reclaim::ReclaimPhase::kMidRetire;
-    std::size_t done = 0;
-    while (done < count) {
-      const std::size_t chunk =
-          std::min(count - done, detail::SharedBook::kPendingCap);
-      book_.stage_pending(p, idxs + done, chunk);
-      leases_->maybe_park(p, kParkMidRetire);
-      leases_->self_check(p);
-      const std::uint64_t g = global_->load(std::memory_order_seq_cst);
-      for (std::size_t i = 0; i < chunk; ++i) {
-        const std::uint64_t idx = idxs[done + i];
-        stamps_[idx].store(g, std::memory_order_seq_cst);
-        book_.retire_onto(p, idx);
-        book_.clear_pending_slot(p, i);
-      }
-      book_.finish_pending(p);
-      done += chunk;
-    }
-    if (count != 0) {
-      try_advance(p);
-      collect(p);
-    }
-    phases_[p] = resume;
-  }
-
-  // Advances the global epoch if every live announcement is current; every
-  // advance attempt first sweeps all dead-looking leases (two-phase), so a
-  // crash can stall the epoch for at most two survivor attempts. The sweep
-  // covers every held lease, not just stale announcers: the structures
-  // retire *after* end_op, so a process killed mid-retire has a quiescent
-  // announcement but an orphaned in-retire node plus limbo and free lists.
-  std::uint64_t try_advance(int p) {
-    expropriate_dead(p);
-    const std::uint64_t e = global_->load(std::memory_order_seq_cst);
-    for (int q = 0; q < n_; ++q) {
-      const std::uint64_t a = announce_[q].load(std::memory_order_seq_cst);
-      if (a == kQuiescent || a >= e) continue;
-      return e;  // A live (or not-yet-confirmed) holdout pins the epoch.
-    }
-    std::uint64_t expected = e;
-    global_->compare_exchange_strong(expected, e + 1, std::memory_order_seq_cst,
-                                     std::memory_order_seq_cst);
-    return global_->load(std::memory_order_seq_cst);
-  }
-
-  // Frees p's limbo nodes whose stamp is two epochs behind.
-  void collect(int p) {
-    const std::uint64_t g = global_->load(std::memory_order_seq_cst);
-    std::vector<std::uint64_t> keep;
-    // Bounded by the pool: the limbo list may have been inherited from a
-    // crashed peer mid-update, so the sweep must terminate even over
-    // cyclic links.
-    for (std::size_t seen = 0; seen < book_.pool; ++seen) {
-      auto idx = book_.lists.pop(book_.retired_head[p]);
-      if (!idx) break;
-      if (stamps_[*idx].load(std::memory_order_seq_cst) + 2 <= g) {
-        book_.lists.push(book_.free_head[p], *idx);
-        book_.free_count[p].fetch_add(1, std::memory_order_relaxed);
-        book_.retired_count[p].fetch_sub(1, std::memory_order_relaxed);
-      } else {
-        keep.push_back(*idx);
-      }
-    }
-    for (const std::uint64_t idx : keep) {
-      book_.lists.push(book_.retired_head[p], idx);
-    }
-  }
-
-  // The survivor side of the handshake over the pid-lease table: suspect a
-  // dead-looking lease on one visit, confirm — re-probing liveness — on a
-  // later one; the confirm winner clears the victim's announcement and
-  // drains its bookkeeping.
-  void expropriate_dead(int p) {
-    for (int q = 0; q < n_; ++q) {
-      if (q == p || !leases_->is_held(q)) continue;
-      if (leases_->advance_death(q, stale_for(p, q)) ==
-          reclaim::DeathStep::kConfirmed) {
-        announce_[q].store(kQuiescent, std::memory_order_seq_cst);
-        // A victim killed inside retire() can leave in_retire set with the
-        // node's stamp never written (retire stamps AFTER the mid-retire
-        // park point), so the stale/zero stamp would pass collect()'s
-        // two-epoch grace test immediately — freeing a node that readers
-        // announced in earlier epochs may still hold. Re-stamp with the
-        // current global epoch before drain_dead re-homes it, so the
-        // orphan waits a full grace period like any other retiree (the
-        // in-process EpochBasedReclaimer::expropriate re-records the limbo
-        // entry with the current epoch for the same reason). The kNoRestamp
-        // lease mutant removes exactly this decision — the bug the PR 6
-        // review caught.
-        if (mutation_ != reclaim::LeaseMutation::kNoRestamp) {
-          const std::uint64_t mr =
-              book_.in_retire[q].load(std::memory_order_seq_cst);
-          if (mr != 0) {
-            stamps_[mr - 1].store(global_->load(std::memory_order_seq_cst),
-                                  std::memory_order_seq_cst);
-          }
-          // Same hazard for a victim killed mid-retire_batch: every node
-          // still staged in its pending window may carry a stale/zero stamp
-          // (retire_batch stamps after the mid-retire park), so re-stamp
-          // the whole window before the sweep re-homes it.
-          const std::uint64_t pc =
-              book_.pending_count[q].load(std::memory_order_seq_cst);
-          if (pc != 0) {
-            const std::size_t staged =
-                pc < detail::SharedBook::kPendingCap
-                    ? static_cast<std::size_t>(pc)
-                    : detail::SharedBook::kPendingCap;
-            const std::uint64_t g = global_->load(std::memory_order_seq_cst);
-            for (std::size_t i = 0; i < staged; ++i) {
-              const std::uint64_t w =
-                  book_.pending[static_cast<std::size_t>(q) *
-                                    detail::SharedBook::kPendingCap +
-                                i]
-                      .load(std::memory_order_seq_cst);
-              if (w != 0) stamps_[w - 1].store(g, std::memory_order_seq_cst);
-            }
-          }
-        }
-        book_.drain_dead(p, q);
-        leases_->reap(q);
-      }
-    }
-  }
-
-  std::size_t pool_size() const { return book_.pool; }
-  std::size_t unreclaimed(int p) const {
-    return static_cast<std::size_t>(
-        book_.retired_count[p].load(std::memory_order_relaxed));
-  }
-
-  reclaim::ReclaimStats stats() const {
-    reclaim::ReclaimStats s = book_.stats_base(n_);
-    const std::uint64_t g = global_->load(std::memory_order_seq_cst);
-    for (int q = 0; q < n_; ++q) {
-      const std::uint64_t a = announce_[q].load(std::memory_order_seq_cst);
-      if (a != kQuiescent && g > a && g - a > s.epoch_lag) s.epoch_lag = g - a;
-    }
-    return s;
-  }
-
-  reclaim::ReclaimPhase phase(int p) const { return phases_[p]; }
-
-  std::uint64_t fingerprint() const {
-    reclaim::Fingerprint fp;
-    book_.fingerprint_into(n_, fp);
-    fp.mix(global_->load(std::memory_order_seq_cst));
-    for (int q = 0; q < n_; ++q) {
-      fp.mix(announce_[q].load(std::memory_order_seq_cst));
-    }
-    for (std::size_t i = 0; i < book_.pool; ++i) {
-      fp.mix(stamps_[i].load(std::memory_order_seq_cst));
-    }
-    for (const auto ph : phases_) fp.mix(static_cast<std::uint64_t>(ph));
-    for (const auto ph : alloc_resume_) fp.mix(static_cast<std::uint64_t>(ph));
-    fp.mix_range(hb_seen_);
-    fp.mix(leases_->fingerprint());
-    return fp.value();
-  }
-
- private:
-  // Same per-peer heartbeat history as the hazard variant (see its
-  // stale_for).
-  bool stale_for(int p, int q) {
-    const std::size_t at =
-        static_cast<std::size_t>(p) * static_cast<std::size_t>(n_) +
-        static_cast<std::size_t>(q);
-    const std::uint64_t hb = leases_->heartbeat(q);
-    const bool stale = hb_seen_[at] != 0 && hb_seen_[at] == hb;
-    hb_seen_[at] = hb;
-    return stale;
-  }
-
-  Leases* leases_;
-  int n_;
-  detail::SharedBook book_;
+  std::size_t pool_;
+  detail::NodeLists lists_;
   reclaim::LeaseMutation mutation_;
-  std::atomic<std::uint64_t>* global_;
-  std::atomic<std::uint64_t>* announce_;  // [n], kQuiescent or the epoch.
-  std::atomic<std::uint64_t>* stamps_;    // [pool], retire-time epoch.
-  std::vector<reclaim::ReclaimPhase> phases_;
-  std::vector<reclaim::ReclaimPhase> alloc_resume_;
+  std::atomic<std::uint64_t>* free_head_;      // [n]
+  std::atomic<std::uint64_t>* free_count_;     // [n]
+  std::atomic<std::uint64_t>* retired_head_;   // [n]
+  std::atomic<std::uint64_t>* retired_count_;  // [n]
+  std::atomic<std::uint64_t>* in_flight_;      // [n], idx+1 or 0.
+  std::atomic<std::uint64_t>* in_retire_;      // [n], idx+1 or 0.
+  std::atomic<std::uint64_t>* pending_;        // [n * kPendingCap], idx+1.
+  std::atomic<std::uint64_t>* pending_count_;  // [n], staged chunk size.
+  std::atomic<std::uint64_t>* quarantine_head_;
+  std::atomic<std::uint64_t>* quarantine_count_;
+  std::atomic<std::uint64_t>* expropriations_;
+  std::atomic<std::uint64_t>* stamps_;         // [pool], retire stamps.
   std::vector<std::uint64_t> hb_seen_;  // [n*n]: last heartbeat p saw of q.
 };
 
-using LeasedEpochReclaimer = LeasedEpochReclaimerT<>;
+// The two reclaimer cores over the leased book, per Env: the production
+// shm Env, the heap/thread host (lease_hosts.h) or the simulator host
+// (sim/sim_lease.h). The platform argument is nominal — the book supplies
+// every word.
+template <class Env, class Mode = reclaim::EagerGuards>
+using LeasedHazard =
+    reclaim::HazardPointerReclaimer<ShmPlatform, Mode, LeasedBook<Env>>;
+template <class Env>
+using LeasedEpoch = reclaim::EpochBasedReclaimer<ShmPlatform,
+                                                 reclaim::EagerAnnounce, 0,
+                                                 LeasedBook<Env>>;
+
+using LeasedHazardReclaimer = LeasedHazard<ShmPlatform::Env>;
+using LeasedCachedHazardReclaimer =
+    LeasedHazard<ShmPlatform::Env, reclaim::CachedGuards>;
+using LeasedEpochReclaimer = LeasedEpoch<ShmPlatform::Env>;
 
 static_assert(reclaim::ReclaimerFor<LeasedHazardReclaimer, ShmPlatform>);
 static_assert(reclaim::ReclaimerFor<LeasedCachedHazardReclaimer, ShmPlatform>);

@@ -339,7 +339,6 @@ SearchFixture make_stack_fixture(int n, int pool) {
   maybe_set_death_oracle(stack->reclaimer(), fx.oracle.get());
   fx.invoker = std::make_unique<harness::StackInvoker<Stack>>(
       *fx.world, *fx.history, std::move(stack));
-  fx.spec = SpecKind::kStack;
   return fx;
 }
 
@@ -351,7 +350,6 @@ SearchFixture make_queue_fixture(int n, int pool) {
   maybe_set_death_oracle(queue->reclaimer(), fx.oracle.get());
   fx.invoker = std::make_unique<harness::QueueInvoker<Queue>>(
       *fx.world, *fx.history, std::move(queue));
-  fx.spec = SpecKind::kQueue;
   return fx;
 }
 
@@ -361,14 +359,13 @@ SearchFixture make_queue_fixture(int n, int pool) {
 // spec verdict). Capacity 2 (the minimum): the full and empty boundaries —
 // where the strict-refusal contract bites — are a single op away from any
 // state, so even small search budgets cross them constantly.
-SearchFixture make_ring_fixture(int n) {
+SearchFixture make_ring_fixture(int n, int /*pool*/) {
   using Ring = structures::MpmcRing<SimP>;
   constexpr std::size_t kCapacity = 2;
   SearchFixture fx = fixture_shell(n);
   fx.invoker = std::make_unique<harness::ContainerInvoker<Ring>>(
       *fx.world, *fx.history,
       std::make_unique<Ring>(*fx.world, n, kCapacity));
-  fx.spec = SpecKind::kRing;
   fx.ring_capacity = kCapacity;
   return fx;
 }
@@ -389,166 +386,150 @@ SearchFixture make_sharded_stack_fixture(int n, int pool) {
   };
   fx.num_shards = 2;
   fx.invoker = std::move(invoker);
-  fx.spec = SpecKind::kShardedStack;
   return fx;
+}
+
+// One registered fixture: its corpus `fixture` meta name, the factory, the
+// spec its histories are checked against (which also picks the workloads'
+// put/take verbs), and whether the per-process pool applies.
+struct FixtureEntry {
+  const char* name;
+  SearchFixture (*make)(int n, int pool);
+  SpecKind spec;
+  bool uses_pool;
+};
+
+using Hazard = reclaim::HazardPointerReclaimer<SimP>;
+using Cached = reclaim::CachedHazardPointerReclaimer<SimP>;
+using Epoch = reclaim::EpochBasedReclaimer<SimP>;
+using Deferred = reclaim::DeferredEpochReclaimer<SimP>;
+using TaggedHead = structures::TaggedCasHead<SimP>;
+using sim::SimLeasedHazardReclaimerT;
+using sim::SimLeasedEpochReclaimerT;
+using reclaim::LeaseMutation;
+
+constexpr FixtureEntry kFixtures[] = {
+    {"stack_hazard", make_stack_fixture<Hazard>, SpecKind::kStack, true},
+    {"stack_hazard_cached", make_stack_fixture<Cached>, SpecKind::kStack,
+     true},
+    {"stack_epoch", make_stack_fixture<Epoch>, SpecKind::kStack, true},
+    // Deferred-announce variant: the announcement is cached across ops and
+    // only refreshed on an epoch miss, so most begin_ops take one shared
+    // read and zero stores. The searcher probes the announce-validate
+    // window that the caching widens.
+    {"stack_epoch_deferred", make_stack_fixture<Deferred>, SpecKind::kStack,
+     true},
+    // The shipped immediate-reuse configuration: the TaggedCasHead's
+    // per-swing version bump is what detects recycled indices.
+    {"stack_tagged",
+     make_stack_fixture<reclaim::TaggedReclaimer<SimP>, TaggedHead>,
+     SpecKind::kStack, true},
+    {"stack_leaky", make_stack_fixture<reclaim::LeakyReclaimer<SimP>>,
+     SpecKind::kStack, true},
+    // The seeded bug: immediate reuse on a raw head — no version bump
+    // anywhere. The spec-driven search must convict this one.
+    {"stack_mutant_tagged",
+     make_stack_fixture<reclaim::MutantTaggedReclaimer<SimP>>,
+     SpecKind::kStack, true},
+    {"queue_hazard", make_queue_fixture<Hazard>, SpecKind::kQueue, true},
+    {"queue_hazard_cached", make_queue_fixture<Cached>, SpecKind::kQueue,
+     true},
+    {"queue_epoch", make_queue_fixture<Epoch>, SpecKind::kQueue, true},
+    {"queue_epoch_deferred", make_queue_fixture<Deferred>, SpecKind::kQueue,
+     true},
+    {"sharded_stack_hazard_cached", make_sharded_stack_fixture,
+     SpecKind::kShardedStack, true},
+    {"ring_mpmc", make_ring_fixture, SpecKind::kRing, false},
+    // ---- The crash-robust shm tier, sim-hosted (sim/sim_lease.h): the
+    // hazard/epoch cores over LeasedBook with the real PidLeaseTable
+    // protocol on a simulated shared-segment arena. Crash grants (`!p`)
+    // drive the actual suspect -> confirm -> seize/veto/quarantine machinery
+    // under the search.
+    {"stack_leased_hazard", make_stack_fixture<sim::SimLeasedHazardReclaimer>,
+     SpecKind::kStack, true},
+    {"stack_leased_hazard_cached",
+     make_stack_fixture<sim::SimLeasedCachedHazardReclaimer>,
+     SpecKind::kStack, true},
+    {"stack_leased_epoch", make_stack_fixture<sim::SimLeasedEpochReclaimer>,
+     SpecKind::kStack, true},
+    // Every retire routed through the retire_batch pending window (chunk of
+    // one): the searched mid-batch crash juncture of the staged hand-off.
+    {"stack_leased_epoch_batched",
+     make_stack_fixture<sim::SimLeasedEpochBatchedReclaimer>,
+     SpecKind::kStack, true},
+    {"queue_leased_hazard", make_queue_fixture<sim::SimLeasedHazardReclaimer>,
+     SpecKind::kQueue, true},
+    {"queue_leased_hazard_cached",
+     make_queue_fixture<sim::SimLeasedCachedHazardReclaimer>,
+     SpecKind::kQueue, true},
+    {"queue_leased_epoch", make_queue_fixture<sim::SimLeasedEpochReclaimer>,
+     SpecKind::kQueue, true},
+    // ---- The lease-mutant zoo (reclaim/mutant.h, LeaseMutation): each
+    // drops exactly one safety decision of the death handshake. The bounded
+    // search must convict all three; the all-kNone fixtures above must
+    // survive the identical budget.
+    {"stack_leased_mutant_stale_confirm",
+     make_stack_fixture<SimLeasedHazardReclaimerT<
+         reclaim::EagerGuards, LeaseMutation::kStaleConfirm>>,
+     SpecKind::kStack, true},
+    {"stack_leased_mutant_no_quarantine",
+     make_stack_fixture<SimLeasedHazardReclaimerT<
+         reclaim::EagerGuards, LeaseMutation::kNone,
+         LeaseMutation::kNoQuarantine>>,
+     SpecKind::kStack, true},
+    {"stack_leased_mutant_no_restamp",
+     make_stack_fixture<SimLeasedEpochReclaimerT<LeaseMutation::kNone,
+                                                 LeaseMutation::kNoRestamp>>,
+     SpecKind::kStack, true},
+};
+
+const FixtureEntry& fixture_entry(const std::string& name) {
+  for (const FixtureEntry& entry : kFixtures) {
+    if (name == entry.name) return entry;
+  }
+  std::string known;
+  for (const FixtureEntry& entry : kFixtures) {
+    known += std::string(known.empty() ? "" : ", ") + entry.name;
+  }
+  const std::string msg =
+      "unknown schedule-search fixture name '" + name + "'; registered: " +
+      known;
+  ABA_CHECK_MSG(false, msg.c_str());
+  return kFixtures[0];
+}
+
+// The put/take verbs a fixture's spec is written over.
+std::pair<spec::Method, spec::Method> verbs_of(const std::string& fixture) {
+  const SpecKind kind = fixture_entry(fixture).spec;
+  if (kind == SpecKind::kQueue || kind == SpecKind::kRing) {
+    return {spec::Method::kEnq, spec::Method::kDeq};
+  }
+  return {spec::Method::kPush, spec::Method::kPop};
 }
 
 }  // namespace
 
 SearchFixtureFactory reclaim_fixture(const std::string& name,
                                      int pool_per_process) {
-  using Hazard = reclaim::HazardPointerReclaimer<SimP>;
-  using Cached = reclaim::CachedHazardPointerReclaimer<SimP>;
-  using Epoch = reclaim::EpochBasedReclaimer<SimP>;
-  using Deferred = reclaim::DeferredEpochReclaimer<SimP>;
-  using Tagged = reclaim::TaggedReclaimer<SimP>;
-  using Leaky = reclaim::LeakyReclaimer<SimP>;
-  using Mutant = reclaim::MutantTaggedReclaimer<SimP>;
-  using TaggedHead = structures::TaggedCasHead<SimP>;
-  const int pool = pool_per_process;
-  ABA_CHECK(pool >= 1);
-  if (name == "stack_hazard") {
-    return [pool](int n) { return make_stack_fixture<Hazard>(n, pool); };
-  }
-  if (name == "stack_hazard_cached") {
-    return [pool](int n) { return make_stack_fixture<Cached>(n, pool); };
-  }
-  if (name == "stack_epoch") {
-    return [pool](int n) { return make_stack_fixture<Epoch>(n, pool); };
-  }
-  if (name == "stack_epoch_deferred") {
-    // Deferred-announce variant: the announcement is cached across ops and
-    // only refreshed on an epoch miss, so most begin_ops take one shared
-    // read and zero stores. The searcher probes the announce-validate
-    // window that the caching widens.
-    return [pool](int n) { return make_stack_fixture<Deferred>(n, pool); };
-  }
-  if (name == "stack_tagged") {
-    // The shipped immediate-reuse configuration: the TaggedCasHead's
-    // per-swing version bump is what detects recycled indices.
-    return [pool](int n) {
-      return make_stack_fixture<Tagged, TaggedHead>(n, pool);
-    };
-  }
-  if (name == "stack_leaky") {
-    return [pool](int n) { return make_stack_fixture<Leaky>(n, pool); };
-  }
-  if (name == "stack_mutant_tagged") {
-    // The seeded bug: immediate reuse on a raw head — no version bump
-    // anywhere. The spec-driven search must convict this one.
-    return [pool](int n) { return make_stack_fixture<Mutant>(n, pool); };
-  }
-  if (name == "queue_hazard") {
-    return [pool](int n) { return make_queue_fixture<Hazard>(n, pool); };
-  }
-  if (name == "queue_hazard_cached") {
-    return [pool](int n) { return make_queue_fixture<Cached>(n, pool); };
-  }
-  if (name == "queue_epoch") {
-    return [pool](int n) { return make_queue_fixture<Epoch>(n, pool); };
-  }
-  if (name == "queue_epoch_deferred") {
-    return [pool](int n) { return make_queue_fixture<Deferred>(n, pool); };
-  }
-  if (name == "sharded_stack_hazard_cached") {
-    return [pool](int n) { return make_sharded_stack_fixture(n, pool); };
-  }
-  // ---- The crash-robust shm tier, sim-hosted (sim/sim_lease.h): real
-  // PidLeaseTable protocol + LeasedHazard/LeasedEpoch reclaimers over a
-  // simulated shared-segment arena. Crash grants (`!p`) drive the actual
-  // suspect -> confirm -> seize/veto/quarantine machinery under the search.
-  if (name == "stack_leased_hazard") {
-    return [pool](int n) {
-      return make_stack_fixture<sim::SimLeasedHazardReclaimer>(n, pool);
-    };
-  }
-  if (name == "stack_leased_hazard_cached") {
-    return [pool](int n) {
-      return make_stack_fixture<sim::SimLeasedCachedHazardReclaimer>(n, pool);
-    };
-  }
-  if (name == "stack_leased_epoch") {
-    return [pool](int n) {
-      return make_stack_fixture<sim::SimLeasedEpochReclaimer>(n, pool);
-    };
-  }
-  if (name == "stack_leased_epoch_batched") {
-    // Every retire routed through the retire_batch pending window (chunk of
-    // one): the searched mid-batch crash juncture of PR 9's staged hand-off.
-    return [pool](int n) {
-      return make_stack_fixture<sim::SimLeasedEpochBatchedReclaimer>(n, pool);
-    };
-  }
-  if (name == "queue_leased_hazard") {
-    return [pool](int n) {
-      return make_queue_fixture<sim::SimLeasedHazardReclaimer>(n, pool);
-    };
-  }
-  if (name == "queue_leased_hazard_cached") {
-    return [pool](int n) {
-      return make_queue_fixture<sim::SimLeasedCachedHazardReclaimer>(n, pool);
-    };
-  }
-  if (name == "queue_leased_epoch") {
-    return [pool](int n) {
-      return make_queue_fixture<sim::SimLeasedEpochReclaimer>(n, pool);
-    };
-  }
-  // ---- The lease-mutant zoo (reclaim/mutant.h, LeaseMutation): each drops
-  // exactly one safety decision of the death handshake. The bounded search
-  // must convict all three; the all-kNone fixtures above must survive the
-  // identical budget.
-  if (name == "stack_leased_mutant_stale_confirm") {
-    return [pool](int n) {
-      return make_stack_fixture<sim::SimLeasedHazardReclaimerT<
-          false, reclaim::LeaseMutation::kStaleConfirm>>(n, pool);
-    };
-  }
-  if (name == "stack_leased_mutant_no_quarantine") {
-    return [pool](int n) {
-      return make_stack_fixture<sim::SimLeasedHazardReclaimerT<
-          false, reclaim::LeaseMutation::kNone,
-          reclaim::LeaseMutation::kNoQuarantine>>(n, pool);
-    };
-  }
-  if (name == "stack_leased_mutant_no_restamp") {
-    return [pool](int n) {
-      return make_stack_fixture<sim::SimLeasedEpochReclaimerT<
-          reclaim::LeaseMutation::kNone, reclaim::LeaseMutation::kNoRestamp>>(
-          n, pool);
-    };
-  }
-  if (name == "ring_mpmc") {
-    // Reclaimer-free: pool_per_process does not apply.
-    return [](int n) { return make_ring_fixture(n); };
-  }
-  ABA_CHECK_MSG(false, "unknown schedule-search fixture name");
-  return nullptr;
+  const FixtureEntry& entry = fixture_entry(name);
+  ABA_CHECK(!entry.uses_pool || pool_per_process >= 1);
+  return [&entry, pool_per_process](int n) {
+    SearchFixture fx = entry.make(n, pool_per_process);
+    fx.spec = entry.spec;
+    return fx;
+  };
 }
 
 std::vector<std::string> reclaim_fixture_names() {
-  return {"stack_hazard",  "stack_hazard_cached",         "stack_epoch",
-          "stack_epoch_deferred",                         "stack_tagged",
-          "stack_leaky",   "stack_mutant_tagged",         "queue_hazard",
-          "queue_hazard_cached",                          "queue_epoch",
-          "queue_epoch_deferred",
-          "sharded_stack_hazard_cached",                  "ring_mpmc",
-          "stack_leased_hazard",                          "stack_leased_hazard_cached",
-          "stack_leased_epoch",                           "stack_leased_epoch_batched",
-          "queue_leased_hazard",                          "queue_leased_hazard_cached",
-          "queue_leased_epoch",
-          "stack_leased_mutant_stale_confirm",
-          "stack_leased_mutant_no_quarantine",
-          "stack_leased_mutant_no_restamp"};
+  std::vector<std::string> names;
+  for (const FixtureEntry& entry : kFixtures) names.emplace_back(entry.name);
+  return names;
 }
 
 std::vector<harness::WorkloadOp> storm_workload(const std::string& fixture,
                                                 int num_processes, int cycles) {
   ABA_CHECK(num_processes >= 2 && cycles >= 1);
-  const bool is_queue = fixture.rfind("queue", 0) == 0 ||
-                        fixture.rfind("ring", 0) == 0;
-  const spec::Method put = is_queue ? spec::Method::kEnq : spec::Method::kPush;
-  const spec::Method take = is_queue ? spec::Method::kDeq : spec::Method::kPop;
+  const auto [put, take] = verbs_of(fixture);
   std::vector<harness::WorkloadOp> workload;
   // A priming put so a reader that runs first has a node to protect.
   workload.push_back({0, put, 1});
@@ -567,10 +548,7 @@ std::vector<WorkloadCandidate> workload_candidates(const std::string& fixture,
                                                    int num_processes,
                                                    int cycles) {
   ABA_CHECK(num_processes >= 2 && cycles >= 1);
-  const bool is_queue = fixture.rfind("queue", 0) == 0 ||
-                        fixture.rfind("ring", 0) == 0;
-  const spec::Method put = is_queue ? spec::Method::kEnq : spec::Method::kPush;
-  const spec::Method take = is_queue ? spec::Method::kDeq : spec::Method::kPop;
+  const auto [put, take] = verbs_of(fixture);
   std::vector<WorkloadCandidate> candidates;
 
   candidates.push_back(

@@ -41,7 +41,7 @@ using CrashQueue = structures::MsQueue<ShmPlatform, LeasedEpochReclaimer>;
 inline constexpr const char* kKindStackHazard = "stack_hazard_cached";
 inline constexpr const char* kKindQueueEpoch = "queue_epoch";
 // Same world as queue_epoch, but the worker storms retire_batch directly:
-// the crash surface is the staged shm pending window (SharedBook::pending),
+// the crash surface is the staged shm pending window (LeasedBook::stage),
 // not the single-node in_retire marker.
 inline constexpr const char* kKindQueueEpochBatch = "queue_epoch_batch";
 

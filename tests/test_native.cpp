@@ -178,6 +178,9 @@ TEST(NativeFig4Stress, ContainedWritesAreAlwaysFlagged) {
   using Fig4 = core::AbaRegisterBounded<NativeP>;
   const int n = 4;  // 1 writer + 3 readers.
   Fig4 reg(g_env, n, Fig4::Options{.value_bits = 4});
+  // The writer bumps writes_started before each DWrite and
+  // writes_completed after it (see the window check below).
+  std::atomic<std::uint64_t> writes_started{0};
   std::atomic<std::uint64_t> writes_completed{0};
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> violations{0};
@@ -189,6 +192,7 @@ TEST(NativeFig4Stress, ContainedWritesAreAlwaysFlagged) {
   std::thread writer([&] {
     std::uint64_t i = 0;
     while (readers_running.load() > 0) {
+      writes_started.fetch_add(1);
       reg.dwrite(0, i++ & 15);
       writes_completed.fetch_add(1);
       if ((i & 63) == 0) std::this_thread::yield();
@@ -199,19 +203,22 @@ TEST(NativeFig4Stress, ContainedWritesAreAlwaysFlagged) {
   std::vector<std::thread> readers;
   for (int pid = 1; pid < n; ++pid) {
     readers.emplace_back([&, pid] {
-      // Count of completed writes sampled right after my previous DRead
+      // Count of started writes sampled right after my previous DRead
       // responded.
-      std::uint64_t after_prev = writes_completed.load();
+      std::uint64_t started_prev = writes_started.load();
       for (int i = 0; i < 3000; ++i) {
-        const std::uint64_t before_invoke = writes_completed.load();
+        const std::uint64_t completed_invoke = writes_completed.load();
         const auto [value, flag] = reg.dread(pid);
-        const std::uint64_t after_resp = writes_completed.load();
         if (flag) flagged_reads.fetch_add(1);
-        // Sound invariant: a DWrite that completed strictly inside the
-        // window (after my previous DRead responded, before this DRead was
-        // invoked) must be flagged.
-        if (!flag && before_invoke > after_prev) violations.fetch_add(1);
-        after_prev = after_resp;
+        // Sound invariant: a DWrite wholly inside the window — started after
+        // my previous DRead responded, completed before this DRead was
+        // invoked — must be flagged. The single writer's DWrites are
+        // sequential, so write number started_prev + 1 is such a write
+        // whenever it completed before the invocation. (A done-counter
+        // alone is not enough: a DWrite that linearized before the previous
+        // DRead can bump it after that DRead responded.)
+        if (!flag && completed_invoke > started_prev) violations.fetch_add(1);
+        started_prev = writes_started.load();
       }
       readers_running.fetch_sub(1);
     });
@@ -259,6 +266,8 @@ TEST(NativeFig5Stress, ReductionFlagsContainedWrites) {
                           .initially_linked = true});
   core::AbaRegisterFromLlsc<Llsc> reg(llsc, n, 0);
 
+  // Same window check as NativeFig4Stress.ContainedWritesAreAlwaysFlagged.
+  std::atomic<std::uint64_t> writes_started{0};
   std::atomic<std::uint64_t> writes_completed{0};
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> violations{0};
@@ -267,6 +276,7 @@ TEST(NativeFig5Stress, ReductionFlagsContainedWrites) {
   std::thread writer([&] {
     std::uint64_t i = 0;
     while (readers_running.load() > 0) {
+      writes_started.fetch_add(1);
       reg.dwrite(0, i++ & 255);
       writes_completed.fetch_add(1);
       if ((i & 63) == 0) std::this_thread::yield();
@@ -276,13 +286,12 @@ TEST(NativeFig5Stress, ReductionFlagsContainedWrites) {
   std::vector<std::thread> readers;
   for (int pid = 1; pid < n; ++pid) {
     readers.emplace_back([&, pid] {
-      std::uint64_t after_prev = writes_completed.load();
+      std::uint64_t started_prev = writes_started.load();
       for (int i = 0; i < 3000; ++i) {
-        const std::uint64_t before_invoke = writes_completed.load();
+        const std::uint64_t completed_invoke = writes_completed.load();
         const auto [value, flag] = reg.dread(pid);
-        const std::uint64_t after_resp = writes_completed.load();
-        if (!flag && before_invoke > after_prev) violations.fetch_add(1);
-        after_prev = after_resp;
+        if (!flag && completed_invoke > started_prev) violations.fetch_add(1);
+        started_prev = writes_started.load();
       }
       readers_running.fetch_sub(1);
     });

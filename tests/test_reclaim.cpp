@@ -2,6 +2,9 @@
 //
 //   * unit semantics of each Reclaimer policy (tagged / leaky / hazard /
 //     epoch) over the native platform;
+//   * unit semantics of PrivateBook, the in-process bookkeeping both cores
+//     share: word mirrors, release order, the suspect/confirm drain with
+//     its quarantine and self-fence, the veto, and the orphan re-stamp;
 //   * the reclaimer-equivalence suite — a scripted stack/queue workload on
 //     the simulator must produce *identical* result sequences under all
 //     four reclaimers (reclamation changes when nodes recycle, never what
@@ -35,8 +38,7 @@
 //     cached-guard mode gets;
 //   * retire_batch on the whole roster: observationally equivalent to the
 //     retire loop, amortized to one threshold check / stamp read / batch
-//     flush per call;
-//   * the migrated pointer-based HazardDomain / HpTreiberStack.
+//     flush per call.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -48,17 +50,17 @@
 #include "harness/adapters.h"
 #include "harness/harness.h"
 #include "native/native_platform.h"
+#include "reclaim/death.h"
 #include "reclaim/epoch.h"
-#include "reclaim/hazard_domain.h"
 #include "reclaim/hazard_pointer.h"
 #include "reclaim/leaky.h"
+#include "reclaim/private_book.h"
 #include "reclaim/reclaimer.h"
 #include "reclaim/tagged.h"
 #include "shm/lease_hosts.h"
 #include "sim/sim_platform.h"
 #include "spec/lin_checker.h"
 #include "spec/specs.h"
-#include "structures/hp_stack.h"
 #include "structures/ms_queue.h"
 #include "structures/treiber_stack.h"
 #include "util/asymmetric_fence.h"
@@ -246,6 +248,196 @@ TEST(EpochBasedReclaimer, ActiveReaderBlocksReclamation) {
       << "a stalled reader must block epoch reclamation";
   r.end_op(1);  // Reader leaves: the backlog matures.
   EXPECT_TRUE(r.allocate(0).has_value());
+}
+
+// ---------------------------------------------------- unit: private book
+//
+// The in-process bookkeeping backend both reclaimer cores program against:
+// the words' mirrors, the retired-list release, the death handshake's drain
+// and the epoch seizure's orphan re-stamp, exercised without a protocol on
+// top.
+
+// A fixed liveness verdict per process.
+class FixedOracle final : public DeathOracle {
+ public:
+  explicit FixedOracle(std::vector<bool> dead) : dead_(std::move(dead)) {}
+  bool is_dead(int pid) const override { return dead_[pid]; }
+
+ private:
+  std::vector<bool> dead_;
+};
+
+// The retired list of p in order, read through release without freeing.
+std::vector<Retired> retired_of(PrivateBook<NativeP>& book, int p) {
+  std::vector<Retired> seen;
+  book.release(p, [&seen](std::uint64_t idx, std::uint64_t stamp) {
+    seen.push_back(Retired{idx, stamp});
+    return false;
+  });
+  return seen;
+}
+
+TEST(PrivateBook, WordsMirrorTheLastWriteAndClearIfSetSkipsAKnownValue) {
+  typename NativeP::Env env;
+  PrivateBook<NativeP>::Words<2> words(env, "test.word", 2, 0);
+  EXPECT_EQ(words.size(), 4u);
+  std::uint64_t before = native::step_counter();
+  words.write(1, 1, 5);
+  EXPECT_EQ(native::step_counter() - before, 1u);
+  EXPECT_EQ(words.mirror(1, 1), 5u);
+  EXPECT_EQ(words.mirror(1, 0), 0u);
+  EXPECT_EQ(words.read(3), 5u) << "(p, i) lives at flat index p*k + i";
+
+  before = native::step_counter();
+  words.clear_if_set(1, 0, 0);  // The mirror proves the word holds 0.
+  EXPECT_EQ(native::step_counter() - before, 0u);
+  words.clear_if_set(1, 1, 0);
+  EXPECT_EQ(native::step_counter() - before, 1u);
+  EXPECT_EQ(words.mirror(1, 1), 0u);
+  EXPECT_EQ(words.read(3), 0u);
+}
+
+TEST(PrivateBook, ReleaseFreesAcceptedRetireesAndKeepsTheRestInOrder) {
+  typename NativeP::Env env;
+  PrivateBook<NativeP> book(env, 1, one_process_pool(5));
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    ASSERT_EQ(book.take_free(0), std::optional<std::uint64_t>(i));
+    book.commit(0);
+    book.begin_retire(0, i);
+    book.end_retire(0, i, i);
+  }
+  EXPECT_TRUE(book.free_empty(0));
+  EXPECT_EQ(book.unreclaimed(0), 5u);
+
+  // Release the even indices: they return in retire order, the odd ones
+  // stay listed in theirs.
+  book.release(0, [](std::uint64_t idx, std::uint64_t) { return idx % 2 == 0; });
+  EXPECT_EQ(book.free_count(0), 3u);
+  EXPECT_EQ(book.unreclaimed(0), 2u);
+  const std::vector<Retired> kept = retired_of(book, 0);
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0].index, 1u);
+  EXPECT_EQ(kept[0].stamp, 1u);
+  EXPECT_EQ(kept[1].index, 3u);
+  EXPECT_EQ(kept[1].stamp, 3u);
+  for (std::uint64_t want : {0u, 2u, 4u}) {
+    EXPECT_EQ(book.take_free(0), std::optional<std::uint64_t>(want));
+  }
+  EXPECT_EQ(book.take_free(0), std::nullopt);
+}
+
+TEST(PrivateBook, SweepSuspectsThenConfirmsAndDrainsTheVictim) {
+  typename NativeP::Env env;
+  FreeLists free(2);
+  free[0] = {0, 1};
+  free[1] = {2, 3, 4};
+  PrivateBook<NativeP> book(env, 2, free);
+  // Survivor 0 holds stamps 1 and 3; victim 1 holds stamp 2, one free node
+  // and one node allocated but never committed.
+  const std::uint64_t mine[] = {0, 1};
+  for (const std::uint64_t idx : mine) {
+    ASSERT_EQ(book.take_free(0), std::optional<std::uint64_t>(idx));
+    book.commit(0);
+  }
+  book.record_staged(0, &mine[0], 1, 1);
+  book.record_staged(0, &mine[1], 1, 3);
+  ASSERT_EQ(book.take_free(1), std::optional<std::uint64_t>(2));
+  book.commit(1);
+  book.begin_retire(1, 2);
+  book.end_retire(1, 2, 2);
+  ASSERT_EQ(book.take_free(1), std::optional<std::uint64_t>(3));
+  EXPECT_EQ(book.stats().in_flight, 1u);
+
+  int seized = 0;
+  const auto seize = [&seized](int q) {
+    EXPECT_EQ(q, 1);
+    ++seized;
+  };
+  book.sweep(0, seize);
+  EXPECT_EQ(seized, 0) << "sweep is inert without an oracle";
+
+  const FixedOracle oracle({false, true});
+  book.set_death_oracle(&oracle);
+  book.sweep(0, seize);
+  EXPECT_EQ(seized, 0) << "the first visit only suspects";
+  book.sweep(0, seize);
+  EXPECT_EQ(seized, 1) << "the second visit confirms and seizes";
+  book.sweep(0, seize);
+  EXPECT_EQ(seized, 1) << "an expropriated victim is drained once";
+
+  const ReclaimStats s = book.stats();
+  EXPECT_EQ(s.expropriations, 1u);
+  EXPECT_EQ(s.quarantined, 1u) << "the uncommitted node is never freed";
+  EXPECT_EQ(s.in_flight, 0u);
+  EXPECT_EQ(s.free_nodes, 1u);
+  EXPECT_EQ(s.retired_unreclaimed, 3u);
+  EXPECT_EQ(book.unreclaimed(1), 0u);
+  EXPECT_EQ(book.free_count(0), 1u);
+  EXPECT_EQ(book.take_free(0), std::optional<std::uint64_t>(4));
+
+  const std::vector<Retired> merged = retired_of(book, 0);
+  ASSERT_EQ(merged.size(), 3u);
+  EXPECT_EQ(merged[0].stamp, 1u);
+  EXPECT_EQ(merged[1].stamp, 2u) << "the drain keeps the list stamp-sorted";
+  EXPECT_EQ(merged[1].index, 2u);
+  EXPECT_EQ(merged[2].stamp, 3u);
+
+  EXPECT_THROW(book.enter(1), LeaseRevoked) << "the victim self-fences";
+  EXPECT_NO_THROW(book.enter(0));
+}
+
+TEST(PrivateBook, SuspectedLiveProcessVetoesOnEntry) {
+  typename NativeP::Env env;
+  FreeLists free(2);
+  free[1] = {0};
+  PrivateBook<NativeP> book(env, 2, free);
+  const FixedOracle oracle({false, true});  // A false suspicion of 1.
+  book.set_death_oracle(&oracle);
+  int seized = 0;
+  const auto seize = [&seized](int) { ++seized; };
+
+  book.sweep(0, seize);  // Suspect.
+  EXPECT_NO_THROW(book.enter(1)) << "a suspected process vetoes on entry";
+  book.sweep(0, seize);  // Suspects afresh instead of confirming.
+  EXPECT_EQ(seized, 0);
+  EXPECT_NO_THROW(book.enter(1));
+  EXPECT_EQ(book.stats().expropriations, 0u);
+  EXPECT_EQ(book.free_count(1), 1u) << "a vetoed process keeps its lists";
+}
+
+TEST(PrivateBook, RestampOrphansRecordsTheInRetireNodeAndTheRingOnce) {
+  typename NativeP::Env env;
+  FreeLists free(2);
+  PrivateBook<NativeP> book(env, 2, free);
+
+  // Process 0 stopped inside retire with its deferred ring holding two.
+  book.defer(0, 4);
+  book.defer(0, 5);
+  book.begin_retire(0, 3);
+  EXPECT_EQ(book.deferred_count(0), 2u);
+  book.restamp_orphans(0, 7);
+  EXPECT_EQ(book.deferred_count(0), 0u);
+  std::vector<Retired> listed = retired_of(book, 0);
+  ASSERT_EQ(listed.size(), 3u);
+  for (const Retired& r : listed) {
+    EXPECT_EQ(r.stamp, 7u) << "node " << r.index;
+  }
+  EXPECT_EQ(listed[0].index, 3u) << "the in-retire node, then the ring";
+  EXPECT_EQ(listed[1].index, 4u);
+  EXPECT_EQ(listed[2].index, 5u);
+  book.restamp_orphans(0, 8);  // The marker was consumed: nothing new.
+  EXPECT_EQ(retired_of(book, 0).size(), 3u);
+
+  // Process 1 stopped after its record landed but before the marker
+  // cleared: the node is already listed and must not be listed twice.
+  const std::uint64_t idx = 6;
+  book.begin_retire(1, idx);
+  book.record_staged(1, &idx, 1, 2);
+  book.restamp_orphans(1, 9);
+  listed = retired_of(book, 1);
+  ASSERT_EQ(listed.size(), 1u);
+  EXPECT_EQ(listed[0].index, idx);
+  EXPECT_EQ(listed[0].stamp, 2u);
 }
 
 // -------------------------------------------------- unit: deferred epoch
@@ -1506,106 +1698,6 @@ TEST(NativeAsymmetricFenceStress, DeferredEpochStackBalancedAccounting) {
     popped_sum.fetch_add(*v);
   }
   EXPECT_EQ(pushed_sum.load(), popped_sum.load());
-}
-
-// ------------------------------- migrated pointer-based hazard pointers
-
-TEST(HazardDomain, ProtectPinsAndScanDefers) {
-  HazardDomain domain(2, 1);
-  std::atomic<int*> src{new int(42)};
-  int* pinned = domain.protect(0, 0, src);
-  ASSERT_NE(pinned, nullptr);
-  EXPECT_EQ(*pinned, 42);
-
-  // Thread 1 retires the node while thread 0 still pins it.
-  bool deleted = false;
-  int* raw = src.exchange(nullptr);
-  domain.retire(1, raw, [&deleted](void* p) {
-    deleted = true;
-    delete static_cast<int*>(p);
-  });
-  domain.scan(1);
-  EXPECT_FALSE(deleted) << "pinned node must survive a scan";
-
-  domain.clear(0, 0);
-  domain.scan(1);
-  EXPECT_TRUE(deleted) << "unpinned node must be reclaimed";
-}
-
-TEST(HazardDomain, ProtectRevalidatesOnRace) {
-  HazardDomain domain(1, 1);
-  std::atomic<int*> src{new int(1)};
-  int* p = domain.protect(0, 0, src);
-  EXPECT_EQ(p, src.load());
-  delete src.load();
-}
-
-TEST(HazardDomain, ScanThresholdTriggersAutomatically) {
-  HazardDomain domain(1, 1);
-  int reclaimed = 0;
-  const std::size_t threshold = domain.scan_threshold();
-  for (std::size_t i = 0; i < threshold; ++i) {
-    domain.retire(0, new int(static_cast<int>(i)), [&reclaimed](void* p) {
-      ++reclaimed;
-      delete static_cast<int*>(p);
-    });
-  }
-  EXPECT_GT(reclaimed, 0) << "hitting the threshold must trigger a scan";
-}
-
-TEST(HpStack, SequentialLifo) {
-  structures::HpTreiberStack<int> stack(1);
-  stack.push(0, 1);
-  stack.push(0, 2);
-  int out = 0;
-  EXPECT_TRUE(stack.pop(0, out));
-  EXPECT_EQ(out, 2);
-  EXPECT_TRUE(stack.pop(0, out));
-  EXPECT_EQ(out, 1);
-  EXPECT_FALSE(stack.pop(0, out));
-}
-
-TEST(HpStack, ConcurrentStressBalancedAndLeakFree) {
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 2000;
-  auto stack = std::make_unique<structures::HpTreiberStack<std::uint64_t>>(kThreads);
-  std::atomic<std::uint64_t> pushed_sum{0}, popped_sum{0};
-  std::atomic<std::uint64_t> pushed_count{0}, popped_count{0};
-
-  std::vector<std::thread> threads;
-  for (int tid = 0; tid < kThreads; ++tid) {
-    threads.emplace_back([&, tid] {
-      util::Xoshiro256 rng(static_cast<std::uint64_t>(tid) + 1);
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        if (rng.chance(1, 2)) {
-          const std::uint64_t v = rng.below(1000) + 1;
-          stack->push(tid, v);
-          pushed_sum.fetch_add(v);
-          pushed_count.fetch_add(1);
-        } else {
-          std::uint64_t v = 0;
-          if (stack->pop(tid, v)) {
-            popped_sum.fetch_add(v);
-            popped_count.fetch_add(1);
-          }
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  // Drain and account: every pushed value must be popped exactly once.
-  std::uint64_t v = 0;
-  while (stack->pop(0, v)) {
-    popped_sum.fetch_add(v);
-    popped_count.fetch_add(1);
-  }
-  EXPECT_EQ(pushed_sum.load(), popped_sum.load());
-  EXPECT_EQ(pushed_count.load(), popped_count.load());
-
-  const std::uint64_t allocated = stack->allocated();
-  stack.reset();  // Destructor reclaims any still-retired nodes.
-  EXPECT_GT(allocated, 0u);
 }
 
 }  // namespace

@@ -14,24 +14,28 @@ Usage:
     tools/schedule_dump.py tests/schedules/*.sched
 """
 
+import re
 import sys
 from collections import Counter
+from pathlib import Path
 
-# Fixture names the engine registers (src/sim/schedule_search.cpp,
-# reclaim_fixture_names()). Kept in sync by hand; an unknown name is a
-# warning rather than an error so the dump stays usable on scripts from a
-# newer engine, but a typo in a hand-edited script still surfaces.
-KNOWN_FIXTURES = frozenset([
-    "stack_hazard", "stack_hazard_cached", "stack_epoch",
-    "stack_epoch_deferred", "stack_tagged", "stack_leaky",
-    "stack_mutant_tagged", "queue_hazard", "queue_hazard_cached",
-    "queue_epoch", "queue_epoch_deferred", "sharded_stack_hazard_cached",
-    "ring_mpmc", "stack_leased_hazard", "stack_leased_hazard_cached",
-    "stack_leased_epoch", "stack_leased_epoch_batched",
-    "queue_leased_hazard", "queue_leased_hazard_cached",
-    "queue_leased_epoch", "stack_leased_mutant_stale_confirm",
-    "stack_leased_mutant_no_quarantine", "stack_leased_mutant_no_restamp",
-])
+# Fixture names the engine registers: read from the registration table in
+# src/sim/schedule_search.cpp (kFixtures), so there is no second list to
+# keep in sync. An unknown name is a warning rather than an error so the
+# dump stays usable on scripts from a newer engine, but a typo in a
+# hand-edited script still surfaces. Outside a checkout the check is off.
+def known_fixtures():
+    source = Path(__file__).resolve().parents[1] / "src/sim/schedule_search.cpp"
+    try:
+        text = source.read_text(encoding="utf-8")
+    except OSError:
+        return None
+    table = text[text.find("kFixtures[] = {"):]
+    table = table[:table.find("\n};")]
+    return frozenset(re.findall(r'\{"([a-z0-9_]+)",', table))
+
+
+KNOWN_FIXTURES = known_fixtures()
 
 
 def parse(path):
@@ -97,7 +101,7 @@ def dump(path):
         print(f"   meta {key}: {script['meta'][key]}")
 
     fixture = script["meta"].get("fixture")
-    if fixture is not None and fixture not in KNOWN_FIXTURES:
+    if fixture is not None and KNOWN_FIXTURES and fixture not in KNOWN_FIXTURES:
         print(f"schedule_dump: warning: {path}: unknown fixture "
               f"{fixture!r} (not in the registered fixture list — "
               f"typo, or a newer engine?)", file=sys.stderr)
