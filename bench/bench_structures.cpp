@@ -358,9 +358,9 @@ int main(int argc, char** argv) {
                 "(native throughput)");
   bench::note(
       "Stacks: bounded-tag CAS head under the tagged/hazard/epoch reclaimers\n"
-      "(one orthogonal axis, src/reclaim/), vs LL/SC head, pointer-based\n"
-      "hazard pointers, and a mutex; plus the Michael-Scott queue under the\n"
-      "tagged and hazard reclaimers. Expected shape: all lock-free flavors\n"
+      "(one orthogonal axis, src/reclaim/), vs LL/SC head and a mutex;\n"
+      "plus the Michael-Scott queue under the tagged and hazard\n"
+      "reclaimers. Expected shape: all lock-free flavors\n"
       "are within a small factor of each other; the LL/SC head pays its\n"
       "extra link/validate steps; hazard pays publish+revalidate per\n"
       "dereference; epoch pays one announce per op and amortized advance\n"
@@ -372,7 +372,7 @@ int main(int argc, char** argv) {
       "row prices the per-slot-sequence CAS discipline against the tagged\n"
       "stack/queue rows; the try-semantics rows (mpsc/fanout/burst/\n"
       "pipeline) shape role-asymmetric and bursty traffic. Percentile\n"
-      "latency for the same shapes lives in E9 (--latency, ring cells).");
+      "latency for the same shapes lives in E9's ring cells.");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -56,10 +56,11 @@
 //     ring_pipeline — feed → handler → gateway over two chained SPSC
 //                     rings (3 threads; per-hop op latency).
 //
-// Latency recording for the legacy (throughput-trajectory) cells is opt-in
-// via --latency, and only for the headline treiber_stack / ms_queue cells:
-// the recorder is a template parameter, so the committed BENCH_native.json
-// throughput cells run the exact code they always ran when the flag is off.
+//
+// Every cell comes from one description: a matrix column (platform side,
+// orderings, reclaimer, fence) expands a list of scenario entries — name,
+// thread rule, runner — and one loop applies the --scenarios filter, runs
+// each entry at the thread counts its rule selects and emits the record.
 //
 // The fence dimension: every record carries a "fence" field. "seq_cst"
 // cells realize the hazard/epoch StoreLoad protocols with seq_cst
@@ -85,19 +86,16 @@
 //   --out=PATH                    output JSON path (default BENCH_native.json)
 //   --threads=1,2,4               thread counts to sweep
 //   --reclaimers=tagged,epoch     reclamation policies to sweep (default all
-//                                 of tagged,leaky,hazard,hazard_cached,
-//                                 epoch,epoch_deferred)
+//                                 of kReclaimers below)
 //   --shards=1,2,4,8,adaptive     shard counts for the sharded scenarios
 //                                 (compiled instantiations: 1, 2, 4, 8) and
 //                                 the adaptive-facade cells; a list without
 //                                 "adaptive" disables those cells
 //   --pin                         pin threads round-robin over online cores
-//   --latency                     also record per-op latency percentiles for
-//                                 the headline legacy cells (treiber_stack,
-//                                 ms_queue); ring cells always record
 //   --scenarios=burst,fanout      run only the named scenarios ("burst"
 //                                 matches "ring_burst"); default all
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <barrier>
 #include <chrono>
@@ -105,11 +103,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #ifdef __linux__
@@ -126,6 +126,7 @@
 #include "reclaim/leaky.h"
 #include "reclaim/tagged.h"
 #include "structures/adaptive_sharded.h"
+#include "structures/concepts.h"
 #include "structures/ms_queue.h"
 #include "structures/ring_buffer.h"
 #include "structures/sharded.h"
@@ -136,6 +137,20 @@
 namespace {
 
 using namespace aba;
+
+// The --reclaimers vocabulary, in column order: each name is the kName of
+// the reclaimer run_side() and main() instantiate for it.
+constexpr std::array<const char*, 6> kReclaimers = {
+    "tagged", "leaky", "hazard", "hazard_cached", "epoch", "epoch_deferred"};
+
+std::string reclaimer_list(char sep) {
+  std::string out;
+  for (const char* name : kReclaimers) {
+    if (!out.empty()) out += sep;
+    out += name;
+  }
+  return out;
+}
 
 template <class Policy>
 constexpr const char* orderings_label() {
@@ -155,6 +170,9 @@ constexpr const char* fence_label() {
 struct Cell {
   std::uint64_t ops = 0;
   double seconds = 0.0;
+  // The record's "shards" field: the compiled shard count of a sharded
+  // cell, the settled width of an adaptive one, 1 otherwise.
+  int shards = 1;
   // Per-op latency percentiles (ns); 0 = this cell did not record latency.
   double p50_ns = 0.0;
   double p99_ns = 0.0;
@@ -198,26 +216,22 @@ void maybe_pin(std::thread& t, int pid, int n) {
 #endif
 }
 
-// Runs n threads for ~min_seconds. make_worker(pid) returns a callable that
-// performs one small batch of operations and returns the batch's completed
-// op count; workers loop batches until the stop flag flips, or exit early
-// when a batch reports no useful work (a drained leaky pool). Duration-based
-// (rather than fixed-count) measurement keeps every cell comparable even
-// when the two policies differ several-fold in speed.
+// Runs n threads for ~min_seconds. make_worker(pid, hist) returns a
+// callable that performs one small batch of operations and returns the
+// batch's completed op count; workers loop batches until the stop flag
+// flips, or exit early when a batch reports no useful work (a drained leaky
+// pool). Duration-based (rather than fixed-count) measurement keeps every
+// cell comparable even when the two policies differ several-fold in speed.
 //
-// Latency-recording cells pass a make_worker(pid, util::LatencyHistogram&)
-// instead: each thread owns a private histogram of raw tick deltas, the
-// histograms are merged after join, and the cell's percentiles are
-// converted to nanoseconds once (util::tick_ns()). Throughput-only workers
-// take the one-argument form and compile exactly as before.
+// Each thread owns a private histogram of raw tick deltas; workers that
+// record latency add to it, the histograms are merged after join, and the
+// cell's percentiles are converted to nanoseconds once (util::tick_ns()).
+// Throughput-only workers ignore theirs, and their cells report 0.
 template <class MakeWorker>
 Cell measure(int n, double min_seconds, MakeWorker make_worker) {
-  constexpr bool kRecordsLatency =
-      std::is_invocable_v<MakeWorker&, int, util::LatencyHistogram&>;
   std::atomic<bool> stop{false};
   std::atomic<int> done{0};
-  std::vector<util::LatencyHistogram> hists(
-      kRecordsLatency ? static_cast<std::size_t>(n) : 0);
+  std::vector<util::LatencyHistogram> hists(static_cast<std::size_t>(n));
   std::vector<std::uint64_t> ops(static_cast<std::size_t>(n), 0);
   // Each worker times itself and the cell reports the makespan (longest
   // worker duration): on an oversubscribed or 1-core host a fast-draining
@@ -230,13 +244,7 @@ Cell measure(int n, double min_seconds, MakeWorker make_worker) {
   threads.reserve(static_cast<std::size_t>(n));
   for (int pid = 0; pid < n; ++pid) {
     threads.emplace_back([&, pid] {
-      auto work = [&] {
-        if constexpr (kRecordsLatency) {
-          return make_worker(pid, hists[static_cast<std::size_t>(pid)]);
-        } else {
-          return make_worker(pid);
-        }
-      }();
+      auto work = make_worker(pid, hists[static_cast<std::size_t>(pid)]);
       sync.arrive_and_wait();
       const auto start = std::chrono::steady_clock::now();
       std::uint64_t count = 0;
@@ -264,15 +272,13 @@ Cell measure(int n, double min_seconds, MakeWorker make_worker) {
   Cell cell;
   for (const auto c : ops) cell.ops += c;
   for (const auto s : seconds) cell.seconds = cell.seconds > s ? cell.seconds : s;
-  if constexpr (kRecordsLatency) {
-    util::LatencyHistogram merged;
-    for (const auto& h : hists) merged.merge(h);
-    if (merged.total() > 0) {
-      const double ns = util::tick_ns();
-      cell.p50_ns = static_cast<double>(merged.percentile(0.50)) * ns;
-      cell.p99_ns = static_cast<double>(merged.percentile(0.99)) * ns;
-      cell.p999_ns = static_cast<double>(merged.percentile(0.999)) * ns;
-    }
+  util::LatencyHistogram merged;
+  for (const auto& h : hists) merged.merge(h);
+  if (merged.total() > 0) {
+    const double ns = util::tick_ns();
+    cell.p50_ns = static_cast<double>(merged.percentile(0.50)) * ns;
+    cell.p99_ns = static_cast<double>(merged.percentile(0.99)) * ns;
+    cell.p999_ns = static_cast<double>(merged.percentile(0.999)) * ns;
   }
   return cell;
 }
@@ -288,7 +294,7 @@ Cell run_llsc(int n, double secs) {
       env, n,
       typename core::LlscSingleCas<P>::Options{
           .value_bits = 16, .initial_value = 0, .initially_linked = true});
-  return measure(n, secs, [&](int pid) {
+  return measure(n, secs, [&](int pid, util::LatencyHistogram&) {
     return [&obj, pid] {
       for (int i = 0; i < kBatch; ++i) {
         const std::uint64_t v = obj.ll(pid);
@@ -304,7 +310,7 @@ Cell run_aba_register(int n, double secs) {
   typename P::Env env;
   core::AbaRegisterBounded<P> reg(
       env, n, typename core::AbaRegisterBounded<P>::Options{.value_bits = 8});
-  return measure(n, secs, [&](int pid) {
+  return measure(n, secs, [&](int pid, util::LatencyHistogram&) {
     return [&reg, pid, x = std::uint64_t{0}]() mutable {
       for (int i = 0; i < kBatch; ++i) {
         reg.dwrite(pid, x++ & 255);
@@ -332,101 +338,47 @@ int pool_per_thread(int n) {
   return budget < index_space_cap ? budget : index_space_cap;
 }
 
-// Per-primitive latency recorders for the recorder-templated pair workers.
-// NullRecorder is the default and compiles to nothing, so the
-// throughput-trajectory cells run byte-identical op loops whether or not
-// the binary was built with --latency support in mind.
-struct NullRecorder {
-  void begin() {}
-  void end() {}
-};
-
-struct TscRecorder {
-  util::LatencyHistogram* hist;
-  std::uint64_t t0 = 0;
-  void begin() { t0 = util::rdtsc(); }
-  void end() { hist->add(util::rdtsc() - t0); }
-};
-
-// The push;pop-pair worker every contended stack cell runs (the sharded
-// and adaptive wrappers expose the same surface, so one worker serves all).
-template <class Stack, class Rec = NullRecorder>
-auto stack_pair_worker(Stack& stack, int pid, Rec rec = {}) {
-  return [&stack, pid, rec, v = std::uint64_t{0}]() mutable {
-    std::uint64_t completed = 0;
-    bool useful = false;
-    for (int i = 0; i < kBatch; ++i) {
-      // push;pop pairs keep the pool balanced; if this thread's free
-      // list drained (its nodes were popped by others, or leaked), pop
-      // to keep making progress.
-      rec.begin();
-      const bool pushed = stack.push(pid, v++);
-      rec.end();
-      if (pushed) {
-        ++completed;
-        useful = true;
-      } else {
-        rec.begin();
-        const bool popped = stack.pop(pid).has_value();
-        rec.end();
-        if (popped) {
-          ++completed;
-          useful = true;
-        }
-      }
-      ++completed;  // The paired pop below always completes as an op.
-      rec.begin();
-      if (stack.pop(pid).has_value()) useful = true;
-      rec.end();
-    }
-    return useful ? completed : 0;
-  };
+// Per-shard pool slice: the same total node budget as the unsharded cell,
+// split across shards (each shard's reclaimer owns a disjoint index space).
+template <class R>
+int pool_per_thread_per_shard(int n, int shards) {
+  const int per_shard = pool_per_thread<R>(n) / shards;
+  return per_shard >= 1 ? per_shard : 1;
 }
 
-template <class Queue, class Rec = NullRecorder>
-auto queue_pair_worker(Queue& queue, int pid, Rec rec = {}) {
-  return [&queue, pid, rec, v = std::uint64_t{0}]() mutable {
-    std::uint64_t completed = 0;
-    bool useful = false;
-    for (int i = 0; i < kBatch; ++i) {
-      rec.begin();
-      const bool enqueued = queue.enqueue(pid, v++);
-      rec.end();
-      if (enqueued) {
-        ++completed;
-        useful = true;
-      } else {
-        rec.begin();
-        const bool dequeued = queue.dequeue(pid).has_value();
-        rec.end();
-        if (dequeued) {
+// The push;pop-pair cell every contended stack and queue scenario runs —
+// flat, sharded or adaptive alike, through the uniform Container verbs.
+template <structures::Container C>
+Cell run_pairs(C& container, int n, double secs) {
+  return measure(n, secs, [&](int pid, util::LatencyHistogram&) {
+    return [&container, pid, v = std::uint64_t{0}]() mutable {
+      std::uint64_t completed = 0;
+      bool useful = false;
+      for (int i = 0; i < kBatch; ++i) {
+        // push;pop pairs keep the pool balanced; if this thread's free
+        // list drained (its nodes were popped by others, or leaked), pop
+        // to keep making progress.
+        if (container.try_push(pid, v++) ||
+            container.try_pop(pid).has_value()) {
           ++completed;
           useful = true;
         }
+        ++completed;  // The paired pop below always completes as an op.
+        if (container.try_pop(pid).has_value()) useful = true;
       }
-      ++completed;
-      rec.begin();
-      if (queue.dequeue(pid).has_value()) useful = true;
-      rec.end();
-    }
-    return useful ? completed : 0;
-  };
+      return useful ? completed : 0;
+    };
+  });
 }
 
 template <class P, class R>
-Cell run_treiber_stack(int n, double secs, bool latency = false) {
+Cell run_treiber_stack(int n, double secs) {
   using Head = structures::TaggedCasHead<P>;
   using Stack = structures::TreiberStack<P, Head, R>;
   typename P::Env env;
   Stack stack(env, n, std::make_unique<Head>(env, n),
               Stack::partition(n, pool_per_thread<R>(n)));
-  if (latency) {
-    return measure(n, secs, [&](int pid, util::LatencyHistogram& h) {
-      return stack_pair_worker(stack, pid, TscRecorder{&h});
-    });
-  }
-  return measure(n, secs,
-                 [&](int pid) { return stack_pair_worker(stack, pid); });
+  return run_pairs(stack, n, secs);
 }
 
 // The LlscHead column: the same contended pairs, head-protected by the
@@ -447,8 +399,7 @@ Cell run_treiber_stack_llsc(int n, double secs) {
                                    .initially_linked = false});
   Stack stack(env, n, std::make_unique<Head>(llsc),
               Stack::partition(n, pool_per_thread<R>(n)));
-  return measure(n, secs,
-                 [&](int pid) { return stack_pair_worker(stack, pid); });
+  return run_pairs(stack, n, secs);
 }
 
 template <class P, class R>
@@ -458,7 +409,7 @@ Cell run_treiber_stack_90_10(int n, double secs) {
   typename P::Env env;
   Stack stack(env, n, std::make_unique<Head>(env, n),
               Stack::partition(n, pool_per_thread<R>(n)));
-  return measure(n, secs, [&](int pid) {
+  return measure(n, secs, [&](int pid, util::LatencyHistogram&) {
     return [&stack, pid, v = std::uint64_t{0}]() mutable {
       std::uint64_t completed = 0;
       bool useful = false;
@@ -479,27 +430,25 @@ Cell run_treiber_stack_90_10(int n, double secs) {
 }
 
 template <class P, class R>
-Cell run_ms_queue(int n, double secs, bool latency = false) {
+Cell run_ms_queue(int n, double secs) {
   using Queue = structures::MsQueue<P, R>;
   typename P::Env env;
   Queue queue(env, n, pool_per_thread<R>(n));
-  if (latency) {
-    return measure(n, secs, [&](int pid, util::LatencyHistogram& h) {
-      return queue_pair_worker(queue, pid, TscRecorder{&h});
-    });
-  }
-  return measure(n, secs,
-                 [&](int pid) { return queue_pair_worker(queue, pid); });
+  return run_pairs(queue, n, secs);
 }
 
 // ------------------------------------------------- the sharded dimension
 
-// Per-shard pool slice: the same total node budget as the unsharded cell,
-// split across shards (each shard's reclaimer owns a disjoint index space).
-template <class R>
-int pool_per_thread_per_shard(int n, int shards) {
-  const int per_shard = pool_per_thread<R>(n) / shards;
-  return per_shard >= 1 ? per_shard : 1;
+// The shard count is a compile-time parameter (the probe loops unroll), so
+// the runtime --shards list is mapped onto these instantiations: calls
+// f(std::integral_constant<int, K>{}) for K == shards, and returns false
+// when shards is not one of them.
+template <class F>
+bool with_compiled_shards(int shards, F&& f) {
+  return [&]<int... K>(std::integer_sequence<int, K...>) {
+    return ((shards == K && (f(std::integral_constant<int, K>{}), true)) ||
+            ...);
+  }(std::integer_sequence<int, 1, 2, 4, 8>{});
 }
 
 template <class P, class R, int kShards>
@@ -509,8 +458,9 @@ Cell run_sharded_stack(int n, double secs) {
   typename P::Env env;
   Stack stack(env, n, Stack::make_heads(env, n),
               pool_per_thread_per_shard<R>(n, kShards));
-  return measure(n, secs,
-                 [&](int pid) { return stack_pair_worker(stack, pid); });
+  Cell cell = run_pairs(stack, n, secs);
+  cell.shards = kShards;
+  return cell;
 }
 
 template <class P, class R, int kShards>
@@ -518,8 +468,9 @@ Cell run_sharded_queue(int n, double secs) {
   using Queue = structures::ShardedMsQueue<P, R, kShards>;
   typename P::Env env;
   Queue queue(env, n, pool_per_thread_per_shard<R>(n, kShards));
-  return measure(n, secs,
-                 [&](int pid) { return queue_pair_worker(queue, pid); });
+  Cell cell = run_pairs(queue, n, secs);
+  cell.shards = kShards;
+  return cell;
 }
 
 // ------------------------------------------------ the adaptive dimension
@@ -527,7 +478,7 @@ Cell run_sharded_queue(int n, double secs) {
 constexpr int kAdaptiveMaxShards = 8;
 
 template <class P, class R>
-Cell run_adaptive_stack(int n, double secs, int* settled) {
+Cell run_adaptive_stack(int n, double secs) {
   using Head = structures::TaggedCasHead<P>;
   using Stack =
       structures::AdaptiveShardedStack<P, Head, R, kAdaptiveMaxShards>;
@@ -535,21 +486,19 @@ Cell run_adaptive_stack(int n, double secs, int* settled) {
   Stack stack(env, n, Stack::make_heads(env, n),
               pool_per_thread_per_shard<R>(n, kAdaptiveMaxShards),
               structures::AdaptiveOptions{});
-  const Cell cell = measure(
-      n, secs, [&](int pid) { return stack_pair_worker(stack, pid); });
-  *settled = stack.active_shards();
+  Cell cell = run_pairs(stack, n, secs);
+  cell.shards = stack.active_shards();
   return cell;
 }
 
 template <class P, class R>
-Cell run_adaptive_queue(int n, double secs, int* settled) {
+Cell run_adaptive_queue(int n, double secs) {
   using Queue = structures::AdaptiveShardedQueue<P, R, kAdaptiveMaxShards>;
   typename P::Env env;
   Queue queue(env, n, pool_per_thread_per_shard<R>(n, kAdaptiveMaxShards),
               structures::AdaptiveOptions{});
-  const Cell cell = measure(
-      n, secs, [&](int pid) { return queue_pair_worker(queue, pid); });
-  *settled = queue.active_shards();
+  Cell cell = run_pairs(queue, n, secs);
+  cell.shards = queue.active_shards();
   return cell;
 }
 
@@ -574,10 +523,15 @@ bool ring_retry(TryOp&& op) {
   return false;
 }
 
+// A kBatch burst of pushes, then — for the load-spike producer — a quiet
+// gap. The gap busy-waits (sleep granularity is far too coarse at this
+// scale), so the consumers' percentile spread shows the queueing the
+// bursts cause.
 template <class Ring>
-std::function<std::uint64_t()> ring_producer(Ring& ring, int pid,
-                                             util::LatencyHistogram& hist) {
-  return [&ring, &hist, pid, v = std::uint64_t{0}]() mutable {
+std::function<std::uint64_t()> ring_producer(
+    Ring& ring, int pid, util::LatencyHistogram& hist,
+    std::chrono::microseconds gap = std::chrono::microseconds{0}) {
+  return [&ring, &hist, pid, gap, v = std::uint64_t{0}]() mutable {
     std::uint64_t completed = 0;
     for (int i = 0; i < kBatch; ++i) {
       const std::uint64_t t0 = util::rdtsc();
@@ -585,6 +539,11 @@ std::function<std::uint64_t()> ring_producer(Ring& ring, int pid,
       hist.add(util::rdtsc() - t0);
       ++v;
       ++completed;
+    }
+    if (gap.count() > 0) {
+      const auto until = std::chrono::steady_clock::now() + gap;
+      while (std::chrono::steady_clock::now() < until) {
+      }
     }
     return completed;
   };
@@ -605,106 +564,52 @@ std::function<std::uint64_t()> ring_consumer(Ring& ring, int pid,
   };
 }
 
-// The load-spike producer: a dense kBatch burst, then a quiet gap. The gap
-// busy-waits (sleep granularity is far too coarse at this scale), so the
-// consumers' percentile spread shows the queueing the bursts cause.
-template <class Ring>
-std::function<std::uint64_t()> ring_burst_producer(
-    Ring& ring, int pid, util::LatencyHistogram& hist) {
-  return [&ring, &hist, pid, v = std::uint64_t{0}]() mutable {
-    std::uint64_t completed = 0;
-    for (int i = 0; i < kBatch; ++i) {
-      const std::uint64_t t0 = util::rdtsc();
-      if (!ring_retry([&] { return ring.try_push(pid, v); })) break;
-      hist.add(util::rdtsc() - t0);
-      ++v;
-      ++completed;
-    }
-    const auto until =
-        std::chrono::steady_clock::now() + std::chrono::microseconds(50);
-    while (std::chrono::steady_clock::now() < until) {
-    }
-    return completed;
-  };
+constexpr std::chrono::microseconds kBurstGap{50};
+
+// How a ring cell splits its n threads into producers and consumers.
+enum class RingRole { kProducer, kBurstProducer, kConsumer };
+using RingRoles = RingRole (*)(int pid, int n);
+
+// pid 0 produces, the rest consume: SPSC (n = 2) and the 1 → n-1 fan-out.
+RingRole first_produces(int pid, int) {
+  return pid == 0 ? RingRole::kProducer : RingRole::kConsumer;
+}
+// The bursty fan-out: load spikes, quiet gaps, tail percentiles.
+RingRole first_bursts(int pid, int) {
+  return pid == 0 ? RingRole::kBurstProducer : RingRole::kConsumer;
+}
+// n-1 producers CASing tail into one consumer (pid n-1) owning head.
+RingRole last_consumes(int pid, int n) {
+  return pid == n - 1 ? RingRole::kConsumer : RingRole::kProducer;
+}
+// The thread set split producer/consumer (n/2 >= 1 consumers for n >= 2).
+RingRole half_consume(int pid, int n) {
+  return pid >= n - n / 2 ? RingRole::kConsumer : RingRole::kProducer;
 }
 
-// 1 producer, 1 consumer on the SPSC ring — zero shared RMW per op (the
-// machine-checked claim of tests/test_ring.cpp, priced here).
-template <class P>
-Cell run_ring_spsc(double secs) {
+template <class P, class Ring, RingRoles kRoles>
+Cell run_ring(int n, double secs) {
   typename P::Env env;
-  structures::SpscRing<P> ring(env, 2, kRingCapacity);
-  return measure(2, secs,
-                 [&](int pid, util::LatencyHistogram& h)
-                     -> std::function<std::uint64_t()> {
-                   if (pid == 0) return ring_producer(ring, pid, h);
-                   return ring_consumer(ring, pid, h);
-                 });
+  Ring ring(env, n, kRingCapacity);
+  return measure(n, secs, [&, n](int pid, util::LatencyHistogram& h) {
+    const RingRole role = kRoles(pid, n);
+    if (role == RingRole::kConsumer) return ring_consumer(ring, pid, h);
+    return ring_producer(ring, pid, h,
+                         role == RingRole::kBurstProducer
+                             ? kBurstGap
+                             : std::chrono::microseconds{0});
+  });
 }
 
-// n-1 producers CASing tail, 1 consumer (pid n-1) owning head.
+// feed → handler → gateway over two chained SPSC rings (n = 3); the middle
+// stage's recorded latency is the whole pop-transform-push hop.
 template <class P>
-Cell run_ring_mpsc(int n, double secs) {
+Cell run_ring_pipeline(int n, double secs) {
   typename P::Env env;
-  structures::MpscRing<P> ring(env, n, kRingCapacity);
-  return measure(n, secs,
-                 [&, n](int pid, util::LatencyHistogram& h)
-                     -> std::function<std::uint64_t()> {
-                   if (pid == n - 1) return ring_consumer(ring, pid, h);
-                   return ring_producer(ring, pid, h);
-                 });
-}
-
-// The Vyukov ring with the thread set split producer/consumer.
-template <class P>
-Cell run_ring_mpmc(int n, double secs) {
-  typename P::Env env;
-  structures::MpmcRing<P> ring(env, n, kRingCapacity);
-  const int consumers = n / 2;  // >= 1 for every n >= 2.
-  return measure(n, secs,
-                 [&, n, consumers](int pid, util::LatencyHistogram& h)
-                     -> std::function<std::uint64_t()> {
-                   if (pid >= n - consumers) return ring_consumer(ring, pid, h);
-                   return ring_producer(ring, pid, h);
-                 });
-}
-
-// 1 producer feeding n-1 consumers (feed fan-out; MPMC ring because the
-// consumer side is multi).
-template <class P>
-Cell run_ring_fanout(int n, double secs) {
-  typename P::Env env;
-  structures::MpmcRing<P> ring(env, n, kRingCapacity);
-  return measure(n, secs,
-                 [&](int pid, util::LatencyHistogram& h)
-                     -> std::function<std::uint64_t()> {
-                   if (pid == 0) return ring_producer(ring, pid, h);
-                   return ring_consumer(ring, pid, h);
-                 });
-}
-
-// The bursty variant of fanout: load spikes, quiet gaps, tail percentiles.
-template <class P>
-Cell run_ring_burst(int n, double secs) {
-  typename P::Env env;
-  structures::MpmcRing<P> ring(env, n, kRingCapacity);
-  return measure(n, secs,
-                 [&](int pid, util::LatencyHistogram& h)
-                     -> std::function<std::uint64_t()> {
-                   if (pid == 0) return ring_burst_producer(ring, pid, h);
-                   return ring_consumer(ring, pid, h);
-                 });
-}
-
-// feed → handler → gateway over two chained SPSC rings; the middle stage's
-// recorded latency is the whole pop-transform-push hop.
-template <class P>
-Cell run_ring_pipeline(double secs) {
-  typename P::Env env;
-  structures::SpscRing<P> feed(env, 3, kRingCapacity);
-  structures::SpscRing<P> out(env, 3, kRingCapacity);
+  structures::SpscRing<P> feed(env, n, kRingCapacity);
+  structures::SpscRing<P> out(env, n, kRingCapacity);
   return measure(
-      3, secs,
+      n, secs,
       [&](int pid,
           util::LatencyHistogram& h) -> std::function<std::uint64_t()> {
         if (pid == 0) return ring_producer(feed, pid, h);
@@ -743,7 +648,6 @@ struct MatrixConfig {
   std::vector<std::string> scenarios;  // --scenarios filter; empty = all.
   bool adaptive = true;
   bool pin = false;
-  bool latency = false;  // --latency: percentiles for treiber_stack/ms_queue.
   double secs = 0.2;
 };
 
@@ -756,26 +660,74 @@ bool wants(const MatrixConfig& config, const char* reclaimer) {
 
 // --scenarios filter: empty selects everything; a token matches a scenario
 // by exact name or by ring shorthand ("burst" matches "ring_burst").
-bool scenario_wanted(const MatrixConfig& config, const char* scenario) {
+bool scenario_wanted(const MatrixConfig& config, const std::string& name) {
   if (config.scenarios.empty()) return true;
-  const std::string name = scenario;
   for (const auto& tok : config.scenarios) {
     if (tok == name || "ring_" + tok == name) return true;
   }
   return false;
 }
 
-void emit(bench::JsonReport& report, const char* scenario, const char* label,
-          const char* orderings, const char* reclaimer, const char* fence,
-          int n, int shards, const Cell& cell) {
+// Which thread counts a scenario runs at.
+enum class ThreadRule {
+  kSweep,        // every --threads count
+  kSweepPairs,   // every --threads count >= 2 (one thread per ring side)
+  kTwo,          // exactly 2 (SPSC)
+  kThree,        // exactly 3 (the pipeline's stages)
+  kOversub,      // oversub_threads(): preemption mid-operation
+  kMaxOnly,      // the largest --threads count (the most contended cell)
+};
+
+std::vector<int> thread_counts(ThreadRule rule, const MatrixConfig& config) {
+  const std::vector<int>& sweep = config.thread_counts;
+  switch (rule) {
+    case ThreadRule::kSweep:
+      return sweep;
+    case ThreadRule::kSweepPairs: {
+      std::vector<int> pairs;
+      std::copy_if(sweep.begin(), sweep.end(), std::back_inserter(pairs),
+                   [](int n) { return n >= 2; });
+      return pairs;
+    }
+    case ThreadRule::kTwo:
+      return {2};
+    case ThreadRule::kThree:
+      return {3};
+    case ThreadRule::kOversub:
+      return {oversub_threads()};
+    case ThreadRule::kMaxOnly:
+      return {*std::max_element(sweep.begin(), sweep.end())};
+  }
+  return {};
+}
+
+// One entry of a column's scenario list.
+struct Scenario {
+  const char* name;
+  ThreadRule threads;
+  Cell (*run)(int n, double secs);
+};
+
+// The fields every record of one matrix column shares.
+struct Column {
+  const char* platform;  // "counted" | "fast"
+  const char* orderings;
+  std::string reclaimer;
+  const char* fence;
+};
+
+void emit(bench::JsonReport& report, const Column& column,
+          const char* scenario, int n, const Cell& cell) {
   const double rate =
       cell.seconds > 0 ? static_cast<double>(cell.ops) / cell.seconds : 0;
-  report.add(bench::JsonRecord{scenario, label, orderings, reclaimer, fence, n,
-                               shards, cell.ops, cell.seconds, rate,
-                               cell.p50_ns, cell.p99_ns, cell.p999_ns});
+  report.add(bench::JsonRecord{scenario, column.platform, column.orderings,
+                               column.reclaimer, column.fence, n, cell.shards,
+                               cell.ops, cell.seconds, rate, cell.p50_ns,
+                               cell.p99_ns, cell.p999_ns});
   std::printf(
       "  %-22s %-8s %-13s %-10s threads=%-3d shards=%-2d %-15s %12.0f ops/s",
-      scenario, label, reclaimer, fence, n, shards, orderings, rate);
+      scenario, column.platform, column.reclaimer.c_str(), column.fence, n,
+      cell.shards, column.orderings, rate);
   if (cell.p99_ns > 0) {
     std::printf("  p50=%.0f p99=%.0f p99.9=%.0f ns", cell.p50_ns, cell.p99_ns,
                 cell.p999_ns);
@@ -784,102 +736,54 @@ void emit(bench::JsonReport& report, const char* scenario, const char* label,
   std::fflush(stdout);
 }
 
-// The sharded cells of one (platform, reclaimer) column: the shard count is
-// a compile-time parameter (the probe loops unroll), so the runtime sweep
-// dispatches over the instantiated counts.
-template <class P, class R>
-void run_sharded_cells(const char* label, const char* orderings,
-                       const MatrixConfig& config, bench::JsonReport& report) {
-  const char* fence = fence_label<P>();
-  const bool want_stack = scenario_wanted(config, "sharded_treiber_stack");
-  const bool want_queue = scenario_wanted(config, "sharded_ms_queue");
-  if (want_stack || want_queue) {
-    for (const int shards : config.shard_counts) {
-      for (const int n : config.thread_counts) {
-        Cell stack_cell, queue_cell;
-        switch (shards) {
-          case 1:
-            stack_cell = run_sharded_stack<P, R, 1>(n, config.secs);
-            queue_cell = run_sharded_queue<P, R, 1>(n, config.secs);
-            break;
-          case 2:
-            stack_cell = run_sharded_stack<P, R, 2>(n, config.secs);
-            queue_cell = run_sharded_queue<P, R, 2>(n, config.secs);
-            break;
-          case 4:
-            stack_cell = run_sharded_stack<P, R, 4>(n, config.secs);
-            queue_cell = run_sharded_queue<P, R, 4>(n, config.secs);
-            break;
-          case 8:
-            stack_cell = run_sharded_stack<P, R, 8>(n, config.secs);
-            queue_cell = run_sharded_queue<P, R, 8>(n, config.secs);
-            break;
-          default:
-            std::fprintf(stderr,
-                         "shard count %d not instantiated (want 1|2|4|8)\n",
-                         shards);
-            continue;
-        }
-        if (want_stack) {
-          emit(report, "sharded_treiber_stack", label, orderings, R::kName,
-               fence, n, shards, stack_cell);
-        }
-        if (want_queue) {
-          emit(report, "sharded_ms_queue", label, orderings, R::kName, fence, n,
-               shards, queue_cell);
-        }
-      }
-    }
-  }
-  if (config.adaptive) {
-    for (const int n : config.thread_counts) {
-      int settled = 1;
-      if (scenario_wanted(config, "adaptive_sharded_stack")) {
-        const Cell stack_cell =
-            run_adaptive_stack<P, R>(n, config.secs, &settled);
-        emit(report, "adaptive_sharded_stack", label, orderings, R::kName,
-             fence, n, settled, stack_cell);
-      }
-      if (scenario_wanted(config, "adaptive_sharded_queue")) {
-        const Cell queue_cell =
-            run_adaptive_queue<P, R>(n, config.secs, &settled);
-        emit(report, "adaptive_sharded_queue", label, orderings, R::kName,
-             fence, n, settled, queue_cell);
-      }
+// The one emit loop: every cell of the matrix is a (column, scenario,
+// thread count) triple that passes the --scenarios filter.
+void run_column(const Column& column, const std::vector<Scenario>& scenarios,
+                const MatrixConfig& config, bench::JsonReport& report) {
+  for (const Scenario& s : scenarios) {
+    if (!scenario_wanted(config, s.name)) continue;
+    for (const int n : thread_counts(s.threads, config)) {
+      emit(report, column, s.name, n, s.run(n, config.secs));
     }
   }
 }
 
-// One reclaimer column of one platform side.
+// One reclaimer column of one platform side: the flat structures, the
+// oversubscribed stack, the sharded cells per --shards count and the
+// adaptive facades.
 template <class P, class R>
 void run_reclaim_column(const char* label, const char* orderings,
                         const MatrixConfig& config, bench::JsonReport& report) {
   if (!wants(config, R::kName)) return;
-  const char* fence = fence_label<P>();
-  for (const int n : config.thread_counts) {
-    if (scenario_wanted(config, "treiber_stack")) {
-      emit(report, "treiber_stack", label, orderings, R::kName, fence, n, 1,
-           run_treiber_stack<P, R>(n, config.secs, config.latency));
-    }
-    if (scenario_wanted(config, "treiber_stack_llsc")) {
-      emit(report, "treiber_stack_llsc", label, orderings, R::kName, fence, n,
-           1, run_treiber_stack_llsc<P, R>(n, config.secs));
-    }
-    if (scenario_wanted(config, "ms_queue")) {
-      emit(report, "ms_queue", label, orderings, R::kName, fence, n, 1,
-           run_ms_queue<P, R>(n, config.secs, config.latency));
-    }
-    if (scenario_wanted(config, "treiber_stack_90_10")) {
-      emit(report, "treiber_stack_90_10", label, orderings, R::kName, fence, n,
-           1, run_treiber_stack_90_10<P, R>(n, config.secs));
+  std::vector<Scenario> scenarios = {
+      {"treiber_stack", ThreadRule::kSweep, run_treiber_stack<P, R>},
+      {"treiber_stack_llsc", ThreadRule::kSweep, run_treiber_stack_llsc<P, R>},
+      {"ms_queue", ThreadRule::kSweep, run_ms_queue<P, R>},
+      {"treiber_stack_90_10", ThreadRule::kSweep,
+       run_treiber_stack_90_10<P, R>},
+      {"treiber_stack_oversub", ThreadRule::kOversub,
+       run_treiber_stack<P, R>},
+  };
+  for (const int shards : config.shard_counts) {
+    const bool compiled = with_compiled_shards(shards, [&](auto k) {
+      scenarios.push_back({"sharded_treiber_stack", ThreadRule::kSweep,
+                           run_sharded_stack<P, R, decltype(k)::value>});
+      scenarios.push_back({"sharded_ms_queue", ThreadRule::kSweep,
+                           run_sharded_queue<P, R, decltype(k)::value>});
+    });
+    if (!compiled) {
+      std::fprintf(stderr, "shard count %d not instantiated (want 1|2|4|8)\n",
+                   shards);
     }
   }
-  if (scenario_wanted(config, "treiber_stack_oversub")) {
-    const int oversub = oversub_threads();
-    emit(report, "treiber_stack_oversub", label, orderings, R::kName, fence,
-         oversub, 1, run_treiber_stack<P, R>(oversub, config.secs));
+  if (config.adaptive) {
+    scenarios.push_back({"adaptive_sharded_stack", ThreadRule::kSweep,
+                         run_adaptive_stack<P, R>});
+    scenarios.push_back({"adaptive_sharded_queue", ThreadRule::kSweep,
+                         run_adaptive_queue<P, R>});
   }
-  run_sharded_cells<P, R>(label, orderings, config, report);
+  run_column({label, orderings, R::kName, fence_label<P>()}, scenarios, config,
+             report);
 }
 
 // One side of the matrix. Policies are per scenario: LlscPolicy for the
@@ -896,16 +800,12 @@ void run_side(const char* label, const MatrixConfig& config,
   using LlscP = native::NativePlatform<LlscPolicy>;
   using SeqCstP = native::NativePlatform<SeqCstPolicy>;
   using StructP = native::NativePlatform<StructPolicy>;
-  for (const int n : config.thread_counts) {
-    if (scenario_wanted(config, "llsc_single_cas")) {
-      emit(report, "llsc_single_cas", label, orderings_label<LlscPolicy>(),
-           "none", "seq_cst", n, 1, run_llsc<LlscP>(n, config.secs));
-    }
-    if (scenario_wanted(config, "aba_register")) {
-      emit(report, "aba_register", label, orderings_label<SeqCstPolicy>(),
-           "none", "seq_cst", n, 1, run_aba_register<SeqCstP>(n, config.secs));
-    }
-  }
+  run_column({label, orderings_label<LlscPolicy>(), "none", "seq_cst"},
+             {{"llsc_single_cas", ThreadRule::kSweep, run_llsc<LlscP>}},
+             config, report);
+  run_column({label, orderings_label<SeqCstPolicy>(), "none", "seq_cst"},
+             {{"aba_register", ThreadRule::kSweep, run_aba_register<SeqCstP>}},
+             config, report);
   run_reclaim_column<StructP, reclaim::TaggedReclaimer<StructP>>(
       label, orderings_label<StructPolicy>(), config, report);
   run_reclaim_column<StructP, reclaim::LeakyReclaimer<StructP>>(
@@ -926,65 +826,47 @@ void run_side(const char* label, const MatrixConfig& config,
 // one advance — per K retires) is measurable instead of asserted. Cells are
 // keyed by reclaimer name "epoch_deferred_b<K>"; only the most contended
 // thread count runs, where the flush cadence actually shows.
-template <class P, std::size_t K>
-void run_deferred_batch_cell(const char* label, const char* orderings,
-                             const MatrixConfig& config,
-                             bench::JsonReport& report) {
-  if (!wants(config, "epoch_deferred")) return;
-  if (!scenario_wanted(config, "treiber_stack")) return;
-  using R = reclaim::EpochBasedReclaimer<P, reclaim::DeferredAnnounce, K>;
-  char name[32];
-  std::snprintf(name, sizeof(name), "epoch_deferred_b%zu", K);
-  const int n = *std::max_element(config.thread_counts.begin(),
-                                  config.thread_counts.end());
-  emit(report, "treiber_stack", label, orderings, name, fence_label<P>(), n, 1,
-       run_treiber_stack<P, R>(n, config.secs));
-}
-
 template <class P>
 void run_deferred_batch_axis(const char* label, const char* orderings,
                              const MatrixConfig& config,
                              bench::JsonReport& report) {
-  run_deferred_batch_cell<P, 1>(label, orderings, config, report);
-  run_deferred_batch_cell<P, 4>(label, orderings, config, report);
-  run_deferred_batch_cell<P, 16>(label, orderings, config, report);
-  run_deferred_batch_cell<P, 64>(label, orderings, config, report);
-  run_deferred_batch_cell<P, 256>(label, orderings, config, report);
+  if (!wants(config, "epoch_deferred")) return;
+  [&]<std::size_t... K>(std::index_sequence<K...>) {
+    (run_column(
+         {label, orderings, "epoch_deferred_b" + std::to_string(K),
+          fence_label<P>()},
+         {{"treiber_stack", ThreadRule::kMaxOnly,
+           run_treiber_stack<P, reclaim::EpochBasedReclaimer<
+                                    P, reclaim::DeferredAnnounce, K>>}},
+         config, report),
+     ...);
+  }(std::index_sequence<1, 4, 16, 64, 256>{});
 }
 
-// The ring cells of one platform side. Fixed-role scenarios (spsc: 2
-// threads, pipeline: 3) run once; the role-asymmetric sweeps need at least
-// one thread per side, so n=1 entries are skipped.
+// The ring cells of one platform side (reclaimer "none": the per-slot
+// sequence words are the ABA answer).
 template <class P>
 void run_ring_cells(const char* label, const char* orderings,
                     const MatrixConfig& config, bench::JsonReport& report) {
-  if (scenario_wanted(config, "ring_spsc")) {
-    emit(report, "ring_spsc", label, orderings, "none", "seq_cst", 2, 1,
-         run_ring_spsc<P>(config.secs));
-  }
-  for (const int n : config.thread_counts) {
-    if (n < 2) continue;
-    if (scenario_wanted(config, "ring_mpsc")) {
-      emit(report, "ring_mpsc", label, orderings, "none", "seq_cst", n, 1,
-           run_ring_mpsc<P>(n, config.secs));
-    }
-    if (scenario_wanted(config, "ring_mpmc")) {
-      emit(report, "ring_mpmc", label, orderings, "none", "seq_cst", n, 1,
-           run_ring_mpmc<P>(n, config.secs));
-    }
-    if (scenario_wanted(config, "ring_fanout")) {
-      emit(report, "ring_fanout", label, orderings, "none", "seq_cst", n, 1,
-           run_ring_fanout<P>(n, config.secs));
-    }
-    if (scenario_wanted(config, "ring_burst")) {
-      emit(report, "ring_burst", label, orderings, "none", "seq_cst", n, 1,
-           run_ring_burst<P>(n, config.secs));
-    }
-  }
-  if (scenario_wanted(config, "ring_pipeline")) {
-    emit(report, "ring_pipeline", label, orderings, "none", "seq_cst", 3, 1,
-         run_ring_pipeline<P>(config.secs));
-  }
+  using structures::MpmcRing;
+  using structures::MpscRing;
+  using structures::SpscRing;
+  run_column(
+      {label, orderings, "none", "seq_cst"},
+      {
+          {"ring_spsc", ThreadRule::kTwo,
+           run_ring<P, SpscRing<P>, first_produces>},
+          {"ring_mpsc", ThreadRule::kSweepPairs,
+           run_ring<P, MpscRing<P>, last_consumes>},
+          {"ring_mpmc", ThreadRule::kSweepPairs,
+           run_ring<P, MpmcRing<P>, half_consume>},
+          {"ring_fanout", ThreadRule::kSweepPairs,
+           run_ring<P, MpmcRing<P>, first_produces>},
+          {"ring_burst", ThreadRule::kSweepPairs,
+           run_ring<P, MpmcRing<P>, first_bursts>},
+          {"ring_pipeline", ThreadRule::kThree, run_ring_pipeline<P>},
+      },
+      config, report);
 }
 
 double find_rate(const bench::JsonReport& report, const std::string& scenario,
@@ -1027,15 +909,12 @@ std::vector<int> parse_ints(const std::string& csv) {
 std::vector<std::string> parse_reclaimers(const std::string& csv) {
   std::vector<std::string> out;
   for (const auto& tok : parse_csv(csv)) {
-    if (tok == "tagged" || tok == "leaky" || tok == "hazard" ||
-        tok == "hazard_cached" || tok == "epoch" || tok == "epoch_deferred") {
+    if (std::find(kReclaimers.begin(), kReclaimers.end(), tok) !=
+        kReclaimers.end()) {
       out.push_back(tok);
     } else {
-      std::fprintf(stderr,
-                   "unknown reclaimer '%s' "
-                   "(want tagged|leaky|hazard|hazard_cached|epoch|"
-                   "epoch_deferred)\n",
-                   tok.c_str());
+      std::fprintf(stderr, "unknown reclaimer '%s' (want %s)\n", tok.c_str(),
+                   reclaimer_list('|').c_str());
     }
   }
   return out;
@@ -1046,8 +925,7 @@ std::vector<std::string> parse_reclaimers(const std::string& csv) {
 int main(int argc, char** argv) {
   MatrixConfig config;
   config.thread_counts = {1, 2, 4};
-  config.reclaimers = {"tagged",       "leaky", "hazard",
-                       "hazard_cached", "epoch", "epoch_deferred"};
+  config.reclaimers.assign(kReclaimers.begin(), kReclaimers.end());
   config.shard_counts = {1, 4};
   std::string out_path = "BENCH_native.json";
   for (int i = 1; i < argc; ++i) {
@@ -1082,8 +960,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--pin") {
       config.pin = true;
-    } else if (arg == "--latency") {
-      config.latency = true;
     } else if (arg.rfind("--scenarios=", 0) == 0) {
       config.scenarios = parse_csv(arg.substr(std::strlen("--scenarios=")));
       if (config.scenarios.empty()) {
@@ -1093,12 +969,10 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--benchmark_min_time=SECS] [--out=PATH] "
-                   "[--threads=1,2,4] "
-                   "[--reclaimers=tagged,leaky,hazard,hazard_cached,epoch,"
-                   "epoch_deferred] "
-                   "[--shards=1,2,4,8,adaptive] [--pin] [--latency] "
+                   "[--threads=1,2,4] [--reclaimers=%s] "
+                   "[--shards=1,2,4,8,adaptive] [--pin] "
                    "[--scenarios=name,name]\n",
-                   argv[0]);
+                   argv[0], reclaimer_list(',').c_str());
       return 2;
     }
   }
@@ -1118,7 +992,6 @@ int main(int argc, char** argv) {
                                 : "off");
   report.add_context("asymmetric_fence_scheme",
                      util::AsymmetricFence::scheme_name());
-  report.add_context("latency_legacy_cells", config.latency ? "on" : "off");
 #ifdef ABA_RELAXED_ORDERINGS
   report.add_context("relaxed_orderings_option", "on");
 #else

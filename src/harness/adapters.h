@@ -152,9 +152,7 @@ class LlscInvoker : public Invoker {
 // std::optional<uint64_t> try_pop(int p). The history keeps the caller's
 // verb vocabulary (kPush/kPop for stacks, kEnq/kDeq for queues and rings) —
 // the workload chooses the methods, the spec interprets them; the invoker
-// only cares that both pairs funnel into the same two verbs. This is what
-// replaced the per-structure StackInvoker/QueueInvoker copy-paste when the
-// structures converged on the uniform API.
+// only cares that both pairs funnel into the same two verbs.
 template <structures::Container Impl>
 class ContainerInvoker : public Invoker {
  public:
@@ -213,23 +211,19 @@ class ContainerInvoker : public Invoker {
   std::unique_ptr<Impl> impl_;
 };
 
-// Legacy names: call sites (and make_factory<...> instantiations) read as
-// what they drive; the implementation is the single template above.
-template <class Impl>
-using StackInvoker = ContainerInvoker<Impl>;
-template <class Impl>
-using QueueInvoker = ContainerInvoker<Impl>;
-
 // ----------------------------------------------------- sharded structures
 //
-// The sharded wrappers (structures/sharded.h) expose the same push/pop /
-// enqueue/dequeue surface — the plain StackInvoker/QueueInvoker drive them
-// unchanged when only the composite history matters. The tagging variants
-// additionally record, per completed op, the shard the operation landed on
-// (Impl::last_shard(p), thread-private so querying it costs no shared
-// steps), which is what lets the test suite split one history into
-// per-shard sub-histories and check each shard against the *exact*
-// stack/queue spec — the "linearizable as a multiset per shard" contract.
+// The sharded wrappers (structures/sharded.h) and the adaptive facades
+// (structures/adaptive_sharded.h) are Containers too — the plain
+// ContainerInvoker drives them unchanged when only the composite history
+// matters. The tagging variant additionally records, per completed op, the
+// shard the operation landed on (Impl::last_shard(p), thread-private so
+// querying it costs no shared steps), which is what lets the test suite
+// split one history into per-shard sub-histories and check each shard
+// against the *exact* stack/queue spec — the "linearizable as a multiset
+// per shard" contract. For an adaptive facade the landing shard, not the
+// width at the time, is the linearizability unit, so the tags split its
+// history even as the facade moves its active width mid-run.
 
 // Hooks a Base invoker's on_complete to tag each history index with the
 // shard its operation landed on. Base's Impl must expose last_shard(p).
@@ -252,26 +246,13 @@ class ShardTagging : public Base {
 };
 
 template <class Impl>
-using ShardedStackInvoker = ShardTagging<StackInvoker<Impl>>;
-template <class Impl>
-using ShardedQueueInvoker = ShardTagging<QueueInvoker<Impl>>;
-
-// The adaptive facades (structures/adaptive_sharded.h) expose the same
-// push/pop / enqueue/dequeue / last_shard(p) surface, so the tagging
-// invokers drive them unchanged; the aliases exist so tests read as what
-// they test. The tags are what splits an adaptive history into per-shard
-// sub-histories even as the facade moves its active width mid-run — the
-// landing shard, not the width at the time, is the linearizability unit.
-template <class Impl>
-using AdaptiveStackInvoker = ShardTagging<StackInvoker<Impl>>;
-template <class Impl>
-using AdaptiveQueueInvoker = ShardTagging<QueueInvoker<Impl>>;
+using ShardTaggedInvoker = ShardTagging<ContainerInvoker<Impl>>;
 
 // Builds a FixtureFactory for any Impl constructible from
 // (SimWorld&, int n, Args...), wired through the given Invoker template
-// (StackInvoker, QueueInvoker, ...). Args are captured by value and must be
-// copyable; the factory can be invoked repeatedly (each model-checker
-// replay constructs a fresh Impl).
+// (ContainerInvoker, ShardTaggedInvoker, ...). Args are captured by value
+// and must be copyable; the factory can be invoked repeatedly (each
+// model-checker replay constructs a fresh Impl).
 template <template <class> class InvokerT, class Impl, class... Args>
 FixtureFactory make_factory(int n, Args... args) {
   return [n, args...](sim::SimWorld& world,

@@ -337,7 +337,7 @@ SearchFixture make_stack_fixture(int n, int pool) {
       *fx.world, n, std::make_unique<Head>(*fx.world, n),
       Stack::partition(n, pool));
   maybe_set_death_oracle(stack->reclaimer(), fx.oracle.get());
-  fx.invoker = std::make_unique<harness::StackInvoker<Stack>>(
+  fx.invoker = std::make_unique<harness::ContainerInvoker<Stack>>(
       *fx.world, *fx.history, std::move(stack));
   return fx;
 }
@@ -348,7 +348,7 @@ SearchFixture make_queue_fixture(int n, int pool) {
   SearchFixture fx = fixture_shell(n);
   auto queue = std::make_unique<Queue>(*fx.world, n, pool);
   maybe_set_death_oracle(queue->reclaimer(), fx.oracle.get());
-  fx.invoker = std::make_unique<harness::QueueInvoker<Queue>>(
+  fx.invoker = std::make_unique<harness::ContainerInvoker<Queue>>(
       *fx.world, *fx.history, std::move(queue));
   return fx;
 }
@@ -376,7 +376,7 @@ SearchFixture make_sharded_stack_fixture(int n, int pool) {
                                       reclaim::CachedHazardPointerReclaimer<SimP>,
                                       2>;
   SearchFixture fx = fixture_shell(n);
-  auto invoker = std::make_unique<harness::ShardedStackInvoker<Stack>>(
+  auto invoker = std::make_unique<harness::ShardTaggedInvoker<Stack>>(
       *fx.world, *fx.history,
       std::make_unique<Stack>(*fx.world, n, Stack::make_heads(*fx.world, n),
                               pool / 2));

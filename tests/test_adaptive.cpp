@@ -295,7 +295,7 @@ void adaptive_stack_sweep() {
       sim::SimWorld world(n);
       world.set_trace_enabled(false);
       spec::History history;
-      harness::AdaptiveStackInvoker<Stack> invoker(
+      harness::ShardTaggedInvoker<Stack> invoker(
           world, history, std::make_unique<Stack>(world, n, 4, kSweepOptions));
       harness::ScheduleLog log;
       harness::drive_random_schedule(
@@ -329,7 +329,7 @@ void adaptive_queue_sweep() {
       sim::SimWorld world(n);
       world.set_trace_enabled(false);
       spec::History history;
-      harness::AdaptiveQueueInvoker<Queue> invoker(
+      harness::ShardTaggedInvoker<Queue> invoker(
           world, history,
           std::make_unique<Queue>(world, n, 4, kSweepOptions));
       harness::ScheduleLog log;

@@ -630,7 +630,7 @@ std::vector<Triple> run_stack_script() {
   sim::SimWorld world(2);
   spec::History history;
   // Pool ≥ pushes per process so even the leaky reclaimer never drains.
-  auto invoker = std::make_unique<harness::StackInvoker<Stack>>(
+  auto invoker = std::make_unique<harness::ContainerInvoker<Stack>>(
       world, history,
       std::make_unique<Stack>(
           world, 2, std::make_unique<structures::TaggedCasHead<SimP>>(world, 2),
@@ -656,7 +656,7 @@ std::vector<Triple> run_queue_script() {
   using Queue = structures::MsQueue<SimP, R>;
   sim::SimWorld world(2);
   spec::History history;
-  auto invoker = std::make_unique<harness::QueueInvoker<Queue>>(
+  auto invoker = std::make_unique<harness::ContainerInvoker<Queue>>(
       world, history, std::make_unique<Queue>(world, 2, 8));
   static const std::vector<WorkloadOp> script = {
       {0, Method::kEnq, 10}, {1, Method::kEnq, 20}, {0, Method::kDeq, 0},
@@ -707,7 +707,7 @@ void expect_stack_linearizable_sweep() {
           n,
           [n](sim::SimWorld& world,
               spec::History& history) -> std::unique_ptr<harness::Invoker> {
-            return std::make_unique<harness::StackInvoker<Stack>>(
+            return std::make_unique<harness::ContainerInvoker<Stack>>(
                 world, history,
                 std::make_unique<Stack>(
                     world, n,
@@ -799,7 +799,7 @@ void expect_queue_linearizable_sweep() {
       }
       harness::ScheduleLog log;
       const auto ops = harness::run_random_schedule(
-          n, harness::make_factory<harness::QueueInvoker, Queue>(n, 6),
+          n, harness::make_factory<harness::ContainerInvoker, Queue>(n, 6),
           workload, seed * 739 + 13, &log);
       const auto result = spec::check_linearizable<spec::QueueSpec>(
           ops, spec::QueueSpec::initial());
@@ -848,7 +848,7 @@ template <class Stack>
 std::vector<spec::Op> run_deferred_aba_schedule(int pause_steps) {
   sim::SimWorld world(2);
   spec::History history;
-  auto invoker = std::make_unique<harness::StackInvoker<Stack>>(
+  auto invoker = std::make_unique<harness::ContainerInvoker<Stack>>(
       world, history,
       std::make_unique<Stack>(
           world, 2, std::make_unique<typename Stack::HeadPolicy>(world, 2),

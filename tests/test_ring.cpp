@@ -245,11 +245,9 @@ TEST(RingMpmcSim, LinearizableUnderRandomSchedules) {
         const auto factory = [cap, kProcs](sim::SimWorld& world,
                                            spec::History& history)
             -> std::unique_ptr<harness::Invoker> {
-          return std::make_unique<
-              harness::QueueInvoker<structures::MpmcRing<sim::SimPlatform>>>(
-              world, history,
-              std::make_unique<structures::MpmcRing<sim::SimPlatform>>(
-                  world, kProcs, cap));
+          using Ring = structures::MpmcRing<sim::SimPlatform>;
+          return std::make_unique<harness::ContainerInvoker<Ring>>(
+              world, history, std::make_unique<Ring>(world, kProcs, cap));
         };
         const auto workload =
             ring_workload(kProcs, 5, seed * 1000 + cap * 10 + bias, bias);
@@ -290,11 +288,9 @@ TEST(RingMpscSim, LinearizableUnderRandomSchedules) {
         const auto factory = [cap, kProcs](sim::SimWorld& world,
                                            spec::History& history)
             -> std::unique_ptr<harness::Invoker> {
-          return std::make_unique<
-              harness::QueueInvoker<structures::MpscRing<sim::SimPlatform>>>(
-              world, history,
-              std::make_unique<structures::MpscRing<sim::SimPlatform>>(
-                  world, kProcs, cap));
+          using Ring = structures::MpscRing<sim::SimPlatform>;
+          return std::make_unique<harness::ContainerInvoker<Ring>>(
+              world, history, std::make_unique<Ring>(world, kProcs, cap));
         };
         const auto ops =
             harness::run_random_schedule(kProcs, factory, workload, seed);

@@ -302,7 +302,7 @@ std::vector<WorkloadOp> random_workload(int n, int ops, std::uint64_t seed,
 // CAS with a stale (index, tag) snapshot.
 struct StealRace {
   using Stack = SweepShardedStack<TaggedHead, reclaim::TaggedReclaimer<SimP>, 2>;
-  using Invoker = harness::ShardedStackInvoker<Stack>;
+  using Invoker = harness::ShardTaggedInvoker<Stack>;
 
   sim::SimWorld world{2};
   spec::History history;
@@ -390,7 +390,7 @@ void sharded_stack_sweep() {
       sim::SimWorld world(n);
       world.set_trace_enabled(false);
       spec::History history;
-      harness::ShardedStackInvoker<Stack> invoker(
+      harness::ShardTaggedInvoker<Stack> invoker(
           world, history, std::make_unique<Stack>(world, n, 4));
       harness::ScheduleLog log;
       harness::drive_random_schedule(
@@ -458,7 +458,7 @@ void sharded_queue_sweep() {
       sim::SimWorld world(n);
       world.set_trace_enabled(false);
       spec::History history;
-      harness::ShardedQueueInvoker<Queue> invoker(
+      harness::ShardTaggedInvoker<Queue> invoker(
           world, history, std::make_unique<Queue>(world, n, 4));
       harness::ScheduleLog log;
       harness::drive_random_schedule(

@@ -91,7 +91,7 @@ struct SimQueue {
 
 template <class Impl, class... Args>
 harness::FixtureFactory stack_factory(int n, Args... args) {
-  return harness::make_factory<harness::StackInvoker, Impl>(n, args...);
+  return harness::make_factory<harness::ContainerInvoker, Impl>(n, args...);
 }
 
 // ------------------------------------------------------- sequential
@@ -180,7 +180,7 @@ template <class Fixture>
 std::vector<spec::Op> run_treiber_aba_schedule() {
   sim::SimWorld world(2);
   spec::History history;
-  auto invoker = std::make_unique<harness::StackInvoker<Fixture>>(
+  auto invoker = std::make_unique<harness::ContainerInvoker<Fixture>>(
       world, history, std::make_unique<Fixture>(world, 2, 2));
 
   auto solo = [&](const WorkloadOp& op) {
@@ -242,7 +242,7 @@ TEST(TreiberAba, OneBitTagWrapsUnderDeepenedSchedule) {
   // CAS wrongly succeeds and the stack resurrects already-popped values.
   sim::SimWorld world(2);
   spec::History history;
-  auto invoker = std::make_unique<harness::StackInvoker<TaggedStack>>(
+  auto invoker = std::make_unique<harness::ContainerInvoker<TaggedStack>>(
       world, history,
       std::make_unique<TaggedStack>(world, 2, 3, /*tag_bits=*/1));
 
@@ -284,7 +284,7 @@ TEST(TreiberAba, OneBitTagWrapsUnderDeepenedSchedule) {
 TEST(TreiberAba, WideTagSurvivesDeepenedSchedule) {
   sim::SimWorld world(2);
   spec::History history;
-  auto invoker = std::make_unique<harness::StackInvoker<TaggedStack>>(
+  auto invoker = std::make_unique<harness::ContainerInvoker<TaggedStack>>(
       world, history,
       std::make_unique<TaggedStack>(world, 2, 3, /*tag_bits=*/16));
   auto solo = [&](const WorkloadOp& op) {
@@ -391,7 +391,7 @@ TEST_P(MsQueueRandom, Linearizable) {
   }
   auto factory = [&](sim::SimWorld& world,
                      spec::History& history) -> std::unique_ptr<harness::Invoker> {
-    return std::make_unique<harness::QueueInvoker<SimQueue>>(
+    return std::make_unique<harness::ContainerInvoker<SimQueue>>(
         world, history, std::make_unique<SimQueue>(world, param.n, 6));
   };
   const auto ops =

@@ -9,7 +9,10 @@ Each record is keyed by (scenario, platform, orderings, reclaimer, fence,
 shards, threads) — the cell identity E9 sweeps (orderings and fence
 included so a build with different memory-ordering or fence-scheme options
 shows up as added/removed cells rather than as spurious per-cell
-regressions) — and the fresh ops_per_sec is compared to the baseline's. A
+regressions) — and the fresh ops_per_sec is compared to the baseline's.
+An adaptive_* cell's shards field is the width the facade settled on, a
+measurement rather than part of the cell's identity, so those cells are
+keyed without it (the width stays in the record). A
 cell that lost more than --threshold (default 30%) of its throughput is a
 regression; the run fails (exit 1) if any regression is found, unless
 --warn-only is set (shared CI runners are noisy and their smoke cells are
@@ -26,8 +29,8 @@ summary per (scenario, reclaimer), the per-group trajectory line that
 single-cell noise cannot fake.
 
 Latency cells (schema 2): a record whose p99_ns is nonzero carries per-op
-latency percentiles (E9's ring scenarios always do; legacy headline cells
-do under --latency). When BOTH sides of a cell carry a nonzero p99_ns, a
+latency percentiles (E9's ring scenarios always do). When BOTH sides of a
+cell carry a nonzero p99_ns, a
 fresh p99 that grew by more than --latency-threshold (default 50% — tail
 latency on shared runners is substantially noisier than mean throughput,
 so the latency gate defaults looser than --threshold and is tuned
@@ -56,6 +59,20 @@ with contextlib.suppress(AttributeError, ValueError):
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 
+def cell_key(r):
+    # None stands for "any width": an adaptive cell's shards is measured.
+    adaptive = r["scenario"].startswith("adaptive_")
+    return (
+        r["scenario"],
+        r["platform"],
+        r.get("orderings", ""),
+        r.get("reclaimer", "none"),
+        r.get("fence", "seq_cst"),
+        None if adaptive else int(r.get("shards", 1)),
+        int(r["threads"]),
+    )
+
+
 def load_records(path):
     try:
         with open(path) as f:
@@ -69,15 +86,7 @@ def load_records(path):
         sys.exit(2)
     out = {}
     for r in records:
-        key = (
-            r["scenario"],
-            r["platform"],
-            r.get("orderings", ""),
-            r.get("reclaimer", "none"),
-            r.get("fence", "seq_cst"),
-            int(r.get("shards", 1)),
-            int(r["threads"]),
-        )
+        key = cell_key(r)
         if key in out:
             print(f"bench_compare: duplicate cell {key} in {path}",
                   file=sys.stderr)
@@ -86,8 +95,11 @@ def load_records(path):
     return out, doc.get("context", {}), int(doc.get("schema", 1))
 
 
-def fmt_key(key):
+def fmt_key(key, base, fresh):
     scenario, platform, orderings, reclaimer, fence, shards, threads = key
+    if shards is None:  # Adaptive: the settled widths, baseline->fresh.
+        shards = "->".join(str(side[key].get("shards", "?"))
+                           for side in (base, fresh) if key in side)
     return (f"{scenario}/{platform}/{orderings}/{reclaimer}/{fence}"
             f"/shards={shards}/threads={threads}")
 
@@ -115,6 +127,9 @@ def main():
 
     base, base_ctx, base_schema = load_records(args.baseline)
     fresh, fresh_ctx, fresh_schema = load_records(args.fresh)
+
+    def label(key):
+        return fmt_key(key, base, fresh)
 
     regressions = []  # (key, base_rate, fresh_rate, delta)
     improvements = []
@@ -178,7 +193,7 @@ def main():
         lines.append("| cell | baseline ops/s | fresh ops/s | delta |")
         lines.append("|---|---:|---:|---:|")
         for key, b, f, d in rows:
-            lines.append(f"| {fmt_key(key)} | {b:,.0f} | {f:,.0f} | {d:+.1%} |")
+            lines.append(f"| {label(key)} | {b:,.0f} | {f:,.0f} | {d:+.1%} |")
         lines.append("")
 
     # Geomean of fresh/baseline ratios per (scenario, reclaimer): the
@@ -203,7 +218,7 @@ def main():
         lines.append("| cell | baseline p99 ns | fresh p99 ns | delta |")
         lines.append("|---|---:|---:|---:|")
         for key, b, f, d in latency_regressions:
-            lines.append(f"| {fmt_key(key)} | {b:,.0f} | {f:,.0f} | {d:+.1%} |")
+            lines.append(f"| {label(key)} | {b:,.0f} | {f:,.0f} | {d:+.1%} |")
         lines.append("")
     table("Improvements (>threshold)", improvements)
     # Cells too short to gate on still carry the trajectory signal — render
@@ -214,18 +229,18 @@ def main():
     if added:
         lines.append("## Added cells")
         lines.append("")
-        lines.extend(f"- {fmt_key(k)}" for k in added)
+        lines.extend(f"- {label(k)}" for k in added)
         lines.append("")
     if removed:
         lines.append("## Removed cells")
         lines.append("")
-        lines.extend(f"- {fmt_key(k)}" for k in removed)
+        lines.extend(f"- {label(k)}" for k in removed)
         lines.append("")
 
     if args.json:
         def row_obj(row):
             key, b, f, d = row
-            return {"cell": fmt_key(key), "baseline_ops_per_sec": b,
+            return {"cell": label(key), "baseline_ops_per_sec": b,
                     "fresh_ops_per_sec": f, "delta": d}
         doc = {
             "baseline": args.baseline,
@@ -236,14 +251,14 @@ def main():
             "cells_compared": compared,
             "latency_cells_compared": latency_compared,
             "latency_regressions": [
-                {"cell": fmt_key(key), "baseline_p99_ns": b,
+                {"cell": label(key), "baseline_p99_ns": b,
                  "fresh_p99_ns": f, "delta": d}
                 for key, b, f, d in latency_regressions],
             "regressions": [row_obj(r) for r in regressions],
             "improvements": [row_obj(r) for r in improvements],
             "informational": [row_obj(r) for r in informational],
-            "added": [fmt_key(k) for k in added],
-            "removed": [fmt_key(k) for k in removed],
+            "added": [label(k) for k in added],
+            "removed": [label(k) for k in removed],
             "geomean_by_group": [
                 {"scenario": scenario, "reclaimer": reclaimer,
                  "cells": len(ratios),
