@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -35,6 +34,7 @@
 // step ledger, or Figure 4's per-op step counts change.
 #include "structures/ring_buffer.h"
 #include "util/cacheline.h"
+#include "util/object_array.h"
 #include "util/packed_word.h"
 
 namespace aba::core {
@@ -48,18 +48,17 @@ class SequenceReservation {
   // experiments can construct deliberately broken instances.
   SequenceReservation(typename P::Env& env, int n, const util::TripleCodec& codec,
                       std::uint64_t seq_domain)
-      : n_(n), codec_(codec), seq_domain_(seq_domain) {
-    ABA_CHECK(n >= 1);
-    ABA_CHECK(seq_domain_ >= 2);
-    // Each announce entry is its own heap allocation: with a cache-line-
-    // isolating platform (NativePlatform<Fast>) the registers are over-
-    // aligned, so A[q] and A[q'] — written by different processes on every
-    // DRead — can never false-share a line.
-    announce_.reserve(n_);
-    for (int q = 0; q < n_; ++q) {
-      announce_.push_back(std::make_unique<typename P::Register>(
-          env, "A", 0, sim::BoundSpec::bounded(codec_.announcement_bits())));
-    }
+      : n_(checked_n(n, seq_domain)),
+        codec_(codec),
+        seq_domain_(seq_domain),
+        // With a cache-line-isolating platform (NativePlatform<Fast>) each
+        // register is over-aligned to its own line, and the array keeps
+        // that alignment per element, so A[q] and A[q'] — written by
+        // different processes on every DRead — can never false-share.
+        announce_(static_cast<std::size_t>(n_), [&](std::size_t) {
+          return typename P::Register(
+              env, "A", 0, sim::BoundSpec::bounded(codec_.announcement_bits()));
+        }) {
     locals_.reserve(n_);
     for (int q = 0; q < n_; ++q) locals_.push_back(Local(n_, seq_domain_));
   }
@@ -78,7 +77,7 @@ class SequenceReservation {
   // local work linear too).
   std::uint64_t get_seq(int p) {
     Local& local = locals_[p];
-    const std::uint64_t announced = announce_[local.c]->read();  // line 28
+    const std::uint64_t announced = announce_[local.c].read();  // line 28
     std::optional<std::uint64_t> seen;
     if (codec_.announcement_valid(announced) &&
         codec_.announcement_pid(announced) == static_cast<std::uint64_t>(p)) {
@@ -114,15 +113,22 @@ class SequenceReservation {
   }
 
   // Write A[q] (one shared step). `pair` is a packed announcement.
-  void announce(int q, std::uint64_t pair) { announce_[q]->write(pair); }
+  void announce(int q, std::uint64_t pair) { announce_[q].write(pair); }
 
   // Read A[q] (one shared step).
-  std::uint64_t read_own(int q) { return announce_[q]->read(); }
+  std::uint64_t read_own(int q) { return announce_[q].read(); }
 
   int num_registers() const { return n_; }
   std::uint64_t seq_domain() const { return seq_domain_; }
 
  private:
+  // Runs before the announce array is allocated.
+  static int checked_n(int n, std::uint64_t seq_domain) {
+    ABA_CHECK(n >= 1);
+    ABA_CHECK(seq_domain >= 2);
+    return n;
+  }
+
   // Per-process bookkeeping; owner-written only, padded against false
   // sharing between neighbouring entries of locals_.
   struct alignas(util::kCacheLineSize) Local {
@@ -161,7 +167,7 @@ class SequenceReservation {
   int n_;
   util::TripleCodec codec_;
   std::uint64_t seq_domain_;
-  std::vector<std::unique_ptr<typename P::Register>> announce_;
+  util::ObjectArray<typename P::Register> announce_;
   std::vector<Local> locals_;
 };
 

@@ -133,7 +133,9 @@ class HazardPointerReclaimer {
       : n_(n),
         book_(env, n, std::move(initial_free)),
         slots_(env, "hp.slot", n, kNone),
-        locals_(static_cast<std::size_t>(n)) {}
+        locals_(static_cast<std::size_t>(n)) {
+    for (Local& local : locals_) local.guarded.reserve(slots_.size());
+  }
 
   // Installs the liveness oracle that arms the expropriation paths (books
   // with a pluggable oracle only). Not a transfer of ownership; pass
@@ -257,8 +259,8 @@ class HazardPointerReclaimer {
         slots_.clear_if_set(q, slot, kNone);
       }
     });
-    std::vector<std::uint64_t> guarded;
-    guarded.reserve(slots_.size());
+    std::vector<std::uint64_t>& guarded = locals_[p].guarded;
+    guarded.clear();
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       const std::uint64_t word = slots_.read(i);
       if (word != kNone) guarded.push_back(word - 1);
@@ -319,10 +321,13 @@ class HazardPointerReclaimer {
   }
 
   // Protocol position for the schedule-search engine (reclaimer.h), one
-  // line per process; resume is the phase commit() restores.
+  // line per process; resume is the phase commit() restores. `guarded` is
+  // scan's scratch list of guarded indices, reserved to the slot count so
+  // a scan never allocates (thread-private: no shared step).
   struct alignas(util::kCacheLineSize) Local {
     ReclaimPhase phase = ReclaimPhase::kIdle;
     ReclaimPhase resume = ReclaimPhase::kIdle;
+    std::vector<std::uint64_t> guarded;
   };
 
   int n_;

@@ -50,7 +50,6 @@
 #include <cstdint>
 #include <deque>
 #include <iterator>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -59,6 +58,7 @@
 #include "reclaim/reclaimer.h"
 #include "util/assert.h"
 #include "util/cacheline.h"
+#include "util/object_array.h"
 
 namespace aba::reclaim {
 
@@ -81,22 +81,22 @@ class PrivateBook {
   template <int k>
   class Words {
    public:
+    // One contiguous array; the native Fast policy pads each word to its
+    // own cache line, so neighbouring processes' words never false-share.
     Words(Env& env, const char* name, int n, std::uint64_t initial)
-        : mirrors_(static_cast<std::size_t>(n)) {
-      // unique_ptr because platform objects wrap std::atomic and are
-      // immovable; the native Fast policy pads each to its own cache line.
-      words_.reserve(static_cast<std::size_t>(n) * k);
-      for (int i = 0; i < n * k; ++i) {
-        words_.push_back(std::make_unique<typename P::Register>(
-            env, name, initial, sim::BoundSpec::unbounded()));
-      }
+        : words_(static_cast<std::size_t>(n) * k,
+                 [&](std::size_t) {
+                   return typename P::Register(env, name, initial,
+                                               sim::BoundSpec::unbounded());
+                 }),
+          mirrors_(static_cast<std::size_t>(n)) {
       for (auto& m : mirrors_) m.value.fill(initial);
     }
 
     std::size_t size() const { return words_.size(); }
-    std::uint64_t read(std::size_t flat) { return words_[flat]->read(); }
+    std::uint64_t read(std::size_t flat) { return words_[flat].read(); }
     void write(int p, int i, std::uint64_t v) {
-      words_[at(p, i)]->write(v);
+      words_[at(p, i)].write(v);
       mirrors_[p].value[i] = v;
     }
     std::uint64_t mirror(int p, int i) const { return mirrors_[p].value[i]; }
@@ -120,7 +120,7 @@ class PrivateBook {
     struct alignas(util::kCacheLineSize) Mirror {
       std::array<std::uint64_t, k> value{};
     };
-    std::vector<std::unique_ptr<typename P::Register>> words_;
+    util::ObjectArray<typename P::Register> words_;
     std::vector<Mirror> mirrors_;
   };
 

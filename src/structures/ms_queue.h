@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "reclaim/tagged.h"
 #include "structures/contention.h"
 #include "util/assert.h"
+#include "util/object_array.h"
 
 namespace aba::structures {
 
@@ -51,16 +51,10 @@ class MsQueue {
       : options_(options),
         head_(env, "queue.head", pack(0, 0), sim::BoundSpec::unbounded()),
         tail_(env, "queue.tail", pack(0, 0), sim::BoundSpec::unbounded()),
-        reclaimer_(env, n, initial_free(n, nodes_per_process)) {
-    ABA_CHECK(options.index_bits + options.tag_bits <= 64);
-    ABA_CHECK(1 + static_cast<std::uint64_t>(n) * nodes_per_process <
-               index_mask());
-    const std::size_t pool = 1 + static_cast<std::size_t>(n) * nodes_per_process;
-    nodes_.reserve(pool);
-    for (std::size_t i = 0; i < pool; ++i) {
-      nodes_.push_back(std::make_unique<Node>(env, pack(null_index(), 0)));
-    }
-  }
+        reclaimer_(env, n, initial_free(n, nodes_per_process)),
+        nodes_(checked_pool_size(n, nodes_per_process), [&](std::size_t) {
+          return Node(env, pack(null_index(), 0));
+        }) {}
 
   static std::vector<std::deque<std::uint64_t>> initial_free(
       int n, int nodes_per_process) {
@@ -77,7 +71,7 @@ class MsQueue {
     const std::optional<std::uint64_t> node_opt = reclaimer_.allocate(p);
     if (!node_opt) return false;
     const std::uint64_t node_index = *node_opt;
-    Node& node = *nodes_[node_index];
+    Node& node = nodes_[node_index];
     node.value.write(value);
     // Reset next to null, bumping its tag (local to this node's lifecycle).
     const std::uint64_t old_next = node.next.read();
@@ -88,14 +82,14 @@ class MsQueue {
     for (;;) {
       const std::uint64_t tail = tail_.read();
       if constexpr (R::kNeedsGuard) reclaimer_.guard(p, 0, index_of(tail));
-      const std::uint64_t tail_next = nodes_[index_of(tail)]->next.read();
+      const std::uint64_t tail_next = nodes_[index_of(tail)].next.read();
       if (tail != tail_.read()) {  // Tail moved under us (validates the guard).
         backoff();
         continue;
       }
       if (index_of(tail_next) == null_index()) {
         // Tail is the last node: link the new node.
-        if (nodes_[index_of(tail)]->next.cas(
+        if (nodes_[index_of(tail)].next.cas(
                 tail_next, pack(node_index, tag_of(tail_next) + 1))) {
           // The node is linked: tell crash-robust reclaimers its allocation
           // is no longer in flight (thread-private — schedules unchanged).
@@ -123,7 +117,7 @@ class MsQueue {
       const std::uint64_t head = head_.read();
       if constexpr (R::kNeedsGuard) reclaimer_.guard(p, 0, index_of(head));
       const std::uint64_t tail = tail_.read();
-      const std::uint64_t head_next = nodes_[index_of(head)]->next.read();
+      const std::uint64_t head_next = nodes_[index_of(head)].next.read();
       if (head != head_.read()) {  // Also validates the slot-0 guard.
         backoff();
         continue;
@@ -146,7 +140,7 @@ class MsQueue {
         }
       }
       // Read the value before the CAS (the node may be reused right after).
-      const std::uint64_t value = nodes_[index_of(head_next)]->value.read();
+      const std::uint64_t value = nodes_[index_of(head_next)].value.read();
       if (head_.cas(head, pack(index_of(head_next), tag_of(head) + 1))) {
         reclaimer_.end_op(p);
         // The old dummy node is now free for reuse once the policy allows.
@@ -174,6 +168,15 @@ class MsQueue {
   const R& reclaimer() const { return reclaimer_; }
 
  private:
+  // Runs before any node is allocated: the pool must leave the all-ones
+  // index free for the null marker.
+  std::size_t checked_pool_size(int n, int nodes_per_process) const {
+    ABA_CHECK(options_.index_bits + options_.tag_bits <= 64);
+    ABA_CHECK(1 + static_cast<std::uint64_t>(n) * nodes_per_process <
+              index_mask());
+    return 1 + static_cast<std::size_t>(n) * nodes_per_process;
+  }
+
   // The all-ones index is the null marker (never a valid pool index).
   std::uint64_t null_index() const { return index_mask(); }
 
@@ -196,11 +199,13 @@ class MsQueue {
     typename P::WritableCas next;
   };
 
+  // Declaration order is construction order (the SimWorld ids and the shm
+  // layout hash follow it): the nodes come after the reclaimer's words.
   Options options_;
   typename P::WritableCas head_;
   typename P::WritableCas tail_;
-  std::vector<std::unique_ptr<Node>> nodes_;
   R reclaimer_;
+  util::ObjectArray<Node> nodes_;
   ContentionProbe* probe_ = nullptr;
 };
 

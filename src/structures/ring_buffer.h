@@ -56,7 +56,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <type_traits>
 #include <vector>
@@ -64,6 +63,7 @@
 #include "core/platform.h"
 #include "util/assert.h"
 #include "util/cacheline.h"
+#include "util/object_array.h"
 
 namespace aba::structures {
 
@@ -128,13 +128,12 @@ class SpscRing {
       : cap_(detail::ring_slot_count(capacity)),
         mask_(cap_ - 1),
         head_(env, "ring.head", 0, sim::BoundSpec::unbounded()),
-        tail_(env, "ring.tail", 0, sim::BoundSpec::unbounded()) {
+        tail_(env, "ring.tail", 0, sim::BoundSpec::unbounded()),
+        slots_(cap_, [&](std::size_t) {
+          return typename P::Register(env, "ring.slot", 0,
+                                      sim::BoundSpec::unbounded());
+        }) {
     ABA_CHECK(n >= 1);
-    slots_.reserve(cap_);
-    for (std::size_t i = 0; i < cap_; ++i) {
-      slots_.push_back(std::make_unique<typename P::Register>(
-          env, "ring.slot", 0, sim::BoundSpec::unbounded()));
-    }
   }
 
   // Producer side. Refuses only on a FRESH head read showing
@@ -144,7 +143,7 @@ class SpscRing {
       prod_.cached_head = head_.read();
       if (prod_.pos - prod_.cached_head == cap_) return false;
     }
-    slots_[prod_.pos & mask_]->write(detail::ring_encode(value));
+    slots_[prod_.pos & mask_].write(detail::ring_encode(value));
     // The tail write publishes the slot (release under relaxed-orderings
     // native policies; a scheduled step in the simulator).
     tail_.write(prod_.pos + 1);
@@ -158,7 +157,7 @@ class SpscRing {
       cons_.cached_tail = tail_.read();
       if (cons_.cached_tail == cons_.pos) return std::nullopt;
     }
-    const T value = detail::ring_decode<T>(slots_[cons_.pos & mask_]->read());
+    const T value = detail::ring_decode<T>(slots_[cons_.pos & mask_].read());
     head_.write(cons_.pos + 1);
     ++cons_.pos;
     return value;
@@ -177,7 +176,7 @@ class SpscRing {
     }
     const std::size_t k = n < avail ? n : static_cast<std::size_t>(avail);
     for (std::size_t i = 0; i < k; ++i) {
-      slots_[(prod_.pos + i) & mask_]->write(detail::ring_encode(values[i]));
+      slots_[(prod_.pos + i) & mask_].write(detail::ring_encode(values[i]));
     }
     if (k > 0) {
       tail_.write(prod_.pos + k);  // Publish the batch atomically.
@@ -196,7 +195,7 @@ class SpscRing {
     }
     const std::size_t k = n < avail ? n : static_cast<std::size_t>(avail);
     for (std::size_t i = 0; i < k; ++i) {
-      out[i] = detail::ring_decode<T>(slots_[(cons_.pos + i) & mask_]->read());
+      out[i] = detail::ring_decode<T>(slots_[(cons_.pos + i) & mask_].read());
     }
     if (k > 0) {
       head_.write(cons_.pos + k);
@@ -232,7 +231,7 @@ class SpscRing {
   std::uint64_t mask_;
   typename P::Register head_;  // Consumer-advanced, producer-read.
   typename P::Register tail_;  // Producer-advanced, consumer-read.
-  std::vector<std::unique_ptr<typename P::Register>> slots_;
+  util::ObjectArray<typename P::Register> slots_;
   ProducerLocal prod_;
   ConsumerLocal cons_;
 };
@@ -253,12 +252,9 @@ class MpscRing {
       : cap_(detail::ring_slot_count(capacity)),
         mask_(cap_ - 1),
         head_(env, "ring.head", 0, sim::BoundSpec::unbounded()),
-        tail_(env, "ring.tail", 0, sim::BoundSpec::unbounded()) {
+        tail_(env, "ring.tail", 0, sim::BoundSpec::unbounded()),
+        slots_(cap_, [&](std::size_t) { return Slot(env); }) {
     ABA_CHECK(n >= 1);
-    slots_.reserve(cap_);
-    for (std::size_t i = 0; i < cap_; ++i) {
-      slots_.push_back(std::make_unique<Slot>(env));
-    }
   }
 
   bool try_push(int /*p*/, T value) {
@@ -279,7 +275,7 @@ class MpscRing {
       // truly held >= t - h elements — refusing is spec-legal.
       if (t - h >= cap_) return false;
       if (tail_.cas(t, t + 1)) {
-        Slot& slot = *slots_[t & mask_];
+        Slot& slot = slots_[t & mask_];
         slot.value.write(detail::ring_encode(value));
         slot.seq.write(t + 1);  // Publish: position t is now readable.
         return true;
@@ -292,7 +288,7 @@ class MpscRing {
     PlatformBackoffT<P> backoff;
     const std::uint64_t h = cons_.pos;
     for (;;) {
-      Slot& slot = *slots_[h & mask_];
+      Slot& slot = slots_[h & mask_];
       if (slot.seq.read() == h + 1) {
         const T value = detail::ring_decode<T>(slot.value.read());
         head_.write(h + 1);
@@ -328,7 +324,7 @@ class MpscRing {
       const std::size_t k = n < space ? n : static_cast<std::size_t>(space);
       if (tail_.cas(t, t + k)) {
         for (std::size_t i = 0; i < k; ++i) {
-          Slot& slot = *slots_[(t + i) & mask_];
+          Slot& slot = slots_[(t + i) & mask_];
           slot.value.write(detail::ring_encode(values[i]));
           slot.seq.write(t + i + 1);  // Publish position t+i.
         }
@@ -344,7 +340,7 @@ class MpscRing {
     const std::uint64_t h = cons_.pos;
     std::size_t k = 0;
     while (k < n) {
-      Slot& slot = *slots_[(h + k) & mask_];
+      Slot& slot = slots_[(h + k) & mask_];
       if (slot.seq.read() != h + k + 1) break;  // Unpublished: prefix ends.
       out[k] = detail::ring_decode<T>(slot.value.read());
       ++k;
@@ -380,7 +376,7 @@ class MpscRing {
   std::uint64_t mask_;
   typename P::Register head_;  // Consumer-advanced, producers read it.
   typename P::Cas tail_;       // Producers reserve positions here.
-  std::vector<std::unique_ptr<Slot>> slots_;
+  util::ObjectArray<Slot> slots_;
   ConsumerLocal cons_;
 };
 
@@ -406,19 +402,18 @@ class MpmcRing {
       : cap_(detail::ring_slot_count(capacity)),
         mask_(cap_ - 1),
         head_(env, "ring.head", 0, sim::BoundSpec::unbounded()),
-        tail_(env, "ring.tail", 0, sim::BoundSpec::unbounded()) {
+        tail_(env, "ring.tail", 0, sim::BoundSpec::unbounded()),
+        slots_(cap_, [&](std::size_t i) {
+          return Slot(env, static_cast<std::uint64_t>(i));
+        }) {
     ABA_CHECK(n >= 1);
-    slots_.reserve(cap_);
-    for (std::size_t i = 0; i < cap_; ++i) {
-      slots_.push_back(std::make_unique<Slot>(env, static_cast<std::uint64_t>(i)));
-    }
   }
 
   bool try_push(int /*p*/, T value) {
     PlatformBackoffT<P> backoff;
     for (;;) {
       const std::uint64_t t = tail_.read();
-      Slot& slot = *slots_[t & mask_];
+      Slot& slot = slots_[t & mask_];
       const std::uint64_t seq = slot.seq.read();
       if (seq == t) {  // Slot is free for exactly this position.
         if (tail_.cas(t, t + 1)) {
@@ -442,7 +437,7 @@ class MpmcRing {
     PlatformBackoffT<P> backoff;
     for (;;) {
       const std::uint64_t h = head_.read();
-      Slot& slot = *slots_[h & mask_];
+      Slot& slot = slots_[h & mask_];
       const std::uint64_t seq = slot.seq.read();
       if (seq == h + 1) {  // Published for exactly this position.
         if (head_.cas(h, h + 1)) {
@@ -482,7 +477,7 @@ class MpmcRing {
       const std::size_t k = n < space ? n : static_cast<std::size_t>(space);
       if (tail_.cas(t, t + k)) {
         for (std::size_t i = 0; i < k; ++i) {
-          Slot& slot = *slots_[(t + i) & mask_];
+          Slot& slot = slots_[(t + i) & mask_];
           while (slot.seq.read() != t + i) backoff();  // Prior pop's bump.
           slot.value.write(detail::ring_encode(values[i]));
           slot.seq.write(t + i + 1);
@@ -512,7 +507,7 @@ class MpmcRing {
       const std::size_t k = n < avail ? n : static_cast<std::size_t>(avail);
       if (head_.cas(h, h + k)) {
         for (std::size_t i = 0; i < k; ++i) {
-          Slot& slot = *slots_[(h + i) & mask_];
+          Slot& slot = slots_[(h + i) & mask_];
           while (slot.seq.read() != h + i + 1) backoff();  // Pusher publish.
           out[i] = detail::ring_decode<T>(slot.value.read());
           slot.seq.write(h + i + static_cast<std::uint64_t>(cap_));
@@ -545,7 +540,7 @@ class MpmcRing {
   std::uint64_t mask_;
   typename P::Cas head_;
   typename P::Cas tail_;
-  std::vector<std::unique_ptr<Slot>> slots_;
+  util::ObjectArray<Slot> slots_;
 };
 
 // --------------------------------------------------------------- LocalRing

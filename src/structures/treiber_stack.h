@@ -39,6 +39,7 @@
 #include "reclaim/tagged.h"
 #include "structures/contention.h"
 #include "util/assert.h"
+#include "util/object_array.h"
 #include "util/packed_word.h"
 
 namespace aba::structures {
@@ -79,8 +80,11 @@ class TaggedCasHead {
 
   std::uint64_t load(int /*pid*/) { return head_.read(); }
   std::uint64_t index_of(std::uint64_t word) const {
-    return word & ((1ULL << index_bits_) - 1);
+    return word & max_index();
   }
+  // The largest value the index field holds; a larger one would spill into
+  // the tag. TreiberStack checks its pool against it.
+  std::uint64_t max_index() const { return (1ULL << index_bits_) - 1; }
 
   bool try_swing(int /*pid*/, std::uint64_t observed, std::uint64_t new_index) {
     const std::uint64_t tag = (observed >> index_bits_) & tag_mask();
@@ -128,12 +132,9 @@ class TreiberStack {
   // not movable.
   TreiberStack(typename P::Env& env, int n, std::unique_ptr<Head> head,
                std::vector<std::deque<std::uint64_t>> initial_free)
-      : head_(std::move(head)), reclaimer_(env, n, std::move(initial_free)) {
-    nodes_.reserve(reclaimer_.pool_size());
-    for (std::size_t i = 0; i < reclaimer_.pool_size(); ++i) {
-      nodes_.push_back(std::make_unique<Node>(env, i));
-    }
-  }
+      : head_(std::move(head)),
+        reclaimer_(env, n, std::move(initial_free)),
+        nodes_(checked_pool_size(), [&](std::size_t) { return Node(env); }) {}
 
   // Convenience: distribute `per_process` nodes to each process round-robin.
   static std::vector<std::deque<std::uint64_t>> partition(int n, int per_process) {
@@ -151,7 +152,7 @@ class TreiberStack {
   bool push(int p, std::uint64_t value) {
     const std::optional<std::uint64_t> index = reclaimer_.allocate(p);
     if (!index) return false;
-    Node& node = *nodes_[*index];
+    Node& node = nodes_[*index];
     node.value.write(value);
     PlatformBackoffT<P> backoff;
     for (;;) {
@@ -188,7 +189,7 @@ class TreiberStack {
           continue;
         }
       }
-      Node& node = *nodes_[head_index - 1];
+      Node& node = nodes_[head_index - 1];
       const std::uint64_t next = node.next.read();  // Guarded (or tag-checked).
       if (head_->try_swing(p, observed, next)) {
         const std::uint64_t value = node.value.read();
@@ -222,17 +223,28 @@ class TreiberStack {
   const R& reclaimer() const { return reclaimer_; }
 
  private:
+  // Runs before any node is allocated. Indices are stored +1, so a head
+  // with a bounded index field (max_index) must hold the pool size itself.
+  std::size_t checked_pool_size() const {
+    if constexpr (requires { head_->max_index(); }) {
+      ABA_CHECK(reclaimer_.pool_size() <= head_->max_index());
+    }
+    return reclaimer_.pool_size();
+  }
+
   struct Node {
-    Node(typename P::Env& env, std::size_t /*i*/)
+    explicit Node(typename P::Env& env)
         : value(env, "node.value", 0, sim::BoundSpec::unbounded()),
           next(env, "node.next", kNullIndex, sim::BoundSpec::unbounded()) {}
     typename P::Register value;
     typename P::Register next;
   };
 
+  // Declaration order is construction order (the SimWorld ids and the shm
+  // layout hash follow it): the nodes come after the reclaimer's words.
   std::unique_ptr<Head> head_;
-  std::vector<std::unique_ptr<Node>> nodes_;
   R reclaimer_;
+  util::ObjectArray<Node> nodes_;
   ContentionProbe* probe_ = nullptr;
 };
 

@@ -311,6 +311,75 @@ TEST(TreiberAba, WideTagSurvivesDeepenedSchedule) {
   EXPECT_TRUE(result.linearizable) << spec::explain(ops, result);
 }
 
+// ------------------------------------------ pool size vs. index field
+
+// A 4-bit tagged head stores indices up to 15. Node indices are stored +1,
+// so a 16-node pool would write index 16 into the tag and read it back as
+// null; the stack refuses it before allocating a node.
+using TaggedSimStack = TreiberStack<SimP, TaggedCasHead<SimP>>;
+
+TEST(HeadIndexFieldDeath, TreiberStackRejectsPoolWiderThanTaggedIndex) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::SimWorld world(1);
+        TaggedSimStack stack(
+            world, 1, std::make_unique<TaggedCasHead<SimP>>(world, 1, 4, 16),
+            TaggedSimStack::partition(1, 16));
+      },
+      "max_index");
+}
+
+TEST(HeadIndexField, TreiberStackFillsTaggedIndexExactly) {
+  sim::SimWorld world(1);
+  TaggedSimStack stack(world, 1,
+                       std::make_unique<TaggedCasHead<SimP>>(world, 1, 4, 16),
+                       TaggedSimStack::partition(1, 15));
+  EXPECT_EQ(stack.pool_size(), 15u);
+  int pushed = 0;
+  std::vector<std::optional<std::uint64_t>> popped;
+  world.invoke(0, [&] {
+    for (std::uint64_t v = 0; v < 15; ++v) pushed += stack.push(0, v) ? 1 : 0;
+    for (int i = 0; i < 16; ++i) popped.push_back(stack.pop(0));
+  });
+  world.run_to_completion(0);
+  EXPECT_EQ(pushed, 15);
+  for (std::uint64_t i = 0; i < 15; ++i) {
+    EXPECT_EQ(popped[i], std::optional<std::uint64_t>(14 - i));
+  }
+  EXPECT_EQ(popped[15], std::nullopt);
+}
+
+// The queue reserves the all-ones index as its null marker: with 4 index
+// bits the pool (dummy included) must stay below 15.
+TEST(HeadIndexFieldDeath, MsQueueRejectsPoolReachingNullIndex) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::SimWorld world(1);
+        MsQueue<SimP> queue(world, 1, 14, {.index_bits = 4, .tag_bits = 16});
+      },
+      "index_mask");
+}
+
+TEST(HeadIndexField, MsQueueFillsIndexBelowNull) {
+  sim::SimWorld world(1);
+  MsQueue<SimP> queue(world, 1, 13, {.index_bits = 4, .tag_bits = 16});
+  EXPECT_EQ(queue.pool_size(), 14u);
+  int enqueued = 0;
+  std::vector<std::optional<std::uint64_t>> dequeued;
+  world.invoke(0, [&] {
+    for (std::uint64_t v = 0; v < 13; ++v) enqueued += queue.enqueue(0, v) ? 1 : 0;
+    for (int i = 0; i < 14; ++i) dequeued.push_back(queue.dequeue(0));
+  });
+  world.run_to_completion(0);
+  EXPECT_EQ(enqueued, 13);
+  for (std::uint64_t i = 0; i < 13; ++i) {
+    EXPECT_EQ(dequeued[i], std::optional<std::uint64_t>(i));
+  }
+  EXPECT_EQ(dequeued[13], std::nullopt);
+}
+
 // --------------------------------------------------- property: random
 
 struct StackRandomCase {

@@ -1,11 +1,18 @@
 // Unit tests for the utility layer: packing codecs, the sequential local
-// ring, RNG, histograms, table printer.
+// ring, the object array, RNG, histograms, table printer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
+#include "native/native_platform.h"
+#include "sim/sim_platform.h"
 #include "structures/ring_buffer.h"
+#include "util/cacheline.h"
 #include "util/histogram.h"
+#include "util/object_array.h"
 #include "util/packed_word.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -281,6 +288,89 @@ TEST(StepHistogram, CountsAndMax) {
   EXPECT_EQ(h.count_at(2), 2u);
   EXPECT_EQ(h.count_at(3), 0u);
   EXPECT_NEAR(h.mean_steps(), (2 + 2 + 4) / 3.0, 1e-9);
+}
+
+// ------------------------------------------------------------- ObjectArray
+
+TEST(ObjectArray, SimElementsTakeConsecutiveIdsInIndexOrder) {
+  using Register = sim::SimPlatform::Register;
+  sim::SimWorld world(1);
+  Register before(world, "before", 0, sim::BoundSpec::unbounded());
+  ObjectArray<Register> a(5, [&](std::size_t i) {
+    return Register(world, "a", i, sim::BoundSpec::unbounded());
+  });
+  Register after(world, "after", 0, sim::BoundSpec::unbounded());
+  ASSERT_EQ(a.size(), 5u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id(), before.id() + 1 + static_cast<sim::ObjectId>(i));
+  }
+  EXPECT_EQ(after.id(), a[4].id() + 1);
+}
+
+TEST(ObjectArray, NativeFastElementsAreContiguousAndAligned) {
+  using Register = native::NativePlatform<native::Fast>::Register;
+  static_assert(alignof(Register) >= kCacheLineSize);
+  native::NativePlatform<native::Fast>::Env env;
+  ObjectArray<Register> a(7, [&](std::size_t i) {
+    return Register(env, "a", i, sim::BoundSpec::unbounded());
+  });
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&a[i]) % alignof(Register), 0u);
+    if (i + 1 < a.size()) {
+      EXPECT_EQ(&a[i + 1] - &a[i], 1);
+    }
+    EXPECT_EQ(a[i].read(), i);
+  }
+}
+
+// Immovable, like a platform object, and logs its own destruction. Throws
+// from its constructor when asked to.
+struct Logged {
+  Logged(int id, std::vector<int>* log, int throw_at) : id(id), log(log) {
+    if (id == throw_at) throw std::runtime_error("element constructor");
+  }
+  Logged(const Logged&) = delete;
+  Logged& operator=(const Logged&) = delete;
+  ~Logged() { log->push_back(id); }
+  int id;
+  std::vector<int>* log;
+};
+
+TEST(ObjectArray, DestroysInReverseOrder) {
+  std::vector<int> log;
+  {
+    ObjectArray<Logged> a(4, [&](std::size_t i) {
+      return Logged(static_cast<int>(i), &log, -1);
+    });
+    EXPECT_TRUE(log.empty());
+  }
+  EXPECT_EQ(log, (std::vector<int>{3, 2, 1, 0}));
+}
+
+TEST(ObjectArray, ThrowingConstructorDestroysBuiltPrefix) {
+  std::vector<int> log;
+  EXPECT_THROW(
+      {
+        ObjectArray<Logged> a(6, [&](std::size_t i) {
+          return Logged(static_cast<int>(i), &log, 3);
+        });
+      },
+      std::runtime_error);
+  // Elements 0..2 were built and are destroyed, last first; element 3 never
+  // finished constructing. The storage itself is freed (LeakSanitizer
+  // checks it in the sanitizer build).
+  EXPECT_EQ(log, (std::vector<int>{2, 1, 0}));
+}
+
+TEST(ObjectArray, EmptyArray) {
+  std::vector<int> log;
+  {
+    ObjectArray<Logged> a(0, [&](std::size_t i) {
+      return Logged(static_cast<int>(i), &log, -1);
+    });
+    EXPECT_EQ(a.size(), 0u);
+  }
+  EXPECT_TRUE(log.empty());
 }
 
 // ------------------------------------------------------------------- Table
