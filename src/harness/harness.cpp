@@ -2,64 +2,66 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <sstream>
+#include <utility>
 
 #include "util/assert.h"
 #include "util/rng.h"
 
 namespace aba::harness {
 
-namespace {
-
-// Shared driver state: per-process queues of not-yet-invoked ops.
-struct Pending {
-  std::vector<std::deque<WorkloadOp>> queues;
-
-  explicit Pending(int n, const std::vector<WorkloadOp>& workload) : queues(n) {
-    for (const auto& op : workload) {
-      ABA_ASSERT(op.pid >= 0 && op.pid < n);
-      queues[op.pid].push_back(op);
-    }
+ProgramCursor::ProgramCursor(int num_processes,
+                             std::vector<WorkloadOp> workload)
+    : workload_(std::move(workload)),
+      queues_(static_cast<std::size_t>(num_processes)),
+      next_op_(static_cast<std::size_t>(num_processes), 0) {
+  for (const auto& op : workload_) {
+    // Always on: schedule scripts parsed from files reach here too.
+    ABA_CHECK(op.pid >= 0 && op.pid < num_processes);
+    queues_[static_cast<std::size_t>(op.pid)].push_back(op);
   }
+}
 
-  bool runnable(const sim::SimWorld& world, int pid) const {
-    if (world.poised(pid).has_value()) return true;
-    return world.is_idle(pid) && !queues[pid].empty();
+bool ProgramCursor::runnable(const sim::SimWorld& world, int pid) const {
+  if (world.poised(pid).has_value()) return true;
+  const auto p = static_cast<std::size_t>(pid);
+  return world.is_idle(pid) && next_op_[p] < queues_[p].size();
+}
+
+std::vector<int> ProgramCursor::runnable_pids(
+    const sim::SimWorld& world) const {
+  std::vector<int> pids;
+  for (int pid = 0; pid < num_processes(); ++pid) {
+    if (runnable(world, pid)) pids.push_back(pid);
   }
+  return pids;
+}
 
-  bool all_done(const sim::SimWorld& world) const {
-    for (std::size_t pid = 0; pid < queues.size(); ++pid) {
-      // A crashed process is done by definition: it never runs again and
-      // its remaining queued ops are abandoned with it.
-      if (world.is_crashed(static_cast<int>(pid))) continue;
-      if (!queues[pid].empty()) return false;
-      if (!world.is_idle(static_cast<int>(pid))) return false;
-    }
-    return true;
+bool ProgramCursor::all_done(const sim::SimWorld& world) const {
+  for (int pid = 0; pid < num_processes(); ++pid) {
+    if (world.is_crashed(pid)) continue;
+    const auto p = static_cast<std::size_t>(pid);
+    if (!world.is_idle(pid) || next_op_[p] < queues_[p].size()) return false;
   }
+  return true;
+}
 
-  // Moves process pid: one step if poised, else invoke its next op. With
-  // fuse_invoke, invoking immediately also executes the method's first step
-  // (used by the exhaustive checker: invocation alone is not a shared-memory
-  // step, so giving it its own scheduling slot would only multiply the
-  // number of interleavings without adding distinguishable behaviours
-  // beyond invocation-timestamp placement).
-  void advance(sim::SimWorld& world, Invoker& invoker, int pid,
-               bool fuse_invoke = false) {
-    if (world.poised(pid).has_value()) {
-      world.step(pid);
-      return;
-    }
-    ABA_ASSERT(world.is_idle(pid) && !queues[pid].empty());
-    const WorkloadOp op = queues[pid].front();
-    queues[pid].pop_front();
-    invoker.invoke(op);
-    if (fuse_invoke && world.poised(pid).has_value()) world.step(pid);
+void ProgramCursor::advance(sim::SimWorld& world, Invoker& invoker, int pid) {
+  if (world.poised(pid).has_value()) {
+    world.step(pid);
+    return;
   }
-};
+  ABA_ASSERT(runnable(world, pid));
+  const auto p = static_cast<std::size_t>(pid);
+  invoker.invoke(queues_[p][next_op_[p]++]);
+}
 
-}  // namespace
+int ProgramCursor::ops_remaining(const sim::SimWorld& world, int pid) const {
+  if (world.is_crashed(pid)) return 0;
+  const auto p = static_cast<std::size_t>(pid);
+  const std::size_t queued = queues_[p].size() - next_op_[p];
+  return static_cast<int>(queued) + (world.is_idle(pid) ? 0 : 1);
+}
 
 std::uint64_t schedule_seed(std::uint64_t fallback) {
   if (const char* env = std::getenv("ABA_SCHEDULE_SEED")) {
@@ -95,18 +97,15 @@ void drive_random_schedule(sim::SimWorld& world, Invoker& invoker,
                            int num_processes,
                            const std::vector<WorkloadOp>& workload,
                            std::uint64_t seed, ScheduleLog* log) {
-  Pending pending(num_processes, workload);
+  ProgramCursor program(num_processes, workload);
   ScheduleLog local;
   if (log == nullptr) log = &local;
   log->seed = schedule_seed(seed);
   log->grants.clear();
   util::Xoshiro256 rng(log->seed);
 
-  while (!pending.all_done(world)) {
-    std::vector<int> runnable;
-    for (int pid = 0; pid < num_processes; ++pid) {
-      if (pending.runnable(world, pid)) runnable.push_back(pid);
-    }
+  while (!program.all_done(world)) {
+    const std::vector<int> runnable = program.runnable_pids(world);
     if (runnable.empty()) {
       // Replayable forever: the message carries the seed and the full
       // grant script that reached the stuck configuration.
@@ -116,7 +115,7 @@ void drive_random_schedule(sim::SimWorld& world, Invoker& invoker,
     }
     const int pid = runnable[rng.below(runnable.size())];
     log->grants.push_back(pid);
-    pending.advance(world, invoker, pid);
+    program.advance(world, invoker, pid);
   }
 }
 
@@ -141,98 +140,18 @@ std::vector<spec::Op> run_round_robin(int num_processes,
   world.set_trace_enabled(false);
   spec::History history;
   auto invoker = factory(world, history);
-  Pending pending(num_processes, workload);
+  ProgramCursor program(num_processes, workload);
 
   int pid = 0;
-  while (!pending.all_done(world)) {
+  while (!program.all_done(world)) {
     int moved = 0;
-    while (moved < quantum && pending.runnable(world, pid)) {
-      pending.advance(world, *invoker, pid);
+    while (moved < quantum && program.runnable(world, pid)) {
+      program.advance(world, *invoker, pid);
       ++moved;
     }
     pid = (pid + 1) % num_processes;
   }
   return history.ops();
-}
-
-namespace {
-
-// Depth-first enumeration of interleavings with replay. A path is the
-// sequence of process ids chosen at each juncture; replaying a path on a
-// fresh world deterministically reconstructs the configuration.
-struct Explorer {
-  int num_processes;
-  const FixtureFactory& factory;
-  const std::vector<WorkloadOp>& workload;
-  const HistoryCheck& check;
-  std::uint64_t max_executions;
-  ModelCheckResult result;
-
-  struct Run {
-    std::unique_ptr<sim::SimWorld> world;
-    spec::History history;
-    std::unique_ptr<Invoker> invoker;
-    std::unique_ptr<Pending> pending;
-  };
-
-  std::unique_ptr<Run> replay(const std::vector<int>& path) {
-    auto run = std::make_unique<Run>();
-    run->world = std::make_unique<sim::SimWorld>(num_processes);
-    run->world->set_trace_enabled(false);
-    run->invoker = factory(*run->world, run->history);
-    run->pending = std::make_unique<Pending>(num_processes, workload);
-    for (int pid : path) {
-      run->pending->advance(*run->world, *run->invoker, pid, /*fuse_invoke=*/true);
-    }
-    return run;
-  }
-
-  // Explores all completions of `path`. `run` is positioned at the end of
-  // `path`; the function may consume it (it rebuilds siblings by replay).
-  void dfs(std::vector<int>& path, std::unique_ptr<Run> run) {
-    if (result.budget_exhausted) return;
-
-    std::vector<int> choices;
-    for (int pid = 0; pid < num_processes; ++pid) {
-      if (run->pending->runnable(*run->world, pid)) choices.push_back(pid);
-    }
-
-    if (choices.empty()) {
-      ABA_ASSERT(run->pending->all_done(*run->world));
-      ++result.executions;
-      const auto ops = run->history.ops();
-      if (!check(ops)) {
-        ++result.violations;
-        if (result.first_violation.empty()) result.first_violation = ops;
-      }
-      if (result.executions >= max_executions) result.budget_exhausted = true;
-      return;
-    }
-
-    for (std::size_t i = 0; i < choices.size(); ++i) {
-      if (result.budget_exhausted) return;
-      // Reuse the incoming run for the first child; rebuild for the rest.
-      std::unique_ptr<Run> child =
-          (i == 0) ? std::move(run) : replay(path);
-      path.push_back(choices[i]);
-      child->pending->advance(*child->world, *child->invoker, choices[i],
-                              /*fuse_invoke=*/true);
-      dfs(path, std::move(child));
-      path.pop_back();
-    }
-  }
-};
-
-}  // namespace
-
-ModelCheckResult model_check(int num_processes, const FixtureFactory& factory,
-                             const std::vector<WorkloadOp>& workload,
-                             const HistoryCheck& check,
-                             std::uint64_t max_executions) {
-  Explorer explorer{num_processes, factory, workload, check, max_executions, {}};
-  std::vector<int> path;
-  explorer.dfs(path, explorer.replay(path));
-  return explorer.result;
 }
 
 }  // namespace aba::harness

@@ -1,17 +1,17 @@
 // Test/verification harness: drives implementations in a SimWorld through
 // schedules while recording linearizability histories.
 //
-// The harness separates three roles:
+// The harness separates two roles:
 //   - a FixtureFactory builds a fresh implementation inside a given SimWorld
 //     and returns an Invoker that maps abstract WorkloadOps (pid, method,
 //     arg) onto method invocations that record into a History;
-//   - schedule drivers (random, round-robin, scripted) decide which process
-//     moves at each point — invoke its next workload op if idle, otherwise
-//     grant one step;
-//   - the bounded exhaustive model checker enumerates *all* interleavings of
-//     a small workload by depth-first search with deterministic replay
-//     (SimWorld cannot fork, but executions are replayable from their choice
-//     sequences).
+//   - schedule drivers (random, round-robin, and the search engine's
+//     scripted runner) decide which process moves at each point. They share
+//     one advance rule, ProgramCursor::advance: invoke the process's next
+//     workload op if idle, otherwise grant one step.
+//
+// Exhaustive checking is the search engine's job: search::harness_fixture
+// (sim/schedule_search.h) wraps a FixtureFactory for the DPOR explorer.
 #pragma once
 
 #include <cstdint>
@@ -56,13 +56,42 @@ class Invoker {
 };
 
 // Builds the implementation under test in `world` and returns its invoker.
-// Called once per execution (the model checker re-creates everything per
+// Called once per execution (the search engine re-creates everything per
 // replayed path).
 using FixtureFactory = std::function<std::unique_ptr<Invoker>(
     sim::SimWorld& world, spec::History& history)>;
 
-// Checks a complete history; returns true iff acceptable.
-using HistoryCheck = std::function<bool(const std::vector<spec::Op>&)>;
+// The per-process programs of a workload (each process's ops in program
+// order) and how far each process has got through its own. Every driver
+// moves processes through advance(), the one implementation of the advance
+// rule.
+class ProgramCursor {
+ public:
+  ProgramCursor(int num_processes, std::vector<WorkloadOp> workload);
+
+  // Poised at a step, or idle with an op left to invoke.
+  bool runnable(const sim::SimWorld& world, int pid) const;
+  std::vector<int> runnable_pids(const sim::SimWorld& world) const;
+  // Every live process is idle with its program consumed. A crashed process
+  // is done by definition: it never runs again and its remaining queued ops
+  // are abandoned with it.
+  bool all_done(const sim::SimWorld& world) const;
+  // Moves `pid`, which must be runnable: one step if poised, else invoke
+  // its next op.
+  void advance(sim::SimWorld& world, Invoker& invoker, int pid);
+  // Queued ops plus the one in flight; 0 once the process has crashed.
+  int ops_remaining(const sim::SimWorld& world, int pid) const;
+
+  int num_processes() const { return static_cast<int>(queues_.size()); }
+  const std::vector<WorkloadOp>& workload() const { return workload_; }
+  // Per-process queue cursors (ops invoked so far).
+  const std::vector<std::size_t>& op_cursors() const { return next_op_; }
+
+ private:
+  std::vector<WorkloadOp> workload_;
+  std::vector<std::vector<WorkloadOp>> queues_;  // Per-pid, FIFO.
+  std::vector<std::size_t> next_op_;             // Queue cursors.
+};
 
 // ---------------------------------------------------------------------------
 // Random-schedule property runner. Per-process workload queues are consumed
@@ -110,25 +139,5 @@ std::vector<spec::Op> run_round_robin(int num_processes,
                                       const FixtureFactory& factory,
                                       const std::vector<WorkloadOp>& workload,
                                       int quantum);
-
-// ---------------------------------------------------------------------------
-// Bounded exhaustive model checking.
-// ---------------------------------------------------------------------------
-struct ModelCheckResult {
-  std::uint64_t executions = 0;       // Complete interleavings explored.
-  std::uint64_t violations = 0;       // Histories failing the check.
-  bool budget_exhausted = false;      // Stopped early at max_executions.
-  std::vector<spec::Op> first_violation;  // History of the first failure.
-
-  bool ok() const { return violations == 0; }
-};
-
-// Explores every interleaving of `workload` (each process's ops in program
-// order, arbitrary interleaving of steps across processes), checking each
-// complete history. Stops after max_executions interleavings.
-ModelCheckResult model_check(int num_processes, const FixtureFactory& factory,
-                             const std::vector<WorkloadOp>& workload,
-                             const HistoryCheck& check,
-                             std::uint64_t max_executions = 200000);
 
 }  // namespace aba::harness

@@ -1,6 +1,7 @@
 #include "sim/schedule_search.h"
 
 #include <algorithm>
+#include <cctype>
 #include <map>
 #include <sstream>
 #include <string>
@@ -26,23 +27,19 @@ namespace aba::search {
 
 namespace {
 
-const char* method_name(spec::Method m) {
-  switch (m) {
-    case spec::Method::kPush: return "push";
-    case spec::Method::kPop: return "pop";
-    case spec::Method::kEnq: return "enq";
-    case spec::Method::kDeq: return "deq";
-    default: break;
-  }
-  ABA_CHECK_MSG(false, "schedule scripts carry stack/queue methods only");
-  return "?";
+// Script method names are the spec's names in lower case (push, deq, dread,
+// ll, ...), so every object the harness drives has a script form.
+std::string method_name(spec::Method m) {
+  std::string name = spec::to_string(m);
+  for (char& c : name) c = static_cast<char>(std::tolower(c));
+  return name;
 }
 
 std::optional<spec::Method> method_from(const std::string& name) {
-  if (name == "push") return spec::Method::kPush;
-  if (name == "pop") return spec::Method::kPop;
-  if (name == "enq") return spec::Method::kEnq;
-  if (name == "deq") return spec::Method::kDeq;
+  for (int m = 0; m <= static_cast<int>(spec::Method::kDeq); ++m) {  // Last.
+    const auto method = static_cast<spec::Method>(m);
+    if (name == method_name(method)) return method;
+  }
   return std::nullopt;
 }
 
@@ -223,10 +220,11 @@ SpecVerdict check_conservation(const std::vector<spec::Op>& ops,
 }
 
 template <class Spec>
-SpecVerdict check_linearizable_history(const std::vector<spec::Op>& ops) {
+SpecVerdict check_linearizable_history(const std::vector<spec::Op>& ops,
+                                       const typename Spec::State& initial) {
   SpecVerdict verdict;
   verdict.checked = true;
-  const auto result = spec::check_linearizable<Spec>(ops, Spec::initial());
+  const auto result = spec::check_linearizable<Spec>(ops, initial);
   if (!result.linearizable) {
     verdict.ok = false;
     verdict.detail = spec::explain(ops, result);
@@ -236,37 +234,45 @@ SpecVerdict check_linearizable_history(const std::vector<spec::Op>& ops) {
 
 }  // namespace
 
-SpecVerdict check_history(SpecKind kind, const std::vector<spec::Op>& ops,
-                          const std::vector<int>& shard_tags, int num_shards,
-                          bool has_crash, std::uint64_t ring_capacity,
-                          const std::vector<spec::Op>& pending) {
+SpecVerdict check_history(const SearchFixture& fixture) {
+  const SpecKind kind = fixture.spec;
   if (kind == SpecKind::kNone) return {};
-  const spec::Method take =
-      (kind == SpecKind::kQueue || kind == SpecKind::kRing)
-          ? spec::Method::kDeq
-          : spec::Method::kPop;
-  // A crash truncates the victim's history: its pending op may have taken
-  // effect without completing, so only conservation is checkable.
-  if (has_crash) return check_conservation(ops, take, pending);
+  const sim::SimWorld& world = *fixture.world;
+  const int n = world.num_processes();
+  const std::vector<spec::Op> ops = fixture.history->completed_ops();
+  bool crashed = false;
+  for (int pid = 0; pid < n; ++pid) crashed = crashed || world.is_crashed(pid);
+  if (crashed) {
+    ABA_CHECK_MSG(kind != SpecKind::kAbaRegister && kind != SpecKind::kLlsc,
+                  "crash verdicts exist for the container specs only");
+    const spec::Method take =
+        (kind == SpecKind::kQueue || kind == SpecKind::kRing)
+            ? spec::Method::kDeq
+            : spec::Method::kPop;
+    return check_conservation(ops, take, fixture.history->pending_ops());
+  }
   switch (kind) {
     case SpecKind::kStack:
-      return check_linearizable_history<spec::StackSpec>(ops);
+      return check_linearizable_history<spec::StackSpec>(
+          ops, spec::StackSpec::initial());
     case SpecKind::kQueue:
-      return check_linearizable_history<spec::QueueSpec>(ops);
-    case SpecKind::kRing: {
-      ABA_CHECK_MSG(ring_capacity >= 1,
+      return check_linearizable_history<spec::QueueSpec>(
+          ops, spec::QueueSpec::initial());
+    case SpecKind::kRing:
+      ABA_CHECK_MSG(fixture.ring_capacity >= 1,
                     "kRing verdict needs the fixture's ring_capacity");
-      SpecVerdict verdict;
-      verdict.checked = true;
-      const auto result = spec::check_linearizable<spec::BoundedQueueSpec>(
-          ops, spec::BoundedQueueSpec::initial(ring_capacity));
-      if (!result.linearizable) {
-        verdict.ok = false;
-        verdict.detail = spec::explain(ops, result);
-      }
-      return verdict;
-    }
+      return check_linearizable_history<spec::BoundedQueueSpec>(
+          ops, spec::BoundedQueueSpec::initial(fixture.ring_capacity));
+    case SpecKind::kAbaRegister:
+      return check_linearizable_history<spec::AbaRegisterSpec>(
+          ops, spec::AbaRegisterSpec::initial(n, 0));
+    case SpecKind::kLlsc:
+      return check_linearizable_history<spec::LlscSpec>(
+          ops, spec::LlscSpec::initial(n, 0, true));
     case SpecKind::kShardedStack: {
+      ABA_CHECK_MSG(fixture.shard_tags, "kShardedStack needs shard_tags");
+      const std::vector<int>& shard_tags = fixture.shard_tags();
+      const int num_shards = fixture.num_shards;
       ABA_CHECK_MSG(shard_tags.size() == ops.size(),
                     "sharded verdict needs one landing shard per history op");
       std::vector<std::vector<spec::Op>> by_shard(
@@ -277,7 +283,8 @@ SpecVerdict check_history(SpecKind kind, const std::vector<spec::Op>& ops,
       }
       for (int shard = 0; shard < num_shards; ++shard) {
         SpecVerdict verdict = check_linearizable_history<spec::StackSpec>(
-            by_shard[static_cast<std::size_t>(shard)]);
+            by_shard[static_cast<std::size_t>(shard)],
+            spec::StackSpec::initial());
         if (!verdict.ok) {
           verdict.detail =
               "shard " + std::to_string(shard) + ": " + verdict.detail;
@@ -526,6 +533,16 @@ std::vector<std::string> reclaim_fixture_names() {
   return names;
 }
 
+SearchFixtureFactory harness_fixture(harness::FixtureFactory factory,
+                                     SpecKind spec) {
+  return [factory = std::move(factory), spec](int n) {
+    SearchFixture fx = fixture_shell(n);
+    fx.invoker = factory(*fx.world, *fx.history);
+    fx.spec = spec;
+    return fx;
+  };
+}
+
 std::vector<harness::WorkloadOp> storm_workload(const std::string& fixture,
                                                 int num_processes, int cycles) {
   ABA_CHECK(num_processes >= 2 && cycles >= 1);
@@ -639,45 +656,9 @@ ScheduleRunner::ScheduleRunner(SearchFixture fixture,
                                std::vector<harness::WorkloadOp> workload,
                                CostFn cost)
     : fixture_(std::move(fixture)),
-      workload_(std::move(workload)),
+      program_(fixture_.world->num_processes(), std::move(workload)),
       cost_(std::move(cost)) {
-  const int n = fixture_.world->num_processes();
-  queues_.resize(static_cast<std::size_t>(n));
-  next_op_.assign(static_cast<std::size_t>(n), 0);
-  for (const auto& op : workload_) {
-    ABA_CHECK(op.pid >= 0 && op.pid < n);
-    queues_[static_cast<std::size_t>(op.pid)].push_back(op);
-  }
   sample();  // Baseline (grant 0).
-}
-
-bool ScheduleRunner::runnable(int pid) const {
-  if (fixture_.world->poised(pid).has_value()) return true;
-  return fixture_.world->is_idle(pid) &&
-         next_op_[static_cast<std::size_t>(pid)] <
-             queues_[static_cast<std::size_t>(pid)].size();
-}
-
-bool ScheduleRunner::all_done() const {
-  for (int pid = 0; pid < num_processes(); ++pid) {
-    // A crashed process is done by definition: it never runs again and its
-    // remaining queued ops are abandoned with it.
-    if (fixture_.world->is_crashed(pid)) continue;
-    if (!fixture_.world->is_idle(pid)) return false;
-    if (next_op_[static_cast<std::size_t>(pid)] <
-        queues_[static_cast<std::size_t>(pid)].size()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::vector<int> ScheduleRunner::runnable_pids() const {
-  std::vector<int> pids;
-  for (int pid = 0; pid < num_processes(); ++pid) {
-    if (runnable(pid)) pids.push_back(pid);
-  }
-  return pids;
 }
 
 void ScheduleRunner::grant(int pid) {
@@ -692,14 +673,7 @@ void ScheduleRunner::grant(int pid) {
     return;
   }
   ABA_CHECK_MSG(runnable(pid), "schedule grants a non-runnable process");
-  if (fixture_.world->poised(pid).has_value()) {
-    fixture_.world->step(pid);
-  } else {
-    const harness::WorkloadOp& op =
-        queues_[static_cast<std::size_t>(pid)]
-               [next_op_[static_cast<std::size_t>(pid)]++];
-    fixture_.invoker->invoke(op);
-  }
+  program_.advance(*fixture_.world, *fixture_.invoker, pid);
   grants_.push_back(pid);
   sample();
 }
@@ -708,30 +682,10 @@ void ScheduleRunner::grant_while_runnable(int pid, std::uint64_t max_grants) {
   for (std::uint64_t i = 0; i < max_grants && runnable(pid); ++i) grant(pid);
 }
 
-int ScheduleRunner::ops_remaining(int pid) const {
-  if (fixture_.world->is_crashed(pid)) return 0;  // Abandoned with the crash.
-  const std::size_t queued =
-      queues_[static_cast<std::size_t>(pid)].size() -
-      next_op_[static_cast<std::size_t>(pid)];
-  return static_cast<int>(queued) + (fixture_.world->is_idle(pid) ? 0 : 1);
-}
-
-bool ScheduleRunner::has_crash() const {
-  // A crash grant is the usual source, but a process can also die with no
-  // crash grant in the script: a self-fence (reclaim::LeaseRevoked escaping
-  // a method once the lease tier expropriates a suspect). The history is
-  // truncated either way, so verdicts must relax to conservation-only
-  // whenever anyone is dead — ask the world, not the grant log.
-  for (int pid = 0; pid < num_processes(); ++pid) {
-    if (fixture_.world->is_crashed(pid)) return true;
-  }
-  return false;
-}
-
 ScheduleScript ScheduleRunner::script() const {
   ScheduleScript script;
   script.num_processes = num_processes();
-  script.workload = workload_;
+  script.workload = program_.workload();
   script.grants = grants_;
   return script;
 }
@@ -760,10 +714,11 @@ struct ScheduleExplorer::Live {
        CostFn cost)
       : runner(std::move(fixture), std::move(workload), std::move(cost)) {}
 
-  // The one advance rule: granting a pid different from the last while the
-  // last is still runnable is a preemption. Crash grants are not steps of
-  // any process, so they consume no preemption budget; a crash of the
-  // current process just clears the continuity anchor.
+  // Grants through the runner and keeps the preemption books: granting a
+  // pid different from the last while the last is still runnable is a
+  // preemption. Crash grants are not steps of any process, so they consume
+  // no preemption budget; a crash of the current process just clears the
+  // continuity anchor.
   void advance(int pid) {
     if (is_crash_grant(pid)) {
       runner.grant(pid);
@@ -894,6 +849,41 @@ int grant_pid(int grant) {
   return is_crash_grant(grant) ? crash_victim(grant) : grant;
 }
 
+// Folds what a spec verdict judges of the history so far: each completed
+// op's result and, with `real_time`, the real-time order of every
+// invocation and response — op a precedes op b iff a responded before b
+// was invoked. Ranking each event among the invocations pins that relation
+// exactly.
+void mix_history(reclaim::Fingerprint& fp, const spec::History& history,
+                 bool real_time) {
+  const std::vector<spec::Op> completed = history.completed_ops();
+  for (const auto& op : completed) {
+    fp.mix(static_cast<std::uint64_t>(op.pid));
+    fp.mix(static_cast<std::uint64_t>(op.method));
+    fp.mix(op.arg);
+    fp.mix(op.ret);
+  }
+  if (!real_time) return;
+  const std::vector<spec::Op> pending = history.pending_ops();
+  std::vector<std::uint64_t> invoked;
+  for (const auto& op : completed) invoked.push_back(op.invoke_ts);
+  for (const auto& op : pending) invoked.push_back(op.invoke_ts);
+  std::sort(invoked.begin(), invoked.end());
+  const auto invocations_before = [&](std::uint64_t ts) {
+    return static_cast<std::uint64_t>(
+        std::lower_bound(invoked.begin(), invoked.end(), ts) -
+        invoked.begin());
+  };
+  for (const auto& op : completed) {
+    fp.mix(invocations_before(op.invoke_ts));
+    fp.mix(invocations_before(op.response_ts));
+  }
+  for (const auto& op : pending) {
+    fp.mix(static_cast<std::uint64_t>(op.pid));
+    fp.mix(invocations_before(op.invoke_ts));
+  }
+}
+
 }  // namespace
 
 // The DPOR configuration hash: everything that determines the future of the
@@ -902,8 +892,13 @@ int grant_pid(int grant) {
 // the spent preemption/crash budget (feasible continuations depend on it),
 // the continuity anchor, and the reclaimer's thread-private bookkeeping
 // (reclaim::Fingerprint) that the signature cannot see. With spec verdicts
-// on, the completed-op history is folded in too: two configurations must
+// on, the history is folded in too (mix_history): two configurations must
 // agree on what they will be *judged* on, not just on what they will do.
+// Real-time order joins the key only in the exhaustive mode (unbounded
+// context bound, where sleep sets respect it too). Bounded searches are
+// budgeted bug hunts: their key merges configurations that differ only in
+// the order of one process's response and another's invocation, and the
+// committed conviction budgets were recorded under that key.
 std::uint64_t ScheduleExplorer::state_key(const Live& live) const {
   reclaim::Fingerprint fp;
   fp.mix_range(live.runner.fixture().world->signature_key());
@@ -920,12 +915,8 @@ std::uint64_t ScheduleExplorer::state_key(const Live& live) const {
   fp.mix(static_cast<std::uint64_t>(live.crashes));
   fp.mix(live.runner.fixture().invoker->reclaim_fingerprint());
   if (options_.check_spec) {
-    for (const auto& op : live.runner.fixture().history->completed_ops()) {
-      fp.mix(static_cast<std::uint64_t>(op.pid));
-      fp.mix(static_cast<std::uint64_t>(op.method));
-      fp.mix(op.arg);
-      fp.mix(op.ret);
-    }
+    mix_history(fp, *live.runner.fixture().history,
+                options_.context_bound >= kUnboundedContextBound);
   }
   return fp.value();
 }
@@ -941,13 +932,7 @@ void ScheduleExplorer::record(Live& live) {
   found.peak_cost = live.runner.peak();
   found.peak_grant = live.runner.peak_grant();
   if (options_.check_spec) {
-    const SearchFixture& fx = live.runner.fixture();
-    static const std::vector<int> kNoTags;
-    const std::vector<int>& tags = fx.shard_tags ? fx.shard_tags() : kNoTags;
-    const SpecVerdict verdict =
-        check_history(fx.spec, fx.history->completed_ops(), tags,
-                      fx.num_shards, live.runner.has_crash(),
-                      fx.ring_capacity, fx.history->pending_ops());
+    const SpecVerdict verdict = check_history(live.runner.fixture());
     if (verdict.checked && !verdict.ok &&
         result_.violations.size() < kMaxRecordedViolations) {
       result_.violations.push_back({found.script, verdict.detail});
@@ -984,12 +969,24 @@ void ScheduleExplorer::dfs(std::unique_ptr<Live> live, SleepSet sleep) {
   };
   // A slept entry survives past an executed grant iff the two commute:
   // different processes, no crash involved, no same-object write race.
+  // Under spec verdicts an invocation also conflicts with another process's
+  // response (`responded`: the executed grant finished its op), because
+  // real-time order is part of what linearizability judges. Invoking after
+  // that response makes the two ops ordered; the explored sibling invoked
+  // first, so it only checked the weaker, overlapping history. (The reverse
+  // prune is sound: a slept response past an executed invocation stands for
+  // an overlapping history, and the explored sibling checked the stricter
+  // ordered one.)
   const auto still_asleep = [&](const SleptChoice& s, int grant,
-                                const GrantKind& k) {
+                                const GrantKind& k, bool responded) {
     if (k.crash) return false;
     if (grant_pid(s.grant) == grant_pid(grant)) return false;
+    if (s.invoke && responded && options_.check_spec) return false;
     if (s.invoke || k.invoke) return true;
     return ops_independent(s.op, k.op);
+  };
+  const auto responded = [](const Live& live, int grant) {
+    return live.runner.fixture().world->is_idle(grant);
   };
 
   for (;;) {
@@ -1087,16 +1084,17 @@ void ScheduleExplorer::dfs(std::unique_ptr<Live> live, SleepSet sleep) {
     }
 
     if (choices.size() == 1) {
+      live->advance(choices[0]);
+      ++result_.grants;
       if (sleep_active && !sleep.empty()) {
         // Wake slept transitions the executed grant conflicts with.
+        const bool done = !kinds[0].crash && responded(*live, choices[0]);
         SleepSet kept;
         for (const SleptChoice& s : sleep) {
-          if (still_asleep(s, choices[0], kinds[0])) kept.push_back(s);
+          if (still_asleep(s, choices[0], kinds[0], done)) kept.push_back(s);
         }
         sleep = std::move(kept);
       }
-      live->advance(choices[0]);
-      ++result_.grants;
       continue;
     }
 
@@ -1119,19 +1117,24 @@ void ScheduleExplorer::dfs(std::unique_ptr<Live> live, SleepSet sleep) {
         result_.grants += prefix.size();
         result_.replayed_grants += prefix.size();
       }
+      child->advance(choices[i]);
+      ++result_.grants;
       SleepSet child_sleep;
       if (sleep_active) {
+        const bool done = !kinds[i].crash && responded(*child, choices[i]);
         for (const SleptChoice& s : sleep) {
-          if (still_asleep(s, choices[i], kinds[i])) child_sleep.push_back(s);
+          if (still_asleep(s, choices[i], kinds[i], done)) {
+            child_sleep.push_back(s);
+          }
         }
         for (std::size_t j = 0; j < i; ++j) {
           if (kinds[j].crash) continue;  // Dependent with everything.
           const SleptChoice s{choices[j], kinds[j].invoke, kinds[j].op};
-          if (still_asleep(s, choices[i], kinds[i])) child_sleep.push_back(s);
+          if (still_asleep(s, choices[i], kinds[i], done)) {
+            child_sleep.push_back(s);
+          }
         }
       }
-      child->advance(choices[i]);
-      ++result_.grants;
       dfs(std::move(child), std::move(child_sleep));
     }
     return;
@@ -1222,11 +1225,7 @@ ReplayResult ScheduleExplorer::replay(const SearchFixtureFactory& factory,
     result.shard_tags = runner.fixture().shard_tags();
   }
   result.num_shards = runner.fixture().num_shards;
-  result.verdict =
-      check_history(runner.fixture().spec, result.history, result.shard_tags,
-                    result.num_shards, runner.has_crash(),
-                    runner.fixture().ring_capacity,
-                    runner.fixture().history->pending_ops());
+  result.verdict = check_history(runner.fixture());
   return result;
 }
 

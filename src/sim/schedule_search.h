@@ -48,12 +48,14 @@
 //     `replayed_grants` counter measures what remains. Sleep sets skip
 //     grant orders that commute with already-explored siblings (two step
 //     grants are independent iff they touch different objects or are both
-//     reads; invocations are local; crash grants conservatively conflict
-//     with everything). Sleep sets prune by Mazurkiewicz-trace equivalence
-//     of *final* states; a peak attained only in the skipped intermediate
-//     order can in principle be missed, which is why the corpus-hygiene
-//     test re-asserts every committed golden peak against the pruned
-//     search, and why `SearchOptions::dpor` can be switched off.
+//     reads; invocations are local, except that under spec verdicts an
+//     invocation conflicts with another process's response, whose
+//     real-time order the verdict judges; crash grants conservatively
+//     conflict with everything). Sleep sets prune by Mazurkiewicz-trace
+//     equivalence of *final* states; a peak attained only in the skipped
+//     intermediate order can in principle be missed, which is why the
+//     corpus-hygiene test re-asserts every committed golden peak against
+//     the pruned search, and why `SearchOptions::dpor` can be switched off.
 //     Sleep sets engage only when context_bound == kUnboundedContextBound:
 //     under a finite preemption budget they are UNSOUND, because the
 //     commuted representative of a slept order can need a different number
@@ -61,16 +63,20 @@
 //     subtree may have had its representative cut by the bound, leaving the
 //     whole trace class unexplored (this exact interaction hid the mutant
 //     reclaimer's ABA conviction). Bounded searches therefore prune with
-//     the visited-state map only, which is sound: the state key pins the
-//     configuration's entire future, spent budget included.
+//     the visited-state map only, which is sound for costs: the state key
+//     pins the configuration's entire future, spent budget included. (For
+//     spec verdicts only the unbounded mode's key also pins the history's
+//     real-time order; see ScheduleExplorer::state_key.)
 //
 //   * SPEC-DRIVEN VERDICTS — each completed schedule's recorded history is
-//     replayed through the sequential StackSpec/QueueSpec linearizability
-//     checkers (per-shard for tagging fixtures, conservation-only once a
-//     crash grant truncates the victim's history), so the searcher hunts
-//     correctness violations directly. The mutation test seeds a broken
-//     reclaimer (reclaim/mutant.h) and asserts the search convicts it
-//     while every shipped reclaimer survives the identical budget.
+//     replayed through the fixture's sequential linearizability checker
+//     (per-shard for tagging fixtures, conservation-only once a crash
+//     grant truncates the victim's history), so the searcher hunts
+//     correctness violations directly. The paper's own objects enter
+//     through harness_fixture with the kAbaRegister / kLlsc specs. The
+//     mutation test seeds a broken reclaimer (reclaim/mutant.h) and
+//     asserts the search convicts it while every shipped reclaimer
+//     survives the identical budget.
 //
 //   * WORKLOAD SEARCH — the op mix itself becomes a search dimension:
 //     workload_candidates() enumerates adversarial shapes (storm, double
@@ -131,7 +137,7 @@ struct ScheduleScript {
   //   schedule-script v1
   //   processes <n>
   //   meta <key> <value...>
-  //   op <pid> <push|pop|enq|deq> <arg>
+  //   op <pid> <method> <arg>      (push, pop, enq, deq, dread, ll, ...)
   //   grants <pid> <pid> ...
   //   end
   std::string serialize() const;
@@ -145,9 +151,12 @@ struct ScheduleScript {
 // kShardedStack splits the history by the tagging adapter's landing shards
 // and checks each shard as an exact stack. kRing checks against the
 // capacity-strict BoundedQueueSpec (the fixture's ring_capacity feeds the
-// initial state).
+// initial state). kAbaRegister and kLlsc are the paper's objects, checked
+// against AbaRegisterSpec::initial(n, 0) and LlscSpec::initial(n, 0, true)
+// (initially linked, the convention Figure 5 requires), with n the
+// fixture world's process count.
 enum class SpecKind : std::uint8_t { kNone, kStack, kQueue, kShardedStack,
-                                     kRing };
+                                     kRing, kAbaRegister, kLlsc };
 
 // One fresh instrumented execution target: the world, the history the
 // invoker records into, and the invoker driving the implementation (which
@@ -194,6 +203,13 @@ inline constexpr int kDefaultPoolPerProcess = 48;
 SearchFixtureFactory reclaim_fixture(
     const std::string& name, int pool_per_process = kDefaultPoolPerProcess);
 std::vector<std::string> reclaim_fixture_names();
+
+// The random drivers' fixture, served to the explorer: each call builds a
+// fresh world and history, lets `factory` construct the implementation in
+// them, and declares `spec` as the sequential spec its histories are
+// checked against. This is how the paper's objects are model-checked.
+SearchFixtureFactory harness_fixture(harness::FixtureFactory factory,
+                                     SpecKind spec);
 
 // The canonical adversarial workload for those fixtures: process 0 drives
 // `cycles` put/take pairs (the retire storm); every other process performs
@@ -245,23 +261,20 @@ struct SpecVerdict {
   std::string detail;  // Human-readable failure evidence when !ok.
 };
 
-// Replays `ops` through the sequential spec for `kind`. Crash histories
-// (has_crash) are checked for multiset conservation only — no value taken
-// that was never put — because the victim's pending op may have taken
-// effect without completing. `pending` carries the crashed processes'
-// incomplete ops (History::pending_ops): each pending PUT credits its value
-// once, since its effect may have landed (e.g. a push killed between the
-// linking CAS and the bookkeeping clear left its node reachable), so a
-// survivor taking that value once is legal — taking any value more often
-// than put+credit still convicts. kShardedStack splits by `shard_tags`
-// (which must be index-aligned with `ops`) and checks each shard as an
-// exact stack; the others run the Wing&Gong linearizability checker whole.
-// `ring_capacity` seeds BoundedQueueSpec for kRing (unused otherwise; the
-// defaults keep pre-ring callers source-compatible).
-SpecVerdict check_history(SpecKind kind, const std::vector<spec::Op>& ops,
-                          const std::vector<int>& shard_tags, int num_shards,
-                          bool has_crash, std::uint64_t ring_capacity = 0,
-                          const std::vector<spec::Op>& pending = {});
+// Replays the fixture's completed history through its sequential spec.
+// Once any process has crashed (a crash grant, or a self-fence: a
+// reclaim::LeaseRevoked escaping a method) the history is truncated and
+// the victim's pending op may have taken effect without completing, so
+// container histories are checked for multiset conservation only — no
+// value taken that was never put. Each pending PUT of a crashed process
+// (History::pending_ops) credits its value once, since its effect may have
+// landed (e.g. a push killed between the linking CAS and the bookkeeping
+// clear left its node reachable), so a survivor taking that value once is
+// legal — taking any value more often than put+credit still convicts.
+// kShardedStack splits by the fixture's shard_tags and checks each shard
+// as an exact stack; the others run the Wing&Gong linearizability checker
+// whole.
+SpecVerdict check_history(const SearchFixture& fixture);
 
 // -------------------------------------------------------------- runner
 
@@ -273,9 +286,14 @@ class ScheduleRunner {
   ScheduleRunner(SearchFixture fixture,
                  std::vector<harness::WorkloadOp> workload, CostFn cost);
 
-  bool runnable(int pid) const;
-  bool all_done() const;
-  std::vector<int> runnable_pids() const;
+  // The advance rule and the process state are harness::ProgramCursor's.
+  bool runnable(int pid) const {
+    return program_.runnable(*fixture_.world, pid);
+  }
+  bool all_done() const { return program_.all_done(*fixture_.world); }
+  std::vector<int> runnable_pids() const {
+    return program_.runnable_pids(*fixture_.world);
+  }
 
   // Moves `pid` (which must be runnable): invoke its next op if idle, else
   // grant one step. Records the grant and samples the cost. A negative
@@ -290,13 +308,16 @@ class ScheduleRunner {
   std::uint64_t peak_grant() const { return peak_grant_; }
   const reclaim::ReclaimStats& peak_stats() const { return peak_stats_; }
   const std::vector<int>& grants() const { return grants_; }
-  int num_processes() const { return static_cast<int>(queues_.size()); }
-  int ops_remaining(int pid) const;
+  int num_processes() const { return program_.num_processes(); }
+  int ops_remaining(int pid) const {
+    return program_.ops_remaining(*fixture_.world, pid);
+  }
   // Per-process workload cursors — folded into the DPOR state key (two
   // configurations with equal signatures but different remaining programs
   // have different futures).
-  const std::vector<std::size_t>& op_cursors() const { return next_op_; }
-  bool has_crash() const;
+  const std::vector<std::size_t>& op_cursors() const {
+    return program_.op_cursors();
+  }
 
   const SearchFixture& fixture() const { return fixture_; }
   harness::Invoker& invoker() { return *fixture_.invoker; }
@@ -307,9 +328,7 @@ class ScheduleRunner {
   void sample();
 
   SearchFixture fixture_;
-  std::vector<harness::WorkloadOp> workload_;
-  std::vector<std::vector<harness::WorkloadOp>> queues_;  // Per-pid, FIFO.
-  std::vector<std::size_t> next_op_;                      // Queue cursors.
+  harness::ProgramCursor program_;
   CostFn cost_;
   std::vector<int> grants_;
   double peak_ = 0;

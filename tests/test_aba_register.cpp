@@ -350,13 +350,10 @@ TEST(Fig4Exhaustive, OneWriterOneReaderTwoOpsEach) {
       {1, spec::Method::kDRead, 0},
       {1, spec::Method::kDRead, 0},
   };
-  const auto result =
-      harness::model_check(2, aba_reg_factory<Fig4>(2), workload,
-                           aba_reg_check(2, 0));
+  const auto result = explore_exhaustively(
+      2, aba_reg_factory<Fig4>(2), search::SpecKind::kAbaRegister, workload);
   EXPECT_FALSE(result.budget_exhausted);
-  EXPECT_GT(result.executions, 100u);
-  EXPECT_EQ(result.violations, 0u)
-      << spec::explain(result.first_violation, {});
+  EXPECT_FALSE(result.violation_found()) << first_violation(result);
 }
 
 TEST(Fig4Exhaustive, TwoReadersOneWriter) {
@@ -366,10 +363,10 @@ TEST(Fig4Exhaustive, TwoReadersOneWriter) {
       {2, spec::Method::kDRead, 0},
       {2, spec::Method::kDRead, 0},
   };
-  const auto result = harness::model_check(3, aba_reg_factory<Fig4>(3), workload,
-                                           aba_reg_check(3, 0));
+  const auto result = explore_exhaustively(
+      3, aba_reg_factory<Fig4>(3), search::SpecKind::kAbaRegister, workload);
   EXPECT_FALSE(result.budget_exhausted);
-  EXPECT_EQ(result.violations, 0u);
+  EXPECT_FALSE(result.violation_found()) << first_violation(result);
 }
 
 TEST(Fig5Exhaustive, OverFig3SmallScenario) {
@@ -378,11 +375,11 @@ TEST(Fig5Exhaustive, OverFig3SmallScenario) {
       {1, spec::Method::kDRead, 0},
       {1, spec::Method::kDRead, 0},
   };
-  const auto result = harness::model_check(
-      2, fig5_factory<core::LlscSingleCas<SimP>>(2, 0), workload,
-      aba_reg_check(2, 0));
+  const auto result = explore_exhaustively(
+      2, fig5_factory<core::LlscSingleCas<SimP>>(2, 0),
+      search::SpecKind::kAbaRegister, workload);
   EXPECT_FALSE(result.budget_exhausted);
-  EXPECT_EQ(result.violations, 0u);
+  EXPECT_FALSE(result.violation_found()) << first_violation(result);
 }
 
 // ------------------------------------------------ under-provisioned seq

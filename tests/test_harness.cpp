@@ -1,23 +1,35 @@
-// Tests for the verification harness itself: schedule drivers, the
-// exhaustive model checker, and the invoker adapters. The harness judges
-// the paper's algorithms, so its own behaviour is pinned here — including
-// its ability to DETECT planted bugs (a checker that can't fail is not
-// evidence).
+// Tests for the verification harness itself: schedule drivers, exhaustive
+// checking of the paper's objects on the DPOR explorer, and the invoker
+// adapters. The harness judges the paper's algorithms, so its own behaviour
+// is pinned here — including its ability to DETECT planted bugs (a checker
+// that can't fail is not evidence).
 #include <gtest/gtest.h>
 
 #include "core/aba_register_bounded.h"
 #include "core/aba_register_bounded_tag_naive.h"
 #include "harness/adapters.h"
 #include "harness/harness.h"
+#include "sim/schedule_search.h"
 #include "sim/sim_platform.h"
 #include "spec/lin_checker.h"
 #include "spec/specs.h"
+#include "test_support.h"
 
 namespace aba::harness {
 namespace {
 
 using SimP = sim::SimPlatform;
+using search::SpecKind;
 using spec::Method;
+using testing::aba_reg_factory;
+using testing::explore_exhaustively;
+using testing::fig5_factory;
+using testing::first_violation;
+using testing::llsc_factory;
+
+using Fig3 = core::LlscSingleCas<SimP>;
+using Fig4 = core::AbaRegisterBounded<SimP>;
+using Naive = core::AbaRegisterBoundedTagNaive<SimP>;
 
 // A deliberately broken ABA-detecting register: never sets the flag.
 struct NeverFlags {
@@ -27,6 +39,21 @@ struct NeverFlags {
   void dwrite(int, std::uint64_t v) { x.write(v); }
   std::pair<std::uint64_t, bool> dread(int) { return {x.read(), false}; }
   SimP::Register x;
+};
+
+// A broken register whose writes never reach the word reads load: a read
+// invoked after a write returned still sees the initial value. The bug is
+// visible only through real-time order — a read overlapping the write may
+// legally return the old value.
+struct LostWrite {
+  struct Options {};
+  LostWrite(sim::SimWorld& world, int, Options = {})
+      : x(world, "x", 0, sim::BoundSpec::unbounded()),
+        y(world, "y", 0, sim::BoundSpec::unbounded()) {}
+  void dwrite(int, std::uint64_t v) { y.write(v); }
+  std::pair<std::uint64_t, bool> dread(int) { return {x.read(), false}; }
+  SimP::Register x;
+  SimP::Register y;
 };
 
 // A correct single register wrapped as read/write (sanity fixture).
@@ -74,26 +101,18 @@ FixtureFactory plain_register_factory(int n) {
   };
 }
 
-HistoryCheck register_check() {
+auto register_check() {
   return [](const std::vector<spec::Op>& ops) {
     return static_cast<bool>(spec::check_linearizable<spec::RegisterSpec>(
         ops, spec::RegisterSpec::initial(0)));
   };
 }
 
-FixtureFactory never_flags_factory(int n) {
-  return [n](sim::SimWorld& world,
-             spec::History& history) -> std::unique_ptr<Invoker> {
-    return std::make_unique<AbaRegInvoker<NeverFlags>>(
-        world, history, std::make_unique<NeverFlags>(world, n));
-  };
-}
-
-HistoryCheck aba_check(int n) {
-  return [n](const std::vector<spec::Op>& ops) {
-    return static_cast<bool>(spec::check_linearizable<spec::AbaRegisterSpec>(
-        ops, spec::AbaRegisterSpec::initial(n, 0)));
-  };
+// The 1-bit tag register: two same-value writes wrap the tag between a
+// reader's two reads in some interleaving.
+FixtureFactory one_bit_naive_factory(int n) {
+  return aba_reg_factory<Naive>(
+      n, {.value_bits = 1, .tag_bits = 1, .initial_value = 0});
 }
 
 // ---------------------------------------------------------------- drivers
@@ -165,30 +184,46 @@ TEST(RoundRobin, LargeQuantumRunsOpsSolo) {
 // ------------------------------------------------------------ model check
 
 TEST(ModelCheck, CountsInterleavingsOfIndependentSteps) {
-  // Two processes, one single-step op each (fused invoke+step): exactly 2
-  // interleavings.
+  // Two processes, each an invoke grant then one write step. The plain DFS
+  // runs every order of the four grants that keeps program order: C(4,2).
+  // DPOR tells orders apart by who writes last (the writes conflict) and,
+  // under spec verdicts, by whether the last writer was invoked after the
+  // first returned. It may skip an overlapping order whose sequential twin
+  // it already checked, since overlap only loosens the history: here
+  // inv0 s0 inv1 s1 covers inv0 inv1 s0 s1, leaving three executions.
   const std::vector<WorkloadOp> workload = {
       {0, Method::kWrite, 1},
       {1, Method::kWrite, 2},
   };
-  const auto result = model_check(2, plain_register_factory(2), workload,
-                                  register_check());
-  EXPECT_EQ(result.executions, 2u);
-  EXPECT_EQ(result.violations, 0u);
+  const auto plain = explore_exhaustively(2, plain_register_factory(2),
+                                          SpecKind::kNone, workload,
+                                          /*dpor=*/false);
+  EXPECT_EQ(plain.executions, 6u);
+  EXPECT_FALSE(plain.budget_exhausted);
+  const auto dpor = explore_exhaustively(2, plain_register_factory(2),
+                                         SpecKind::kNone, workload);
+  EXPECT_EQ(dpor.executions, 3u);
+  EXPECT_FALSE(dpor.budget_exhausted);
 }
 
 TEST(ModelCheck, FindsPlantedViolation) {
   // NeverFlags misses any write completing between two reads; the checker
-  // must find interleavings where that is illegal.
+  // must find interleavings where that is illegal, and its script must
+  // reconvict on replay.
   const std::vector<WorkloadOp> workload = {
       {0, Method::kDWrite, 1},
       {1, Method::kDRead, 0},
       {1, Method::kDRead, 0},
   };
-  const auto result =
-      model_check(2, never_flags_factory(2), workload, aba_check(2));
-  EXPECT_GT(result.violations, 0u);
-  EXPECT_FALSE(result.first_violation.empty());
+  const auto result = explore_exhaustively(
+      2, aba_reg_factory<NeverFlags>(2), SpecKind::kAbaRegister, workload);
+  ASSERT_TRUE(result.violation_found());
+  const auto replay = search::ScheduleExplorer::replay(
+      search::harness_fixture(aba_reg_factory<NeverFlags>(2),
+                              SpecKind::kAbaRegister),
+      result.violations.front().script, search::retired_unreclaimed_cost);
+  EXPECT_TRUE(replay.verdict.checked);
+  EXPECT_FALSE(replay.verdict.ok) << first_violation(result);
 }
 
 TEST(ModelCheck, BudgetStopsEarly) {
@@ -197,54 +232,98 @@ TEST(ModelCheck, BudgetStopsEarly) {
       {1, Method::kDRead, 0},  {1, Method::kDRead, 0},
       {2, Method::kDRead, 0},
   };
-  using Fig4 = core::AbaRegisterBounded<SimP>;
-  auto factory = [](sim::SimWorld& world,
-                    spec::History& history) -> std::unique_ptr<Invoker> {
-    return std::make_unique<AbaRegInvoker<Fig4>>(
-        world, history, std::make_unique<Fig4>(world, 3));
-  };
   const auto result =
-      model_check(3, factory, workload, aba_check(3), /*max_executions=*/50);
+      explore_exhaustively(3, aba_reg_factory<Fig4>(3), SpecKind::kAbaRegister,
+                           workload, /*dpor=*/true, /*max_executions=*/50);
   EXPECT_TRUE(result.budget_exhausted);
   EXPECT_EQ(result.executions, 50u);
+  EXPECT_FALSE(result.violation_found()) << first_violation(result);
 }
 
 TEST(ModelCheck, NaiveTagBreaksUnderExhaustiveSearchWithTinyTags) {
   // With a 1-bit tag and two same-value writes, some interleaving wraps the
   // tag between a reader's two reads — exhaustive search must find it.
-  using Naive = core::AbaRegisterBoundedTagNaive<SimP>;
-  auto factory = [](sim::SimWorld& world,
-                    spec::History& history) -> std::unique_ptr<Invoker> {
-    return std::make_unique<AbaRegInvoker<Naive>>(
-        world, history,
-        std::make_unique<Naive>(
-            world, 2,
-            Naive::Options{.value_bits = 1, .tag_bits = 1, .initial_value = 0}));
-  };
   const std::vector<WorkloadOp> workload = {
       {0, Method::kDWrite, 0}, {0, Method::kDWrite, 0},
       {1, Method::kDRead, 0},  {1, Method::kDRead, 0},
   };
-  const auto result = model_check(2, factory, workload, aba_check(2));
-  EXPECT_GT(result.violations, 0u)
+  const auto result = explore_exhaustively(2, one_bit_naive_factory(2),
+                                           SpecKind::kAbaRegister, workload);
+  EXPECT_TRUE(result.violation_found())
       << "exhaustive search must expose the 1-bit tag wraparound";
 }
 
 TEST(ModelCheck, ExhaustiveMatchesRandomOnCorrectImpl) {
-  using Fig4 = core::AbaRegisterBounded<SimP>;
-  auto factory = [](sim::SimWorld& world,
-                    spec::History& history) -> std::unique_ptr<Invoker> {
-    return std::make_unique<AbaRegInvoker<Fig4>>(
-        world, history, std::make_unique<Fig4>(world, 2));
-  };
   const std::vector<WorkloadOp> workload = {
       {0, Method::kDWrite, 1},
       {1, Method::kDRead, 0},
       {1, Method::kDRead, 0},
   };
-  const auto result = model_check(2, factory, workload, aba_check(2));
-  EXPECT_EQ(result.violations, 0u);
-  EXPECT_GT(result.executions, 10u);
+  const auto result = explore_exhaustively(2, aba_reg_factory<Fig4>(2),
+                                           SpecKind::kAbaRegister, workload);
+  EXPECT_FALSE(result.budget_exhausted);
+  EXPECT_FALSE(result.violation_found()) << first_violation(result);
+}
+
+// Sleep sets prune by trace equivalence; on the paper's objects that must
+// never change a verdict. The plain DFS runs every interleaving of the
+// cheapest scenarios, and both modes must agree — convicting every planted
+// bug and clearing every correct object. LostWrite's violation needs a read
+// invoked after a write's response, an order that commutes with nothing in
+// shared memory: DPOR finds it only because invocations and responses of
+// different processes count as dependent under spec verdicts.
+TEST(ModelCheck, DporAgreesWithPlainDfsOnThePaperObjects) {
+  const std::vector<WorkloadOp> w_rr = {
+      {0, Method::kDWrite, 1}, {1, Method::kDRead, 0}, {1, Method::kDRead, 0}};
+  const std::vector<WorkloadOp> ww_rr = {
+      {0, Method::kDWrite, 0}, {0, Method::kDWrite, 0},
+      {1, Method::kDRead, 0},  {1, Method::kDRead, 0}};
+  const std::vector<WorkloadOp> llsc_race = {
+      {0, Method::kLL, 0}, {0, Method::kSC, 1},
+      {1, Method::kLL, 0}, {1, Method::kSC, 2}};
+  const std::vector<WorkloadOp> llvl_race = {
+      {0, Method::kLL, 0}, {0, Method::kVL, 0}, {0, Method::kSC, 1},
+      {1, Method::kLL, 0}, {1, Method::kSC, 2}};
+  struct Scenario {
+    const char* name;
+    FixtureFactory factory;
+    SpecKind spec;
+    std::vector<WorkloadOp> workload;
+    bool planted_bug;
+  };
+  const std::vector<Scenario> scenarios = {
+      {"NeverFlags w || r r", aba_reg_factory<NeverFlags>(2),
+       SpecKind::kAbaRegister, w_rr, true},
+      {"1-bit naive tag w w || r r", one_bit_naive_factory(2),
+       SpecKind::kAbaRegister, ww_rr, true},
+      {"LostWrite w w || r", aba_reg_factory<LostWrite>(2),
+       SpecKind::kAbaRegister,
+       {{0, Method::kDWrite, 1}, {0, Method::kDWrite, 1},
+        {1, Method::kDRead, 0}},
+       true},
+      {"Fig4 w || r r", aba_reg_factory<Fig4>(2), SpecKind::kAbaRegister,
+       w_rr, false},
+      {"Fig5 over Fig3 w || r r", fig5_factory<Fig3>(2, 0),
+       SpecKind::kAbaRegister, w_rr, false},
+      {"Fig3 ll sc || ll sc", llsc_factory<Fig3>(2, {.value_bits = 4}),
+       SpecKind::kLlsc, llsc_race, false},
+      {"Fig3 ll vl sc || ll sc", llsc_factory<Fig3>(2, {.value_bits = 4}),
+       SpecKind::kLlsc, llvl_race, false},
+  };
+  for (const Scenario& s : scenarios) {
+    SCOPED_TRACE(s.name);
+    const auto dpor =
+        explore_exhaustively(2, s.factory, s.spec, s.workload, true);
+    const auto plain =
+        explore_exhaustively(2, s.factory, s.spec, s.workload, false);
+    EXPECT_FALSE(dpor.budget_exhausted);
+    EXPECT_FALSE(plain.budget_exhausted);
+    EXPECT_EQ(dpor.violation_found(), s.planted_bug) << first_violation(dpor);
+    EXPECT_EQ(plain.violation_found(), s.planted_bug) << first_violation(plain);
+    if (!s.planted_bug) {
+      EXPECT_LT(dpor.executions, plain.executions);
+    }
+  }
 }
 
 }  // namespace

@@ -369,12 +369,11 @@ TEST(Fig3Exhaustive, TwoProcessLlScRace) {
       {1, spec::Method::kLL, 0},
       {1, spec::Method::kSC, 2},
   };
-  const auto result = harness::model_check(
-      2, llsc_factory<Fig3>(2, {.value_bits = 4}), workload,
-      llsc_check(2, 0, true));
+  const auto result =
+      explore_exhaustively(2, llsc_factory<Fig3>(2, {.value_bits = 4}),
+                           search::SpecKind::kLlsc, workload);
   EXPECT_FALSE(result.budget_exhausted);
-  EXPECT_EQ(result.violations, 0u)
-      << spec::explain(result.first_violation, {});
+  EXPECT_FALSE(result.violation_found()) << first_violation(result);
 }
 
 TEST(RegArrayExhaustive, TwoProcessLlScVlRace) {
@@ -385,12 +384,11 @@ TEST(RegArrayExhaustive, TwoProcessLlScVlRace) {
       {1, spec::Method::kSC, 2},
       {1, spec::Method::kVL, 0},
   };
-  const auto result = harness::model_check(
-      2, llsc_factory<RegArray>(2, {.value_bits = 4}), workload,
-      llsc_check(2, 0, true));
+  const auto result =
+      explore_exhaustively(2, llsc_factory<RegArray>(2, {.value_bits = 4}),
+                           search::SpecKind::kLlsc, workload);
   EXPECT_FALSE(result.budget_exhausted);
-  EXPECT_EQ(result.violations, 0u)
-      << spec::explain(result.first_violation, {});
+  EXPECT_FALSE(result.violation_found()) << first_violation(result);
 }
 
 

@@ -19,12 +19,16 @@
 #include "sim/sim_platform.h"
 #include "spec/lin_checker.h"
 #include "spec/specs.h"
+#include "test_support.h"
 
 namespace aba {
 namespace {
 
 using SimP = sim::SimPlatform;
 using NativeP = native::NativePlatform<>;
+using testing::explore_exhaustively;
+using testing::fig5_factory;
+using testing::first_violation;
 
 // ------------------------------------------------------------ API concepts
 
@@ -247,37 +251,16 @@ TEST(Theorem4Reduction, DetectsOverMoir) {
 // on a small scenario.
 
 TEST(CrossComposition, Fig5OverRegArrayExhaustive) {
-  using Llsc = core::LlscRegisterArray<SimP>;
-  auto factory = [](sim::SimWorld& world, spec::History& history)
-      -> std::unique_ptr<harness::Invoker> {
-    struct Composed {
-      Composed(sim::SimWorld& world)
-          : llsc(world, 2,
-                 Llsc::Options{.value_bits = 4,
-                               .initial_value = 0,
-                               .initially_linked = true}),
-            reg(llsc, 2, 0) {}
-      std::pair<std::uint64_t, bool> dread(int q) { return reg.dread(q); }
-      void dwrite(int p, std::uint64_t x) { reg.dwrite(p, x); }
-      Llsc llsc;
-      core::AbaRegisterFromLlsc<Llsc> reg;
-    };
-    return std::make_unique<harness::AbaRegInvoker<Composed>>(
-        world, history, std::make_unique<Composed>(world));
-  };
   const std::vector<harness::WorkloadOp> workload = {
       {0, spec::Method::kDWrite, 1},
       {1, spec::Method::kDRead, 0},
       {1, spec::Method::kDRead, 0},
   };
-  const auto result = harness::model_check(
-      2, factory, workload, [](const std::vector<spec::Op>& ops) {
-        return static_cast<bool>(
-            spec::check_linearizable<spec::AbaRegisterSpec>(
-                ops, spec::AbaRegisterSpec::initial(2, 0)));
-      });
+  const auto result = explore_exhaustively(
+      2, fig5_factory<core::LlscRegisterArray<SimP>>(2, 0, {.value_bits = 4}),
+      search::SpecKind::kAbaRegister, workload);
   EXPECT_FALSE(result.budget_exhausted);
-  EXPECT_EQ(result.violations, 0u);
+  EXPECT_FALSE(result.violation_found()) << first_violation(result);
 }
 
 }  // namespace

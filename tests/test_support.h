@@ -1,9 +1,13 @@
 // Shared helpers for the test suites: fixture factories binding each
-// implementation to the harness, linearizability-check closures, and
-// workload generators.
+// implementation to the harness, linearizability-check closures, the
+// exhaustive model-checking entry point, and workload generators.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/aba_register_bounded.h"
@@ -14,6 +18,7 @@
 #include "core/llsc_unbounded_tag.h"
 #include "harness/adapters.h"
 #include "harness/harness.h"
+#include "sim/schedule_search.h"
 #include "sim/sim_platform.h"
 #include "spec/lin_checker.h"
 #include "spec/specs.h"
@@ -72,19 +77,49 @@ harness::FixtureFactory fig5_factory(int n, std::uint64_t initial_value,
 
 // ------------------------------------------------------- history checks
 
-inline harness::HistoryCheck aba_reg_check(int n, std::uint64_t initial_value) {
+inline auto aba_reg_check(int n, std::uint64_t initial_value) {
   return [n, initial_value](const std::vector<spec::Op>& ops) {
     return static_cast<bool>(spec::check_linearizable<spec::AbaRegisterSpec>(
         ops, spec::AbaRegisterSpec::initial(n, initial_value)));
   };
 }
 
-inline harness::HistoryCheck llsc_check(int n, std::uint64_t initial_value,
-                                        bool initially_linked) {
+inline auto llsc_check(int n, std::uint64_t initial_value,
+                       bool initially_linked) {
   return [n, initial_value, initially_linked](const std::vector<spec::Op>& ops) {
     return static_cast<bool>(spec::check_linearizable<spec::LlscSpec>(
         ops, spec::LlscSpec::initial(n, initial_value, initially_linked)));
   };
+}
+
+// ------------------------------------------------------ model checking
+
+// Explores every trace class of `workload` over `factory`'s implementation
+// on the DPOR engine — no preemption bound, so sleep sets engage — and
+// checks each completed history against `spec`, stopping at the first
+// violation. dpor = false is the plain DFS over every interleaving.
+inline search::SearchResult explore_exhaustively(
+    int n, harness::FixtureFactory factory, search::SpecKind spec,
+    std::vector<harness::WorkloadOp> workload, bool dpor = true,
+    std::uint64_t max_executions = 200000) {
+  search::SearchOptions options;
+  options.context_bound = search::kUnboundedContextBound;
+  options.max_executions = max_executions;
+  options.max_grants = std::numeric_limits<std::uint64_t>::max();
+  options.dpor = dpor;
+  options.check_spec = true;
+  search::ScheduleExplorer explorer(
+      search::harness_fixture(std::move(factory), spec), n,
+      std::move(workload), search::retired_unreclaimed_cost, options);
+  return explorer.run();
+}
+
+// The evidence printed when an exhaustive run convicts: the first
+// violation's detail and its replayable script.
+inline std::string first_violation(const search::SearchResult& result) {
+  if (result.violations.empty()) return "";
+  return result.violations.front().detail + "\n" +
+         result.violations.front().script.serialize();
 }
 
 // --------------------------------------------------------- workloads

@@ -114,7 +114,8 @@ def dump(path):
     by_pid = {}
     for pid, method, arg in script["ops"]:
         by_pid.setdefault(pid, []).append(
-            f"{method}({arg})" if method in ("push", "enq") else f"{method}()")
+            f"{method}({arg})" if method in ("push", "enq", "dwrite", "sc",
+                                             "write") else f"{method}()")
     for pid in sorted(by_pid):
         ops = by_pid[pid]
         line = " ".join(ops[:12]) + (f" ... [{len(ops)} ops]" if len(ops) > 12 else "")
