@@ -11,6 +11,7 @@
 #include "bench_common.h"
 #include "core/aba_register_bounded.h"
 #include "core/aba_register_bounded_tag_naive.h"
+#include "harness/adapters.h"
 #include "lowerbound/covering_adversary.h"
 #include "sim/sim_platform.h"
 
@@ -25,7 +26,7 @@ void fig4_table() {
                      "chain iterations", "replays", "violation"});
   for (int n : {2, 3, 4, 6, 8, 12}) {
     lowerbound::CoveringAdversary adversary(
-        n, lowerbound::make_weak_aba_factory<core::AbaRegisterBounded<SimP>>(
+        n, harness::aba_reg_factory<core::AbaRegisterBounded<SimP>>(
                n, {.value_bits = 1}),
         lowerbound::CoveringAdversary::Options{.max_iterations_per_level = 128,
                                                .max_replays = 100000,
@@ -52,8 +53,7 @@ void naive_tag_table() {
     const int n = 2;
     lowerbound::CoveringAdversary adversary(
         n,
-        lowerbound::make_weak_aba_factory<
-            core::AbaRegisterBoundedTagNaive<SimP>>(
+        harness::aba_reg_factory<core::AbaRegisterBoundedTagNaive<SimP>>(
             n, {.value_bits = 1, .tag_bits = k, .initial_value = 0}),
         lowerbound::CoveringAdversary::Options{.max_iterations_per_level = 600,
                                                .max_replays = 2000000,
@@ -79,7 +79,7 @@ void BM_CoveringAdversary_Fig4(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     lowerbound::CoveringAdversary adversary(
-        n, lowerbound::make_weak_aba_factory<core::AbaRegisterBounded<SimP>>(
+        n, harness::aba_reg_factory<core::AbaRegisterBounded<SimP>>(
                n, {.value_bits = 1}),
         lowerbound::CoveringAdversary::Options{.max_iterations_per_level = 128,
                                                .max_replays = 100000,

@@ -3,14 +3,14 @@
 // Lemma 3(iii) caps the number of processes simultaneously poised to
 // Write() (respectively CAS()) any single object by the step complexity t;
 // combined with the all-readers-poised configurations of the construction
-// this yields the counting bound of Appendix B.2. The auditor drives
-// adversarial schedules and reports the observed census maxima next to the
-// measured t for the CAS-based implementations.
+// this yields the counting bound of Appendix B.2. The auditor runs the
+// round-robin contention adversary, takes the census after every grant and
+// reports its maxima next to the measured t.
 #include "bench_common.h"
 #include "core/aba_register_bounded.h"
-#include "core/aba_register_from_llsc.h"
 #include "core/llsc_register_array.h"
 #include "core/llsc_single_cas.h"
+#include "harness/adapters.h"
 #include "lowerbound/tradeoff_auditor.h"
 #include "sim/sim_platform.h"
 
@@ -20,34 +20,13 @@ using namespace aba;
 using SimP = sim::SimPlatform;
 
 template <class Llsc>
-lowerbound::WeakAbaFactory fig5_factory(int n) {
-  return [n](sim::SimWorld& world)
-             -> std::unique_ptr<lowerbound::WeakAbaInstance> {
-    struct Composed {
-      Composed(sim::SimWorld& world, int n)
-          : llsc(world, n,
-                 typename Llsc::Options{.value_bits = 4,
-                                        .initial_value = 0,
-                                        .initially_linked = true}),
-            reg(llsc, n, 0) {}
-      std::pair<std::uint64_t, bool> dread(int q) { return reg.dread(q); }
-      void dwrite(int p, std::uint64_t x) { reg.dwrite(p, x); }
-      Llsc llsc;
-      core::AbaRegisterFromLlsc<Llsc> reg;
-    };
-    return std::make_unique<lowerbound::WeakAbaAdapter<Composed>>(
-        world, std::make_unique<Composed>(world, n), n);
-  };
+harness::FixtureFactory fig5_factory(int n) {
+  return harness::fig5_factory<Llsc>(n, {.value_bits = 4});
 }
 
 void add_row(util::Table& table, const char* name, int n,
-             const lowerbound::WeakAbaFactory& factory) {
-  lowerbound::TradeoffAuditor auditor(
-      n, factory,
-      lowerbound::TradeoffAuditor::Options{.random_rounds = 48,
-                                           .ops_per_round = 24,
-                                           .seed = 4242});
-  const auto r = auditor.audit();
+             const harness::FixtureFactory& factory) {
+  const auto r = lowerbound::TradeoffAuditor(n, factory).audit();
   table.add_row({name, util::Table::fmt(static_cast<std::uint64_t>(n)),
                  util::Table::fmt(r.t), util::Table::fmt(r.max_cas_poise),
                  util::Table::fmt(r.max_write_poise),
@@ -56,18 +35,15 @@ void add_row(util::Table& table, const char* name, int n,
                                                                     : "NO"});
 }
 
-void BM_CensusAudit_Fig5OverFig3(benchmark::State& state) {
+void BM_CensusAudit_Fig5Fig3(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     lowerbound::TradeoffAuditor auditor(
-        n, fig5_factory<core::LlscSingleCas<SimP>>(n),
-        lowerbound::TradeoffAuditor::Options{.random_rounds = 8,
-                                             .ops_per_round = 12,
-                                             .seed = 7});
+        n, fig5_factory<core::LlscSingleCas<SimP>>(n));
     benchmark::DoNotOptimize(auditor.audit());
   }
 }
-BENCHMARK(BM_CensusAudit_Fig5OverFig3)
+BENCHMARK(BM_CensusAudit_Fig5Fig3)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
@@ -85,7 +61,7 @@ int main(int argc, char** argv) {
     add_row(table, "Fig5 o RegArray (1 CAS + n regs)", n,
             fig5_factory<core::LlscRegisterArray<SimP>>(n));
     add_row(table, "Fig4 (registers only)", n,
-            lowerbound::make_weak_aba_factory<core::AbaRegisterBounded<SimP>>(
+            harness::aba_reg_factory<core::AbaRegisterBounded<SimP>>(
                 n, {.value_bits = 1}));
   }
   table.print();

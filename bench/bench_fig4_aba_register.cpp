@@ -8,6 +8,7 @@
 //   * native throughput of reads and writes under thread contention.
 #include "bench_common.h"
 #include "core/aba_register_bounded.h"
+#include "harness/adapters.h"
 #include "native/native_platform.h"
 #include "sim/sim_platform.h"
 #include "sim/sim_world.h"
@@ -17,53 +18,7 @@ namespace {
 
 using SimFig4 = aba::core::AbaRegisterBounded<aba::sim::SimPlatform>;
 using NativeFig4 = aba::core::AbaRegisterBounded<aba::native::NativePlatform<>>;
-
-struct Worst {
-  std::uint64_t dwrite = 0;
-  std::uint64_t dread = 0;
-};
-
-// Lock-step contention: every process in flight, one step per sweep.
-Worst measure_contended(int n, int rounds) {
-  aba::sim::SimWorld world(n);
-  world.set_trace_enabled(false);
-  SimFig4 reg(world, n, {.value_bits = 8});
-  Worst worst;
-  std::vector<int> remaining(n, rounds);
-  std::vector<bool> is_write(n, false);
-
-  bool work = true;
-  while (work) {
-    work = false;
-    for (int p = 0; p < n; ++p) {
-      if (world.is_idle(p) && remaining[p] > 0) {
-        --remaining[p];
-        is_write[p] = (p % 2 == 0);
-        if (is_write[p]) {
-          world.invoke(p, [&reg, p] { reg.dwrite(p, static_cast<std::uint64_t>(p)); });
-        } else {
-          world.invoke(p, [&reg, p] { reg.dread(p); });
-        }
-      }
-    }
-    for (int p = 0; p < n; ++p) {
-      if (world.poised(p).has_value()) {
-        world.step(p);
-        work = true;
-        if (world.is_idle(p)) {
-          const std::uint64_t steps = world.steps_in_method(p);
-          if (is_write[p]) {
-            worst.dwrite = std::max(worst.dwrite, steps);
-          } else {
-            worst.dread = std::max(worst.dread, steps);
-          }
-        }
-      }
-      if (remaining[p] > 0) work = true;
-    }
-  }
-  return worst;
-}
+using aba::spec::Method;
 
 void print_table() {
   aba::bench::banner("E2",
@@ -75,13 +30,15 @@ void print_table() {
   for (int n : {2, 4, 8, 16, 32, 64}) {
     aba::sim::SimWorld world(n);
     SimFig4 reg(world, n, {.value_bits = b});
-    const auto worst = measure_contended(n, 24);
+    const auto run = aba::bench::run_contended(
+        n, aba::harness::aba_reg_factory<SimFig4>(n, {.value_bits = b}),
+        aba::bench::writers_and_readers(n, 24));
     const unsigned log_n = aba::util::bits_for(static_cast<std::uint64_t>(n) - 1);
     table.add_row(
         {aba::util::Table::fmt(static_cast<std::uint64_t>(n)),
          aba::util::Table::fmt(static_cast<std::uint64_t>(reg.num_shared_registers())),
-         aba::util::Table::fmt(worst.dwrite),
-         aba::util::Table::fmt(worst.dread),
+         aba::util::Table::fmt(run.worst_steps(Method::kDWrite)),
+         aba::util::Table::fmt(run.worst_steps(Method::kDRead)),
          aba::util::Table::fmt(static_cast<std::uint64_t>(reg.x_register_bits())),
          aba::util::Table::fmt(
              static_cast<std::uint64_t>(reg.announce_register_bits())),

@@ -9,83 +9,31 @@
 //     ABA-detecting register from one bounded CAS with O(n) steps — exactly
 //     the (m = 1, t = O(n)) corner of the tradeoff that Theorem 1(b) proves
 //     unavoidable for bounded objects.
+#include <utility>
+
 #include "bench_common.h"
 #include "core/aba_register_bounded.h"
 #include "core/aba_register_from_llsc.h"
 #include "core/llsc_single_cas.h"
 #include "core/llsc_unbounded_tag.h"
+#include "harness/adapters.h"
 #include "native/native_platform.h"
 #include "sim/sim_platform.h"
-#include "sim/sim_world.h"
 
 namespace {
 
 using SimP = aba::sim::SimPlatform;
+using aba::spec::Method;
 
-// Measures worst-case DRead/DWrite shared steps under lock-step contention
-// for an ABA-detecting register built by `make(world, n)`.
-template <class Make>
-std::pair<std::uint64_t, std::uint64_t> measure(Make make, int n, int rounds) {
-  aba::sim::SimWorld world(n);
-  world.set_trace_enabled(false);
-  auto impl = make(world, n);
-  std::uint64_t worst_write = 0, worst_read = 0;
-  std::vector<int> remaining(n, rounds);
-  std::vector<bool> is_write(n, false);
-  bool work = true;
-  while (work) {
-    work = false;
-    for (int p = 0; p < n; ++p) {
-      if (world.is_idle(p) && remaining[p] > 0) {
-        --remaining[p];
-        is_write[p] = (p % 2 == 0);
-        if (is_write[p]) {
-          world.invoke(p, [&impl, p] { impl->dwrite(p, static_cast<std::uint64_t>(p & 7)); });
-        } else {
-          world.invoke(p, [&impl, p] { impl->dread(p); });
-        }
-      }
-    }
-    for (int p = 0; p < n; ++p) {
-      if (world.poised(p).has_value()) {
-        world.step(p);
-        work = true;
-        if (world.is_idle(p)) {
-          const std::uint64_t steps = world.steps_in_method(p);
-          if (is_write[p]) {
-            worst_write = std::max(worst_write, steps);
-          } else {
-            worst_read = std::max(worst_read, steps);
-          }
-        }
-      }
-      if (remaining[p] > 0) work = true;
-    }
-  }
-  return {worst_write, worst_read};
+// Worst-case DWrite/DRead shared steps of Figure 5 over Llsc under the
+// round-robin contention adversary.
+template <class Llsc>
+std::pair<std::uint64_t, std::uint64_t> measure(int n, int rounds) {
+  const auto run = aba::bench::run_contended(
+      n, aba::harness::fig5_factory<Llsc>(n, {.value_bits = 8}),
+      aba::bench::writers_and_readers(n, rounds));
+  return {run.worst_steps(Method::kDWrite), run.worst_steps(Method::kDRead)};
 }
-
-struct Fig5OverFig3 {
-  Fig5OverFig3(aba::sim::SimWorld& world, int n)
-      : llsc(world, n,
-             {.value_bits = 8, .initial_value = 0, .initially_linked = true}),
-        reg(llsc, n, 0) {}
-  void dwrite(int p, std::uint64_t x) { reg.dwrite(p, x); }
-  std::pair<std::uint64_t, bool> dread(int q) { return reg.dread(q); }
-  aba::core::LlscSingleCas<SimP> llsc;
-  aba::core::AbaRegisterFromLlsc<aba::core::LlscSingleCas<SimP>> reg;
-};
-
-struct Fig5OverMoir {
-  Fig5OverMoir(aba::sim::SimWorld& world, int n)
-      : llsc(world, n,
-             {.value_bits = 8, .initial_value = 0, .initially_linked = true}),
-        reg(llsc, n, 0) {}
-  void dwrite(int p, std::uint64_t x) { reg.dwrite(p, x); }
-  std::pair<std::uint64_t, bool> dread(int q) { return reg.dread(q); }
-  aba::core::LlscUnboundedTag<SimP> llsc;
-  aba::core::AbaRegisterFromLlsc<aba::core::LlscUnboundedTag<SimP>> reg;
-};
 
 void print_table() {
   aba::bench::banner("E3",
@@ -95,22 +43,14 @@ void print_table() {
                           "DWrite worst", "DRead worst", "bound"});
   for (int n : {2, 4, 8, 16}) {
     {
-      auto [w, r] = measure(
-          [](aba::sim::SimWorld& world, int n) {
-            return std::make_unique<Fig5OverMoir>(world, n);
-          },
-          n, 24);
+      auto [w, r] = measure<aba::core::LlscUnboundedTag<SimP>>(n, 24);
       table.add_row({"Moir LL/SC (unbounded tag)",
                      aba::util::Table::fmt(static_cast<std::uint64_t>(n)), "1",
                      "no", aba::util::Table::fmt(w), aba::util::Table::fmt(r),
                      "O(1)"});
     }
     {
-      auto [w, r] = measure(
-          [](aba::sim::SimWorld& world, int n) {
-            return std::make_unique<Fig5OverFig3>(world, n);
-          },
-          n, 24);
+      auto [w, r] = measure<aba::core::LlscSingleCas<SimP>>(n, 24);
       table.add_row({"Figure 3 LL/SC (1 bounded CAS)",
                      aba::util::Table::fmt(static_cast<std::uint64_t>(n)), "1",
                      "yes", aba::util::Table::fmt(w), aba::util::Table::fmt(r),
@@ -133,9 +73,7 @@ aba::native::NativePlatform<>::Env g_env;
 
 void BM_Fig5_OverMoir_Native(benchmark::State& state) {
   using Llsc = aba::core::LlscUnboundedTag<aba::native::NativePlatform<>>;
-  static Llsc llsc(g_env, 4,
-                   {.value_bits = 8, .initial_value = 0, .initially_linked = true});
-  static aba::core::AbaRegisterFromLlsc<Llsc> reg(llsc, 4, 0);
+  static aba::core::AbaRegisterOverLlsc<Llsc> reg(g_env, 4, {.value_bits = 8});
   std::uint64_t i = 0;
   for (auto _ : state) {
     reg.dwrite(0, i++ & 255);

@@ -1,8 +1,8 @@
 // E4 — "Table 1": the time-space landscape of Theorem 1 / Corollary 1.
 //
 // For every implementation in the repository, the tradeoff auditor measures
-// m (objects), t (worst-case steps over adversarial schedules) and evaluates
-// the paper's inequality:
+// m (objects), t (worst-case steps under the round-robin contention
+// adversary) and evaluates the paper's inequality:
 //     bounded registers+CAS:   m * t  >= n-1      (Theorem 1(b))
 //     bounded writable CAS:   2m * t  >= n-1      (Theorem 1(c))
 //
@@ -17,11 +17,11 @@
 #include "bench_common.h"
 #include "core/aba_register_bounded.h"
 #include "core/aba_register_bounded_tag_naive.h"
-#include "core/aba_register_from_llsc.h"
 #include "core/aba_register_unbounded_tag.h"
 #include "core/llsc_register_array.h"
 #include "core/llsc_single_cas.h"
 #include "core/llsc_unbounded_tag.h"
+#include "harness/adapters.h"
 #include "lowerbound/tradeoff_auditor.h"
 #include "sim/sim_platform.h"
 
@@ -31,30 +31,13 @@ using namespace aba;
 using SimP = sim::SimPlatform;
 
 template <class Llsc>
-lowerbound::WeakAbaFactory fig5_factory(int n) {
-  return [n](sim::SimWorld& world)
-             -> std::unique_ptr<lowerbound::WeakAbaInstance> {
-    struct Composed {
-      Composed(sim::SimWorld& world, int n)
-          : llsc(world, n,
-                 typename Llsc::Options{.value_bits = 4,
-                                        .initial_value = 0,
-                                        .initially_linked = true}),
-            reg(llsc, n, 0) {}
-      std::pair<std::uint64_t, bool> dread(int q) { return reg.dread(q); }
-      void dwrite(int p, std::uint64_t x) { reg.dwrite(p, x); }
-      Llsc llsc;
-      core::AbaRegisterFromLlsc<Llsc> reg;
-    };
-    return std::make_unique<lowerbound::WeakAbaAdapter<Composed>>(
-        world, std::make_unique<Composed>(world, n), n);
-  };
+harness::FixtureFactory fig5_factory(int n) {
+  return harness::fig5_factory<Llsc>(n, {.value_bits = 4});
 }
 
 void add_row(util::Table& table, const char* name, const char* correctness,
-             int n, const lowerbound::WeakAbaFactory& factory) {
-  lowerbound::TradeoffAuditor auditor(n, factory);
-  const auto r = auditor.audit();
+             int n, const harness::FixtureFactory& factory) {
+  const auto r = lowerbound::TradeoffAuditor(n, factory).audit();
   table.add_row(
       {name, util::Table::fmt(static_cast<std::uint64_t>(n)),
        util::Table::fmt(static_cast<std::uint64_t>(r.num_objects)),
@@ -67,7 +50,7 @@ void BM_TradeoffAudit_Fig4(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     lowerbound::TradeoffAuditor auditor(
-        n, lowerbound::make_weak_aba_factory<core::AbaRegisterBounded<SimP>>(
+        n, harness::aba_reg_factory<core::AbaRegisterBounded<SimP>>(
                n, {.value_bits = 1}));
     benchmark::DoNotOptimize(auditor.audit());
   }
@@ -83,7 +66,7 @@ int main(int argc, char** argv) {
                      "(2)m*t", "n-1", "product>=n-1", "correct?"});
   for (int n : {4, 8, 16}) {
     add_row(table, "Fig4: n+1 registers, O(1)", "yes (E2, tests)", n,
-            lowerbound::make_weak_aba_factory<core::AbaRegisterBounded<SimP>>(
+            harness::aba_reg_factory<core::AbaRegisterBounded<SimP>>(
                 n, {.value_bits = 1}));
     add_row(table, "Fig5 o Fig3: 1 CAS, O(n)", "yes (E1, E3, tests)", n,
             fig5_factory<core::LlscSingleCas<SimP>>(n));
@@ -92,11 +75,10 @@ int main(int argc, char** argv) {
     add_row(table, "Fig5 o Moir: 1 UNBOUNDED CAS, O(1)", "yes (tests)", n,
             fig5_factory<core::LlscUnboundedTag<SimP>>(n));
     add_row(table, "unbounded-tag register", "yes (tests)", n,
-            lowerbound::make_weak_aba_factory<
-                core::AbaRegisterUnboundedTag<SimP>>(n, {.value_bits = 1}));
+            harness::aba_reg_factory<core::AbaRegisterUnboundedTag<SimP>>(
+                n, {.value_bits = 1}));
     add_row(table, "naive bounded tag (1 reg)", "NO (broken, see E5)", n,
-            lowerbound::make_weak_aba_factory<
-                core::AbaRegisterBoundedTagNaive<SimP>>(
+            harness::aba_reg_factory<core::AbaRegisterBoundedTagNaive<SimP>>(
                 n, {.value_bits = 1, .tag_bits = 4, .initial_value = 0}));
   }
   table.print();

@@ -16,11 +16,12 @@
 #include "core/aba_register_bounded.h"
 #include "core/aba_register_bounded_tag_naive.h"
 #include "core/aba_register_unbounded_tag.h"
+#include "harness/adapters.h"
 #include "lowerbound/covering_adversary.h"
 #include "sim/sim_platform.h"
 
 using aba::lowerbound::CoveringAdversary;
-using aba::lowerbound::make_weak_aba_factory;
+using aba::harness::aba_reg_factory;
 using SimP = aba::sim::SimPlatform;
 
 namespace {
@@ -57,14 +58,14 @@ int main() {
   {
     using Fig4 = aba::core::AbaRegisterBounded<SimP>;
     CoveringAdversary adversary(
-        n, make_weak_aba_factory<Fig4>(n, {.value_bits = 1}));
+        n, aba_reg_factory<Fig4>(n, {.value_bits = 1}));
     print_report("Figure 4: n+1 bounded registers (correct)",
                  adversary.run(n - 1));
   }
   {
     using Naive = aba::core::AbaRegisterBoundedTagNaive<SimP>;
     CoveringAdversary adversary(
-        n, make_weak_aba_factory<Naive>(
+        n, aba_reg_factory<Naive>(
                n, {.value_bits = 1, .tag_bits = 2, .initial_value = 0}));
     print_report("naive bounded tag: 1 register, 4 tags (m far below n-1)",
                  adversary.run(n - 1));
@@ -72,7 +73,7 @@ int main() {
   {
     using Unbounded = aba::core::AbaRegisterUnboundedTag<SimP>;
     CoveringAdversary adversary(
-        n, make_weak_aba_factory<Unbounded>(n, {.value_bits = 1}),
+        n, aba_reg_factory<Unbounded>(n, {.value_bits = 1}),
         CoveringAdversary::Options{.max_iterations_per_level = 48,
                                    .max_replays = 20000,
                                    .verbose_log = false});

@@ -49,4 +49,30 @@ class AbaRegisterFromLlsc {
   std::vector<std::uint64_t> old_;
 };
 
+// Figure 5 over an LL/SC/VL object it owns, built like every other register
+// here from (env, n, options). The options are L's; the register starts at
+// options.initial_value, and initially_linked is forced on (the convention
+// above).
+template <class L>
+class AbaRegisterOverLlsc {
+ public:
+  using Options = typename L::Options;
+
+  template <class Env>
+  AbaRegisterOverLlsc(Env& env, int n, Options options = {})
+      : llsc_(env, n, linked(options)), reg_(llsc_, n, options.initial_value) {}
+
+  void dwrite(int p, std::uint64_t x) { reg_.dwrite(p, x); }
+  std::pair<std::uint64_t, bool> dread(int q) { return reg_.dread(q); }
+
+ private:
+  static Options linked(Options options) {
+    options.initially_linked = true;
+    return options;
+  }
+
+  L llsc_;
+  AbaRegisterFromLlsc<L> reg_;
+};
+
 }  // namespace aba::core

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/aba_register_from_llsc.h"
 #include "harness/harness.h"
 #include "reclaim/reclaimer.h"
 #include "sim/sim_world.h"
@@ -260,6 +261,24 @@ FixtureFactory make_factory(int n, Args... args) {
     return std::make_unique<InvokerT<Impl>>(
         world, history, std::make_unique<Impl>(world, n, args...));
   };
+}
+
+// The paper's registers and LL/SC/VL objects, each built from
+// (world, n, options).
+template <class Impl>
+FixtureFactory aba_reg_factory(int n, typename Impl::Options options = {}) {
+  return make_factory<AbaRegInvoker, Impl>(n, options);
+}
+
+template <class Impl>
+FixtureFactory llsc_factory(int n, typename Impl::Options options = {}) {
+  return make_factory<LlscInvoker, Impl>(n, options);
+}
+
+// Figure 5 composed over Llsc (which it builds initially linked).
+template <class Llsc>
+FixtureFactory fig5_factory(int n, typename Llsc::Options options = {}) {
+  return aba_reg_factory<core::AbaRegisterOverLlsc<Llsc>>(n, options);
 }
 
 }  // namespace aba::harness

@@ -1,5 +1,6 @@
 #include "harness/harness.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -47,13 +48,22 @@ bool ProgramCursor::all_done(const sim::SimWorld& world) const {
 }
 
 void ProgramCursor::advance(sim::SimWorld& world, Invoker& invoker, int pid) {
+  const auto p = static_cast<std::size_t>(pid);
   if (world.poised(pid).has_value()) {
     world.step(pid);
-    return;
+  } else {
+    ABA_ASSERT(runnable(world, pid));
+    invoker.invoke(queues_[p][next_op_[p]++]);
   }
-  ABA_ASSERT(runnable(world, pid));
-  const auto p = static_cast<std::size_t>(pid);
-  invoker.invoke(queues_[p][next_op_[p]++]);
+  if (world.is_idle(pid)) {
+    std::uint64_t& worst = worst_steps_[queues_[p][next_op_[p] - 1].method];
+    worst = std::max(worst, world.steps_in_method(pid));
+  }
+}
+
+std::uint64_t ProgramCursor::worst_steps(spec::Method method) const {
+  const auto it = worst_steps_.find(method);
+  return it == worst_steps_.end() ? 0 : it->second;
 }
 
 int ProgramCursor::ops_remaining(const sim::SimWorld& world, int pid) const {
@@ -131,26 +141,37 @@ std::vector<spec::Op> run_random_schedule(int num_processes,
   return history.ops();
 }
 
+void drive_round_robin(sim::SimWorld& world, Invoker& invoker,
+                       ProgramCursor& program, int quantum,
+                       const GrantObserver& on_grant) {
+  ABA_ASSERT(quantum >= 1);
+  // The cursor attributes each response to the op it invoked last.
+  ABA_ASSERT_MSG(world.all_idle(), "round-robin starts from a quiescent world");
+  auto grant = [&](int pid) {
+    program.advance(world, invoker, pid);
+    if (on_grant) on_grant(world);
+  };
+  for (int pid = 0; !program.all_done(world);
+       pid = (pid + 1) % program.num_processes()) {
+    if (!program.runnable(world, pid)) continue;
+    if (!world.poised(pid).has_value()) grant(pid);  // Invoke.
+    for (int steps = 0; steps < quantum && world.poised(pid).has_value();
+         ++steps) {
+      grant(pid);
+    }
+  }
+}
+
 std::vector<spec::Op> run_round_robin(int num_processes,
                                       const FixtureFactory& factory,
                                       const std::vector<WorkloadOp>& workload,
                                       int quantum) {
-  ABA_ASSERT(quantum >= 1);
   sim::SimWorld world(num_processes);
   world.set_trace_enabled(false);
   spec::History history;
   auto invoker = factory(world, history);
   ProgramCursor program(num_processes, workload);
-
-  int pid = 0;
-  while (!program.all_done(world)) {
-    int moved = 0;
-    while (moved < quantum && program.runnable(world, pid)) {
-      program.advance(world, *invoker, pid);
-      ++moved;
-    }
-    pid = (pid + 1) % num_processes;
-  }
+  drive_round_robin(world, *invoker, program, quantum);
   return history.ops();
 }
 

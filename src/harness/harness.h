@@ -8,7 +8,9 @@
 //   - schedule drivers (random, round-robin, and the search engine's
 //     scripted runner) decide which process moves at each point. They share
 //     one advance rule, ProgramCursor::advance: invoke the process's next
-//     workload op if idle, otherwise grant one step.
+//     workload op if idle, otherwise grant one step. The cursor also keeps
+//     each method's largest step count at response, which is where the
+//     paper's step-complexity tables read their numbers.
 //
 // Exhaustive checking is the search engine's job: search::harness_fixture
 // (sim/schedule_search.h) wraps a FixtureFactory for the DPOR explorer.
@@ -16,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,6 +82,9 @@ class ProgramCursor {
   // Moves `pid`, which must be runnable: one step if poised, else invoke
   // its next op.
   void advance(sim::SimWorld& world, Invoker& invoker, int pid);
+  // The largest steps_in_method an op of `method` had at its response; 0
+  // until one responds.
+  std::uint64_t worst_steps(spec::Method method) const;
   // Queued ops plus the one in flight; 0 once the process has crashed.
   int ops_remaining(const sim::SimWorld& world, int pid) const;
 
@@ -91,6 +97,7 @@ class ProgramCursor {
   std::vector<WorkloadOp> workload_;
   std::vector<std::vector<WorkloadOp>> queues_;  // Per-pid, FIFO.
   std::vector<std::size_t> next_op_;             // Queue cursors.
+  std::map<spec::Method, std::uint64_t> worst_steps_;
 };
 
 // ---------------------------------------------------------------------------
@@ -133,11 +140,26 @@ void drive_random_schedule(sim::SimWorld& world, Invoker& invoker,
                            const std::vector<WorkloadOp>& workload,
                            std::uint64_t seed, ScheduleLog* log = nullptr);
 
-// Round-robin over processes with a fixed quantum of steps (quantum = big
-// number approximates running ops solo, quantum = 1 maximizes interleaving).
+// Round-robin over processes in pid order, the paper's contention
+// adversary. On its turn a process invokes its next op if it is idle, then
+// takes up to `quantum` steps; the turn ends early when the op responds.
+// Quantum 1 interleaves the shared steps of every in-flight op one by one
+// (the lock-step schedule behind the E1-E4/E6 step counts); a large quantum
+// runs each op solo.
 std::vector<spec::Op> run_round_robin(int num_processes,
                                       const FixtureFactory& factory,
                                       const std::vector<WorkloadOp>& workload,
                                       int quantum);
+
+// Called after every grant (one invoke or one step) with the configuration
+// it reached; the tradeoff auditor takes its poise census here.
+using GrantObserver = std::function<void(const sim::SimWorld&)>;
+
+// The same schedule over a caller-owned world, invoker and program: the
+// caller reads program.worst_steps() and the world after the run. Every
+// process must be idle at the start.
+void drive_round_robin(sim::SimWorld& world, Invoker& invoker,
+                       ProgramCursor& program, int quantum,
+                       const GrantObserver& on_grant = {});
 
 }  // namespace aba::harness

@@ -24,7 +24,7 @@ std::string describe_objects(const sim::SimWorld& world,
 
 }  // namespace
 
-CoveringAdversary::CoveringAdversary(int n, WeakAbaFactory factory,
+CoveringAdversary::CoveringAdversary(int n, harness::FixtureFactory factory,
                                      Options options)
     : n_(n), factory_(std::move(factory)), options_(options) {
   ABA_ASSERT(n >= 2);
@@ -34,21 +34,32 @@ void CoveringAdversary::log(std::string line) {
   if (options_.verbose_log) report_.log.push_back(std::move(line));
 }
 
+bool CoveringAdversary::Runner::last_read_flag(int pid) const {
+  const std::vector<spec::Op> ops = history->completed_ops();
+  for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
+    if (it->pid == pid && it->method == spec::Method::kDRead) {
+      return spec::dread_flag(it->ret);
+    }
+  }
+  return false;
+}
+
 CoveringAdversary::Runner CoveringAdversary::make_runner() const {
   Runner runner;
   runner.world = std::make_unique<sim::SimWorld>(n_);
   runner.world->set_trace_enabled(false);
-  runner.inst = factory_(*runner.world);
+  runner.history = std::make_unique<spec::History>();
+  runner.invoker = factory_(*runner.world, *runner.history);
   return runner;
 }
 
 void CoveringAdversary::apply(Runner& runner, const Act& act) const {
   switch (act.kind) {
     case Act::Kind::kInvokeWrite:
-      runner.inst->invoke_weak_write();
+      runner.invoker->invoke({0, spec::Method::kDWrite, 0});
       break;
     case Act::Kind::kInvokeRead:
-      runner.inst->invoke_weak_read(act.pid);
+      runner.invoker->invoke({act.pid, spec::Method::kDRead, 0});
       break;
     case Act::Kind::kStep:
       runner.world->step(act.pid);
@@ -71,7 +82,7 @@ CoveringAdversary::ProbeResult CoveringAdversary::probe(
   Runner runner = replay(script);
   ProbeResult result;
   result.path.push_back({Act::Kind::kInvokeRead, probe_pid});
-  runner.inst->invoke_weak_read(probe_pid);
+  apply(runner, result.path.back());
   while (!runner.world->is_idle(probe_pid)) {
     const auto op = runner.world->poised(probe_pid);
     ABA_ASSERT(op.has_value());
@@ -197,9 +208,9 @@ bool CoveringAdversary::extend_cover(Runner& live, std::vector<Act>& script,
       ABA_ASSERT_MSG(clean_runner.world->memory_snapshot() == earlier.d_snapshot,
                      "reg(D'_i) must equal reg(D_i): probe writes were "
                      "obliterated by the block-write");
-      clean_runner.inst->invoke_weak_read(k);
+      apply(clean_runner, {Act::Kind::kInvokeRead, k});
       clean_runner.world->run_to_completion(k);
-      const bool clean_flag = clean_runner.inst->last_read_flag(k);
+      const bool clean_flag = clean_runner.last_read_flag(k);
 
       // D'_j: same registers, same probe state, but a WeakWrite completed
       // in sigma with no intervening WeakRead by the probe.
@@ -207,9 +218,9 @@ bool CoveringAdversary::extend_cover(Runner& live, std::vector<Act>& script,
       Runner dirty_runner = replay(w2);
       ABA_ASSERT_MSG(dirty_runner.world->memory_snapshot() == failure.d_snapshot,
                      "reg(D'_j) must equal reg(D_j)");
-      dirty_runner.inst->invoke_weak_read(k);
+      apply(dirty_runner, {Act::Kind::kInvokeRead, k});
       dirty_runner.world->run_to_completion(k);
-      const bool dirty_flag = dirty_runner.inst->last_read_flag(k);
+      const bool dirty_flag = dirty_runner.last_read_flag(k);
 
       report_.clean_flag = clean_flag;
       report_.dirty_flag = dirty_flag;
@@ -241,8 +252,8 @@ bool CoveringAdversary::extend_cover(Runner& live, std::vector<Act>& script,
     // gamma_i: covering readers finish their WeakReads, then process 0
     // completes exactly one WeakWrite. Restores quiescence (Q_i).
     for (int pid = 1; pid < k; ++pid) record_steps_to_completion(pid);
-    live.inst->invoke_weak_write();
     script.push_back({Act::Kind::kInvokeWrite, 0});
+    apply(live, script.back());
     record_steps_to_completion(0);
   }
 

@@ -8,8 +8,11 @@
 // configurations reg(D_i) to build two configurations that p_k cannot
 // distinguish, one p_k-clean and one p_k-dirty, contradicting correctness.
 //
-// This class runs that construction against ANY implementation plugged in as
-// a WeakAbaFactory:
+// This class runs that construction against ANY ABA-detecting register
+// plugged in as a harness::FixtureFactory — WeakWrite is process 0's
+// DWrite(0) (a constant: the bound is about a single-writer 1-bit register,
+// so the implementation can't lean on value changes), WeakRead is a
+// reader's DRead, and its flag is read back from the history:
 //   * against a correct implementation (e.g. Figure 4), every probe escapes
 //     the covered set and the adversary reports the full cover of n-1
 //     distinct registers — the space lower bound "witnessed";
@@ -29,12 +32,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "lowerbound/weak_aba.h"
+#include "harness/harness.h"
 #include "sim/sim_world.h"
+#include "spec/history.h"
 
 namespace aba::lowerbound {
 
@@ -76,8 +81,8 @@ class CoveringAdversary {
     bool verbose_log = true;
   };
 
-  CoveringAdversary(int n, WeakAbaFactory factory, Options options);
-  CoveringAdversary(int n, WeakAbaFactory factory)
+  CoveringAdversary(int n, harness::FixtureFactory factory, Options options);
+  CoveringAdversary(int n, harness::FixtureFactory factory)
       : CoveringAdversary(n, std::move(factory), Options()) {}
 
   // Runs the construction aiming for a cover of `target_k` distinct
@@ -87,7 +92,11 @@ class CoveringAdversary {
  private:
   struct Runner {
     std::unique_ptr<sim::SimWorld> world;
-    std::unique_ptr<WeakAbaInstance> inst;
+    std::unique_ptr<spec::History> history;
+    std::unique_ptr<harness::Invoker> invoker;
+
+    // The flag of `pid`'s last completed WeakRead.
+    bool last_read_flag(int pid) const;
   };
 
   Runner make_runner() const;
@@ -112,7 +121,7 @@ class CoveringAdversary {
   void log(std::string line);
 
   int n_;
-  WeakAbaFactory factory_;
+  harness::FixtureFactory factory_;
   Options options_;
   CoveringReport report_;
 };

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "util/assert.h"
-#include "util/rng.h"
 
 namespace aba::lowerbound {
 
@@ -24,8 +23,8 @@ std::string TradeoffReport::summary() const {
   return out.str();
 }
 
-TradeoffAuditor::TradeoffAuditor(int n, WeakAbaFactory factory, Options options)
-    : n_(n), factory_(std::move(factory)), options_(options) {
+TradeoffAuditor::TradeoffAuditor(int n, harness::FixtureFactory factory)
+    : n_(n), factory_(std::move(factory)) {
   ABA_ASSERT(n >= 2);
 }
 
@@ -34,40 +33,38 @@ TradeoffReport TradeoffAuditor::audit() {
   report.n = n_;
   report.lower_bound = static_cast<std::uint64_t>(n_ - 1);
 
+  sim::SimWorld world(n_);
+  world.set_trace_enabled(false);
+  spec::History history;
+  auto invoker = factory_(world, history);
+
   // ---- Static census: objects, kinds, boundedness. ----
-  {
-    sim::SimWorld world(n_);
-    world.set_trace_enabled(false);
-    auto inst = factory_(world);
-    report.num_objects = static_cast<int>(world.num_objects());
-    for (std::size_t i = 0; i < world.num_objects(); ++i) {
-      const auto info = world.object_info(static_cast<sim::ObjectId>(i));
-      if (!info.bound.is_bounded()) report.all_bounded = false;
-      switch (info.kind) {
-        case sim::ObjectKind::kRegister:
-          ++report.num_registers;
-          break;
-        case sim::ObjectKind::kCas:
-          ++report.num_cas_objects;
-          report.has_cas = true;
-          break;
-        case sim::ObjectKind::kWritableCas:
-          ++report.num_cas_objects;
-          report.has_cas = true;
-          report.has_writable_cas = true;
-          break;
-      }
+  report.num_objects = static_cast<int>(world.num_objects());
+  for (std::size_t i = 0; i < world.num_objects(); ++i) {
+    const auto info = world.object_info(static_cast<sim::ObjectId>(i));
+    if (!info.bound.is_bounded()) report.all_bounded = false;
+    switch (info.kind) {
+      case sim::ObjectKind::kRegister:
+        ++report.num_registers;
+        break;
+      case sim::ObjectKind::kCas:
+        ++report.num_cas_objects;
+        report.has_cas = true;
+        break;
+      case sim::ObjectKind::kWritableCas:
+        ++report.num_cas_objects;
+        report.has_cas = true;
+        report.has_writable_cas = true;
+        break;
     }
   }
 
-  util::Xoshiro256 rng(options_.seed);
-
   // Scans all processes' poised ops, folding the per-object census maxima
   // into the report (the WCov/CCov quantities of Lemma 3).
-  auto census = [&](sim::SimWorld& world) {
+  auto census = [&](const sim::SimWorld& config) {
     std::map<sim::ObjectId, std::uint64_t> writes, cases;
     for (int pid = 0; pid < n_; ++pid) {
-      const auto op = world.poised(pid);
+      const auto op = config.poised(pid);
       if (!op.has_value()) continue;
       if (op->kind == sim::OpKind::kWrite) ++writes[op->obj];
       if (op->kind == sim::OpKind::kCas) ++cases[op->obj];
@@ -84,90 +81,21 @@ TradeoffReport TradeoffAuditor::audit() {
     }
   };
 
-  // ---- Dynamic search: randomized adversarial schedules. ----
-  // Process 0 loops WeakWrite, readers loop WeakRead (the proofs' program).
-  for (int round = 0; round < options_.random_rounds; ++round) {
-    sim::SimWorld world(n_);
-    world.set_trace_enabled(false);
-    auto inst = factory_(world);
-    std::vector<int> remaining(n_, options_.ops_per_round);
-
-    auto runnable = [&](int pid) {
-      return world.poised(pid).has_value() ||
-             (world.is_idle(pid) && remaining[pid] > 0);
-    };
-
-    for (;;) {
-      std::vector<int> candidates;
-      for (int pid = 0; pid < n_; ++pid) {
-        if (runnable(pid)) candidates.push_back(pid);
-      }
-      if (candidates.empty()) break;
-      const int pid = candidates[rng.below(candidates.size())];
-      if (world.poised(pid).has_value()) {
-        world.step(pid);
-        if (world.is_idle(pid)) {
-          const std::uint64_t steps = world.steps_in_method(pid);
-          if (pid == 0) {
-            report.worst_write_steps = std::max(report.worst_write_steps, steps);
-          } else {
-            report.worst_read_steps = std::max(report.worst_read_steps, steps);
-          }
-        }
-      } else {
-        --remaining[pid];
-        if (pid == 0) {
-          inst->invoke_weak_write();
-        } else {
-          inst->invoke_weak_read(pid);
-        }
-      }
-      census(world);
+  // ---- Dynamic: one run under the lock-step contention adversary. ----
+  // Quantum 1 gives every in-flight process one step per sweep, so reads
+  // and CASes of different processes interleave maximally and CAS-retry
+  // loops reach their worst case.
+  std::vector<harness::WorkloadOp> workload;
+  for (int pid = 0; pid < n_; ++pid) {
+    for (int i = 0; i < kOpsPerProcess; ++i) {
+      workload.push_back(
+          {pid, pid == 0 ? spec::Method::kDWrite : spec::Method::kDRead, 0});
     }
   }
-
-  // ---- Targeted contention round: everyone in flight, lock-step. ----
-  // This drives CAS-retry loops to their worst case: in each sweep every
-  // in-flight process executes exactly one step, so reads and CASes of
-  // different processes interleave maximally.
-  {
-    sim::SimWorld world(n_);
-    world.set_trace_enabled(false);
-    auto inst = factory_(world);
-    std::vector<int> remaining(n_, options_.ops_per_round);
-    bool work_left = true;
-    while (work_left) {
-      work_left = false;
-      for (int pid = 0; pid < n_; ++pid) {
-        if (world.is_idle(pid) && remaining[pid] > 0) {
-          --remaining[pid];
-          if (pid == 0) {
-            inst->invoke_weak_write();
-          } else {
-            inst->invoke_weak_read(pid);
-          }
-        }
-      }
-      census(world);
-      for (int pid = 0; pid < n_; ++pid) {
-        if (world.poised(pid).has_value()) {
-          world.step(pid);
-          work_left = true;
-          if (world.is_idle(pid)) {
-            const std::uint64_t steps = world.steps_in_method(pid);
-            if (pid == 0) {
-              report.worst_write_steps =
-                  std::max(report.worst_write_steps, steps);
-            } else {
-              report.worst_read_steps = std::max(report.worst_read_steps, steps);
-            }
-          }
-        }
-        if (remaining[pid] > 0) work_left = true;
-      }
-      census(world);
-    }
-  }
+  harness::ProgramCursor program(n_, std::move(workload));
+  harness::drive_round_robin(world, *invoker, program, /*quantum=*/1, census);
+  report.worst_write_steps = program.worst_steps(spec::Method::kDWrite);
+  report.worst_read_steps = program.worst_steps(spec::Method::kDRead);
 
   report.t = std::max(report.worst_read_steps, report.worst_write_steps);
   const std::uint64_t factor = report.has_writable_cas ? 2 : 1;

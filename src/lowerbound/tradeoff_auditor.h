@@ -9,15 +9,19 @@
 // while Lemma 2 caps how many processes can be poised on any single object
 // at t (per operation class); counting then yields the bound.
 //
-// The auditor measures, for any implementation plugged in as a
-// WeakAbaFactory:
+// The auditor measures, for any ABA-detecting register plugged in as a
+// harness::FixtureFactory (WeakWrite is process 0's DWrite(0), WeakRead is
+// a reader's DRead and its flag):
 //   m                — number of base objects and their kinds/boundedness,
 //   t                — worst-case observed step complexity of WeakRead and
-//                      WeakWrite over adversarial and randomized schedules,
+//                      WeakWrite under the round-robin contention adversary
+//                      (harness::drive_round_robin at quantum 1; every
+//                      process runs kOpsPerProcess ops),
 //   poise census     — the largest number of processes simultaneously poised
 //                      to access one object (split into Write/CAS classes),
-//                      over all configurations visited — the quantity
-//                      WCov/CCov that Lemma 3(iii) bounds by t,
+//                      over the configuration after every grant of that
+//                      run — the quantity WCov/CCov that Lemma 3(iii)
+//                      bounds by t,
 // and evaluates the paper's inequality. Bounded implementations must come
 // out consistent (product >= n-1); unbounded ones (Moir-style tags) violate
 // the numeric inequality, which is precisely the paper's separation between
@@ -27,7 +31,7 @@
 #include <cstdint>
 #include <string>
 
-#include "lowerbound/weak_aba.h"
+#include "harness/harness.h"
 
 namespace aba::lowerbound {
 
@@ -60,22 +64,17 @@ struct TradeoffReport {
 
 class TradeoffAuditor {
  public:
-  struct Options {
-    int random_rounds = 32;        // Randomized schedules for worst-t search.
-    int ops_per_round = 24;        // Method calls per process per round.
-    std::uint64_t seed = 12345;
-  };
+  // Ops per process in the audited run: process 0 loops WeakWrite, the
+  // readers loop WeakRead (the proofs' program).
+  static constexpr int kOpsPerProcess = 24;
 
-  TradeoffAuditor(int n, WeakAbaFactory factory, Options options);
-  TradeoffAuditor(int n, WeakAbaFactory factory)
-      : TradeoffAuditor(n, std::move(factory), Options()) {}
+  TradeoffAuditor(int n, harness::FixtureFactory factory);
 
   TradeoffReport audit();
 
  private:
   int n_;
-  WeakAbaFactory factory_;
-  Options options_;
+  harness::FixtureFactory factory_;
 };
 
 }  // namespace aba::lowerbound

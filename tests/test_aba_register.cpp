@@ -311,7 +311,7 @@ TEST_P(Fig5OverMoirRandomLinearizable, HistoryIsLinearizable) {
   const auto workload =
       random_aba_workload(param.n, param.ops_per_process, 4, param.seed);
   const auto ops = harness::run_random_schedule(
-      param.n, fig5_factory<core::LlscUnboundedTag<SimP>>(param.n, 0), workload,
+      param.n, fig5_factory<core::LlscUnboundedTag<SimP>>(param.n), workload,
       param.seed * 31337 + 5);
   const auto result = spec::check_linearizable<spec::AbaRegisterSpec>(
       ops, spec::AbaRegisterSpec::initial(param.n, 0));
@@ -331,7 +331,7 @@ TEST_P(Fig5OverFig3RandomLinearizable, HistoryIsLinearizable) {
   const auto workload =
       random_aba_workload(param.n, param.ops_per_process, 4, param.seed);
   const auto ops = harness::run_random_schedule(
-      param.n, fig5_factory<core::LlscSingleCas<SimP>>(param.n, 0), workload,
+      param.n, fig5_factory<core::LlscSingleCas<SimP>>(param.n), workload,
       param.seed * 27644437 + 11);
   const auto result = spec::check_linearizable<spec::AbaRegisterSpec>(
       ops, spec::AbaRegisterSpec::initial(param.n, 0));
@@ -376,7 +376,7 @@ TEST(Fig5Exhaustive, OverFig3SmallScenario) {
       {1, spec::Method::kDRead, 0},
   };
   const auto result = explore_exhaustively(
-      2, fig5_factory<core::LlscSingleCas<SimP>>(2, 0),
+      2, fig5_factory<core::LlscSingleCas<SimP>>(2),
       search::SpecKind::kAbaRegister, workload);
   EXPECT_FALSE(result.budget_exhausted);
   EXPECT_FALSE(result.violation_found()) << first_violation(result);
@@ -440,7 +440,7 @@ TEST_P(AbaRoundRobin, HistoryIsLinearizable) {
     } else if (impl == 1) {
       factory = aba_reg_factory<UnboundedTag>(n, {.value_bits = 4});
     } else {
-      factory = fig5_factory<core::LlscSingleCas<SimP>>(n, 0);
+      factory = fig5_factory<core::LlscSingleCas<SimP>>(n);
     }
     const auto ops = harness::run_round_robin(n, factory, workload, quantum);
     const auto result = spec::check_linearizable<spec::AbaRegisterSpec>(

@@ -21,11 +21,8 @@ namespace {
 using SimP = sim::SimPlatform;
 using search::SpecKind;
 using spec::Method;
-using testing::aba_reg_factory;
 using testing::explore_exhaustively;
-using testing::fig5_factory;
 using testing::first_violation;
-using testing::llsc_factory;
 
 using Fig3 = core::LlscSingleCas<SimP>;
 using Fig4 = core::AbaRegisterBounded<SimP>;
@@ -82,7 +79,10 @@ class PlainRegisterInvoker : public Invoker {
       });
     } else {
       world_.invoke(op.pid, [this, op, idx] {
-        history_.complete(idx, impl_->read(op.pid), world_.next_event_time());
+        // Read first: argument evaluation order is unspecified, and the
+        // response time must come after the read's step.
+        const std::uint64_t value = impl_->read(op.pid);
+        history_.complete(idx, value, world_.next_event_time());
       });
     }
   }
@@ -179,6 +179,51 @@ TEST(RoundRobin, LargeQuantumRunsOpsSolo) {
   ASSERT_EQ(ops.size(), 2u);
   // Solo execution: the read (runs after the write completes) must see 9.
   EXPECT_EQ(ops[1].ret, 9u);
+}
+
+TEST(RoundRobin, QuantumOneTurnInvokesAndSteps) {
+  // At quantum 1 an idle process's turn both invokes its next op and takes
+  // the op's first step. Every op here is one step, so each responds within
+  // its own turn: the history is sequential, in pid order. A rule that let
+  // the invoke use up the turn would overlap the ops of each sweep.
+  const std::vector<WorkloadOp> workload = {
+      {0, Method::kWrite, 1}, {0, Method::kWrite, 2},
+      {1, Method::kRead, 0},  {1, Method::kRead, 0},
+      {2, Method::kRead, 0},  {2, Method::kRead, 0},
+  };
+  const auto ops = run_round_robin(3, plain_register_factory(3), workload, 1);
+  ASSERT_EQ(ops.size(), 6u);
+  const std::vector<int> pids = {0, 1, 2, 0, 1, 2};
+  const std::vector<std::uint64_t> rets = {0, 1, 1, 0, 2, 2};
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_EQ(ops[i].pid, pids[i]) << "op " << i;
+    EXPECT_EQ(ops[i].ret, rets[i]) << "op " << i;
+    if (i + 1 < ops.size()) {
+      EXPECT_LT(ops[i].response_ts, ops[i + 1].invoke_ts)
+          << "op " << i << " still pending when op " << i + 1 << " began";
+    }
+  }
+}
+
+TEST(RoundRobin, RecordsEachMethodsWorstStepsAtResponse) {
+  // The driver's cursor keeps each method's largest steps_in_method at
+  // response: Figure 4's DWrite is 2 steps and its DRead 4 (Theorem 3).
+  const int n = 3;
+  sim::SimWorld world(n);
+  spec::History history;
+  auto invoker = aba_reg_factory<Fig4>(n)(world, history);
+  ProgramCursor program(n, {{0, Method::kDWrite, 1},
+                            {1, Method::kDRead, 0},
+                            {2, Method::kDRead, 0},
+                            {0, Method::kDWrite, 2}});
+  int grants = 0;
+  drive_round_robin(world, *invoker, program, 1,
+                    [&](const sim::SimWorld&) { ++grants; });
+  EXPECT_EQ(program.worst_steps(Method::kDWrite), 2u);
+  EXPECT_EQ(program.worst_steps(Method::kDRead), 4u);
+  EXPECT_EQ(program.worst_steps(Method::kLL), 0u);
+  // One grant per invoke and per step: 4 invokes, 2*2 + 2*4 steps.
+  EXPECT_EQ(grants, 4 + 4 + 8);
 }
 
 // ------------------------------------------------------------ model check
@@ -303,7 +348,7 @@ TEST(ModelCheck, DporAgreesWithPlainDfsOnThePaperObjects) {
        true},
       {"Fig4 w || r r", aba_reg_factory<Fig4>(2), SpecKind::kAbaRegister,
        w_rr, false},
-      {"Fig5 over Fig3 w || r r", fig5_factory<Fig3>(2, 0),
+      {"Fig5 over Fig3 w || r r", fig5_factory<Fig3>(2),
        SpecKind::kAbaRegister, w_rr, false},
       {"Fig3 ll sc || ll sc", llsc_factory<Fig3>(2, {.value_bits = 4}),
        SpecKind::kLlsc, llsc_race, false},

@@ -179,29 +179,19 @@ TEST(Fig3Races, LlCasInterferenceStaysWithinBound) {
   const int n = 4;
   sim::SimWorld world(n);
   spec::History history;
-  auto invoker = std::make_unique<harness::LlscInvoker<Fig3>>(
-      world, history,
-      std::make_unique<Fig3>(world, n,
-                             Fig3::Options{.value_bits = 8,
-                                           .initial_value = 0,
-                                           .initially_linked = false}));
+  auto invoker = llsc_factory<Fig3>(n, {.value_bits = 8,
+                                        .initial_value = 0,
+                                        .initially_linked = false})(world,
+                                                                    history);
 
-  // All processes start LLs (all bits set initially -> all take the CAS
-  // path). Interleave their read/CAS pairs adversarially: each CAS succeeds
-  // for one process and fails the in-flight attempts of the rest.
-  for (int p = 0; p < n; ++p) invoker->invoke({p, spec::Method::kLL, 0});
-  // Round-robin single steps until all LLs complete.
-  bool progress = true;
-  int guard = 0;
-  while (progress && guard++ < 1000) {
-    progress = false;
-    for (int p = 0; p < n; ++p) {
-      if (world.poised(p).has_value()) {
-        world.step(p);
-        progress = true;
-      }
-    }
-  }
+  // All processes run one LL (all bits set initially -> all take the CAS
+  // path). The round-robin adversary at quantum 1 interleaves their
+  // read/CAS pairs: each CAS succeeds for one process and fails the
+  // in-flight attempts of the rest.
+  std::vector<harness::WorkloadOp> workload;
+  for (int p = 0; p < n; ++p) workload.push_back({p, spec::Method::kLL, 0});
+  harness::ProgramCursor program(n, std::move(workload));
+  harness::drive_round_robin(world, *invoker, program, /*quantum=*/1);
   ASSERT_TRUE(world.all_idle());
   for (int p = 0; p < n; ++p) {
     EXPECT_LE(world.steps_in_method(p),

@@ -5,61 +5,32 @@
 
 #include "core/aba_register_bounded.h"
 #include "core/aba_register_bounded_tag_naive.h"
-#include "core/aba_register_from_llsc.h"
 #include "core/aba_register_unbounded_tag.h"
 #include "core/llsc_single_cas.h"
 #include "core/llsc_unbounded_tag.h"
+#include "harness/adapters.h"
 #include "lowerbound/covering_adversary.h"
 #include "lowerbound/tradeoff_auditor.h"
-#include "lowerbound/weak_aba.h"
 #include "sim/sim_platform.h"
 
 namespace aba::lowerbound {
 namespace {
 
 using SimP = sim::SimPlatform;
+using harness::aba_reg_factory;
 using Fig4 = core::AbaRegisterBounded<SimP>;
 using NaiveTag = core::AbaRegisterBoundedTagNaive<SimP>;
 using UnboundedTag = core::AbaRegisterUnboundedTag<SimP>;
 
-// WeakAba factory for Figure 5 over Figure 3 (the all-bounded CAS-based
-// stack used by the tradeoff audits).
-WeakAbaFactory fig5_over_fig3_factory(int n) {
-  return [n](sim::SimWorld& world) -> std::unique_ptr<WeakAbaInstance> {
-    struct Composed {
-      Composed(sim::SimWorld& world, int n)
-          : llsc(world, n,
-                 core::LlscSingleCas<SimP>::Options{.value_bits = 4,
-                                                    .initial_value = 0,
-                                                    .initially_linked = true}),
-            reg(llsc, n, 0) {}
-      std::pair<std::uint64_t, bool> dread(int q) { return reg.dread(q); }
-      void dwrite(int p, std::uint64_t x) { reg.dwrite(p, x); }
-      core::LlscSingleCas<SimP> llsc;
-      core::AbaRegisterFromLlsc<core::LlscSingleCas<SimP>> reg;
-    };
-    return std::make_unique<WeakAbaAdapter<Composed>>(
-        world, std::make_unique<Composed>(world, n), n);
-  };
+// Figure 5 over Figure 3 (the all-bounded CAS-based stack used by the
+// tradeoff audits) and over Moir's unbounded-tag LL/SC.
+harness::FixtureFactory fig5_over_fig3_factory(int n) {
+  return harness::fig5_factory<core::LlscSingleCas<SimP>>(n, {.value_bits = 4});
 }
 
-WeakAbaFactory fig5_over_moir_factory(int n) {
-  return [n](sim::SimWorld& world) -> std::unique_ptr<WeakAbaInstance> {
-    struct Composed {
-      Composed(sim::SimWorld& world, int n)
-          : llsc(world, n,
-                 core::LlscUnboundedTag<SimP>::Options{.value_bits = 4,
-                                                       .initial_value = 0,
-                                                       .initially_linked = true}),
-            reg(llsc, n, 0) {}
-      std::pair<std::uint64_t, bool> dread(int q) { return reg.dread(q); }
-      void dwrite(int p, std::uint64_t x) { reg.dwrite(p, x); }
-      core::LlscUnboundedTag<SimP> llsc;
-      core::AbaRegisterFromLlsc<core::LlscUnboundedTag<SimP>> reg;
-    };
-    return std::make_unique<WeakAbaAdapter<Composed>>(
-        world, std::make_unique<Composed>(world, n), n);
-  };
+harness::FixtureFactory fig5_over_moir_factory(int n) {
+  return harness::fig5_factory<core::LlscUnboundedTag<SimP>>(
+      n, {.value_bits = 4});
 }
 
 // ----------------------------------------------------- covering adversary
@@ -68,7 +39,7 @@ TEST(CoveringAdversary, BreaksNaiveBoundedTagRegister) {
   // m = 1 bounded register with 4 tags: far below m >= n-1 for n = 3.
   const int n = 3;
   CoveringAdversary adversary(
-      n, make_weak_aba_factory<NaiveTag>(
+      n, aba_reg_factory<NaiveTag>(
              n, {.value_bits = 4, .tag_bits = 2, .initial_value = 0}));
   const auto report = adversary.run(n - 1);
   EXPECT_TRUE(report.violation_found) << "the naive tag register must break";
@@ -83,7 +54,7 @@ TEST(CoveringAdversary, BreaksNaiveTagEvenWithWideTags) {
   // More tags only delays the pigeonhole; 5 bits = 32 configurations.
   const int n = 2;
   CoveringAdversary adversary(
-      n, make_weak_aba_factory<NaiveTag>(
+      n, aba_reg_factory<NaiveTag>(
              n, {.value_bits = 1, .tag_bits = 5, .initial_value = 0}),
       CoveringAdversary::Options{.max_iterations_per_level = 256,
                                  .max_replays = 100000,
@@ -97,7 +68,7 @@ TEST(CoveringAdversary, BreaksNaiveTagEvenWithWideTags) {
 TEST(CoveringAdversary, Fig4ReachesFullCover) {
   for (int n : {2, 3, 4, 6}) {
     CoveringAdversary adversary(
-        n, make_weak_aba_factory<Fig4>(n, {.value_bits = 1}));
+        n, aba_reg_factory<Fig4>(n, {.value_bits = 1}));
     const auto report = adversary.run(n - 1);
     EXPECT_TRUE(report.cover_reached) << "n=" << n;
     EXPECT_FALSE(report.violation_found) << "n=" << n;
@@ -110,7 +81,7 @@ TEST(CoveringAdversary, Fig4CoverUsesAnnounceRegisters) {
   // the structural reason Figure 4 needs its announce array.
   const int n = 4;
   CoveringAdversary adversary(n,
-                              make_weak_aba_factory<Fig4>(n, {.value_bits = 1}));
+                              aba_reg_factory<Fig4>(n, {.value_bits = 1}));
   const auto report = adversary.run(n - 1);
   ASSERT_TRUE(report.cover_reached);
   bool mentions_announce = false;
@@ -126,7 +97,7 @@ TEST(CoveringAdversary, UnboundedTagExhaustsBudgetWithoutRepeat) {
   // between bounded and unbounded base objects.
   const int n = 2;
   CoveringAdversary adversary(
-      n, make_weak_aba_factory<UnboundedTag>(n, {.value_bits = 1}),
+      n, aba_reg_factory<UnboundedTag>(n, {.value_bits = 1}),
       CoveringAdversary::Options{.max_iterations_per_level = 64,
                                  .max_replays = 50000,
                                  .verbose_log = false});
@@ -139,7 +110,7 @@ TEST(CoveringAdversary, UnboundedTagExhaustsBudgetWithoutRepeat) {
 TEST(CoveringAdversary, ProducesNarratedTrace) {
   const int n = 3;
   CoveringAdversary adversary(n,
-                              make_weak_aba_factory<Fig4>(n, {.value_bits = 1}));
+                              aba_reg_factory<Fig4>(n, {.value_bits = 1}));
   const auto report = adversary.run(n - 1);
   EXPECT_FALSE(report.log.empty());
 }
@@ -148,7 +119,7 @@ TEST(CoveringAdversary, ProducesNarratedTrace) {
 
 TEST(TradeoffAuditor, Fig4Consistent) {
   for (int n : {2, 4, 8}) {
-    TradeoffAuditor auditor(n, make_weak_aba_factory<Fig4>(n, {.value_bits = 1}));
+    TradeoffAuditor auditor(n, aba_reg_factory<Fig4>(n, {.value_bits = 1}));
     const auto report = auditor.audit();
     EXPECT_EQ(report.num_objects, n + 1) << report.summary();
     EXPECT_TRUE(report.all_bounded);
@@ -203,7 +174,7 @@ TEST(TradeoffAuditor, MoirUnboundedBeatsTheBound) {
 TEST(TradeoffAuditor, UnboundedTagRegisterBeatsTheBound) {
   const int n = 8;
   TradeoffAuditor auditor(
-      n, make_weak_aba_factory<UnboundedTag>(n, {.value_bits = 1}));
+      n, aba_reg_factory<UnboundedTag>(n, {.value_bits = 1}));
   const auto report = auditor.audit();
   EXPECT_FALSE(report.all_bounded);
   EXPECT_EQ(report.num_objects, 1);
@@ -222,7 +193,7 @@ TEST(TradeoffAuditor, CensusStaysWithinLemma3Bound) {
 }
 
 TEST(TradeoffAuditor, SummaryIsInformative) {
-  TradeoffAuditor auditor(3, make_weak_aba_factory<Fig4>(3, {.value_bits = 1}));
+  TradeoffAuditor auditor(3, aba_reg_factory<Fig4>(3, {.value_bits = 1}));
   const auto report = auditor.audit();
   const std::string s = report.summary();
   EXPECT_NE(s.find("n=3"), std::string::npos);

@@ -27,7 +27,7 @@ namespace {
 using SimP = sim::SimPlatform;
 using NativeP = native::NativePlatform<>;
 using testing::explore_exhaustively;
-using testing::fig5_factory;
+using harness::fig5_factory;
 using testing::first_violation;
 
 // ------------------------------------------------------------ API concepts
@@ -39,6 +39,8 @@ static_assert(
     core::AbaDetectingRegister<core::AbaRegisterBoundedTagNaive<SimP>>);
 static_assert(core::AbaDetectingRegister<
               core::AbaRegisterFromLlsc<core::LlscSingleCas<SimP>>>);
+static_assert(core::AbaDetectingRegister<
+              core::AbaRegisterOverLlsc<core::LlscSingleCas<SimP>>>);
 
 static_assert(core::LlScVl<core::LlscSingleCas<SimP>>);
 static_assert(core::LlScVl<core::LlscSingleCas<NativeP>>);
@@ -145,35 +147,35 @@ TEST(AppendixC_Claims4And5, WritePlacementSweepStaysLinearizable) {
 TEST(AppendixD_Claim6, LlOnlyInterferenceCannotExhaustRetries) {
   const int n = 4;
   sim::SimWorld world(n);
-  core::LlscSingleCas<SimP> obj(
-      world, n, {.value_bits = 8, .initial_value = 0, .initially_linked = false});
-  // All processes run their first LL concurrently in lock-step; nobody runs
-  // an SC. Every LL must complete with b = false (a successful bit-clearing
-  // CAS), i.e. in at most 3 + 2(n-1) steps, never taking the b=true exit.
+  spec::History history;
+  auto invoker = harness::llsc_factory<core::LlscSingleCas<SimP>>(
+      n, {.value_bits = 8, .initial_value = 0, .initially_linked = false})(
+      world, history);
+  // All processes run their first LL concurrently in lock-step (the
+  // round-robin adversary at quantum 1); nobody runs an SC. Every LL must
+  // complete with b = false (a successful bit-clearing CAS), i.e. in at most
+  // 3 + 2(n-1) steps, never taking the b=true exit.
+  std::vector<harness::WorkloadOp> lls, vls;
   for (int p = 0; p < n; ++p) {
-    world.invoke(p, [&obj, p] { obj.ll(p); });
+    lls.push_back({p, spec::Method::kLL, 0});
+    vls.push_back({p, spec::Method::kVL, 0});
   }
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (int p = 0; p < n; ++p) {
-      if (world.poised(p).has_value()) {
-        world.step(p);
-        progress = true;
-      }
-    }
-  }
+  harness::ProgramCursor ll_program(n, std::move(lls));
+  harness::drive_round_robin(world, *invoker, ll_program, /*quantum=*/1);
   ASSERT_TRUE(world.all_idle());
   // If some LL had taken the "n failures" exit, a subsequent VL would be
   // false despite no SC ever running — check VL is true for everyone.
-  for (int p = 0; p < n; ++p) {
-    bool vl = false;
-    world.invoke(p, [&obj, p, &vl] { vl = obj.vl(p); });
-    world.run_to_completion(p);
-    EXPECT_TRUE(vl) << "p" << p
-                    << ": LL must not conclude 'SC intervened' from LL-only "
-                       "interference (Claim 6)";
+  harness::ProgramCursor vl_program(n, std::move(vls));
+  harness::drive_round_robin(world, *invoker, vl_program, /*quantum=*/1);
+  int vls_checked = 0;
+  for (const spec::Op& op : history.ops()) {
+    if (op.method != spec::Method::kVL) continue;
+    ++vls_checked;
+    EXPECT_EQ(op.ret, 1u) << "p" << op.pid
+                          << ": LL must not conclude 'SC intervened' from "
+                             "LL-only interference (Claim 6)";
   }
+  EXPECT_EQ(vls_checked, n);
 }
 
 // -------------------------------------------------- Appendix D, Claims 7-10
@@ -257,7 +259,7 @@ TEST(CrossComposition, Fig5OverRegArrayExhaustive) {
       {1, spec::Method::kDRead, 0},
   };
   const auto result = explore_exhaustively(
-      2, fig5_factory<core::LlscRegisterArray<SimP>>(2, 0, {.value_bits = 4}),
+      2, fig5_factory<core::LlscRegisterArray<SimP>>(2, {.value_bits = 4}),
       search::SpecKind::kAbaRegister, workload);
   EXPECT_FALSE(result.budget_exhausted);
   EXPECT_FALSE(result.violation_found()) << first_violation(result);

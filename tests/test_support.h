@@ -1,6 +1,6 @@
-// Shared helpers for the test suites: fixture factories binding each
-// implementation to the harness, linearizability-check closures, the
-// exhaustive model-checking entry point, and workload generators.
+// Shared helpers for the test suites: the harness's fixture factories,
+// linearizability-check closures, the exhaustive model-checking entry
+// point, and workload generators.
 #pragma once
 
 #include <cstdint>
@@ -27,53 +27,9 @@
 namespace aba::testing {
 
 using SimP = sim::SimPlatform;
-
-// ------------------------------------------------------------- factories
-
-template <class Impl>
-harness::FixtureFactory aba_reg_factory(int n, typename Impl::Options options = {}) {
-  return [n, options](sim::SimWorld& world,
-                      spec::History& history) -> std::unique_ptr<harness::Invoker> {
-    auto impl = std::make_unique<Impl>(world, n, options);
-    return std::make_unique<harness::AbaRegInvoker<Impl>>(world, history,
-                                                          std::move(impl));
-  };
-}
-
-template <class Impl>
-harness::FixtureFactory llsc_factory(int n, typename Impl::Options options = {}) {
-  return [n, options](sim::SimWorld& world,
-                      spec::History& history) -> std::unique_ptr<harness::Invoker> {
-    auto impl = std::make_unique<Impl>(world, n, options);
-    return std::make_unique<harness::LlscInvoker<Impl>>(world, history,
-                                                        std::move(impl));
-  };
-}
-
-// Figure 5 composed over a given LL/SC/VL implementation (always built with
-// initially_linked = true, the convention the reduction requires).
-template <class Llsc>
-harness::FixtureFactory fig5_factory(int n, std::uint64_t initial_value,
-                                     typename Llsc::Options llsc_options = {}) {
-  llsc_options.initially_linked = true;
-  llsc_options.initial_value = initial_value;
-  return [n, initial_value, llsc_options](
-             sim::SimWorld& world,
-             spec::History& history) -> std::unique_ptr<harness::Invoker> {
-    struct Composed {
-      Composed(sim::SimWorld& world, int n, std::uint64_t init,
-               const typename Llsc::Options& opt)
-          : llsc(world, n, opt), reg(llsc, n, init) {}
-      std::pair<std::uint64_t, bool> dread(int q) { return reg.dread(q); }
-      void dwrite(int p, std::uint64_t x) { reg.dwrite(p, x); }
-      Llsc llsc;
-      core::AbaRegisterFromLlsc<Llsc> reg;
-    };
-    auto impl = std::make_unique<Composed>(world, n, initial_value, llsc_options);
-    return std::make_unique<harness::AbaRegInvoker<Composed>>(world, history,
-                                                              std::move(impl));
-  };
-}
+using harness::aba_reg_factory;
+using harness::fig5_factory;
+using harness::llsc_factory;
 
 // ------------------------------------------------------- history checks
 
