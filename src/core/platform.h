@@ -16,6 +16,13 @@
 //                                cache-line isolation and contention backoff
 //                                (see native/native_platform.h)
 //
+// Three traits let a platform tune what the algorithms do without changing
+// a step they take, each defaulting to "nothing": PlatformBackoffT (what a
+// CAS retry loop waits), PlatformFenceT (the asymmetric StoreLoad scheme a
+// reclaimer issues) and PlatformRecord (the word types and alignment of a
+// multi-word record — a queue or stack node, a ring slot — so a platform
+// that isolates words on cache lines can isolate the record as a whole).
+//
 // Object constructors take (Env&, name, initial, BoundSpec): the environment
 // (a SimWorld for the simulator, an empty token natively), a debug name, the
 // initial word, and the declared width. Widths matter: the paper's lower
@@ -31,6 +38,7 @@
 #include "sim/types.h"
 #include "util/asymmetric_fence.h"
 #include "util/backoff.h"
+#include "util/cacheline.h"
 
 namespace aba {
 
@@ -96,5 +104,34 @@ struct PlatformFence<P, std::void_t<typename P::Fence>> {
 
 template <class P>
 using PlatformFenceT = typename PlatformFence<P>::type;
+
+// Record selection, same shape again. A record is a fixed group of words
+// that one algorithm step sequence treats as a unit (a node's value and
+// next, a ring slot's seq and value); it declares its words with the
+// trait's Register/Cas/WritableCas and derives from the trait's empty
+// Base. A platform opts in by exposing a member type `Record` with those
+// four names (NativePlatform's Fast policies: unpadded words, a
+// line-aligned Base). The default is the platform's own word types and an
+// unaligned Base, so on the simulator, the shm platform and the Counted
+// policy a record is laid out, constructed and stepped exactly as if it
+// declared its words directly.
+template <class P, class = void>
+struct PlatformRecord {
+  using Register = typename P::Register;
+  using Cas = typename P::Cas;
+  using WritableCas = typename P::WritableCas;
+  struct Base {};
+};
+
+template <class P>
+struct PlatformRecord<P, std::void_t<typename P::Record>> : P::Record {};
+
+// The check each record states beside its definition: a record whose
+// platform aligns it to a line fills exactly that line, so packing its
+// words never spills it onto a second one.
+template <class Record>
+inline constexpr bool kRecordFillsItsLine =
+    alignof(Record) < util::kCacheLineSize ||
+    sizeof(Record) == util::kCacheLineSize;
 
 }  // namespace aba

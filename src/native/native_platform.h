@@ -16,14 +16,18 @@
 //
 //   NativePlatform<Fast> — the zero-overhead fast path for benchmarks and
 //       release use. Step counting and bound checking compile to nothing
-//       (if constexpr, not runtime flags); every atomic word is isolated on
-//       its own cache line (alignas(hardware_destructive_interference_size))
-//       so independent objects — announce-array entries, distinct heads —
-//       never false-share; CAS retry loops in the algorithm layer pick up
-//       truncated exponential backoff via PlatformBackoffT. Memory orderings
-//       are seq_cst by default and relax to acquire/release only when the
-//       ABA_RELAXED_ORDERINGS build option is set (see the Fast policy
-//       below for the argument; tests always build without it).
+//       (if constexpr, not runtime flags). Every standalone atomic word
+//       (a head, an announce or hazard entry, an epoch counter) sits alone
+//       on its own cache line (alignas(hardware_destructive_interference_
+//       size)), so independent objects never false-share; a multi-word
+//       record (a queue or stack node, a ring slot) is isolated as a whole
+//       instead: its words are unpadded and share the record's one line
+//       (Record below, PlatformRecord in core/platform.h). CAS retry loops
+//       in the algorithm layer pick up truncated exponential backoff via
+//       PlatformBackoffT. Memory orderings are seq_cst by default and relax
+//       to acquire/release only when the ABA_RELAXED_ORDERINGS build option
+//       is set (see the Fast policy below for the argument; tests always
+//       build without it).
 //
 // Both instantiations satisfy the Platform concept, so every algorithm in
 // src/core and src/structures compiles unchanged against either.
@@ -82,7 +86,8 @@ struct Counted {
   static constexpr std::memory_order kCasFailureOrder = std::memory_order_seq_cst;
 };
 
-// Zero-overhead fast path: no counting, no checking, padded words, backoff.
+// Zero-overhead fast path: no counting, no checking, line-isolated words and
+// records, backoff.
 struct Fast {
   static constexpr bool kCountSteps = false;
   static constexpr bool kCheckBounds = false;
@@ -167,13 +172,19 @@ struct alignas(util::kCacheLineSize) WordStorage<true> {
 };
 
 // Bound metadata is stored only when the policy checks it: a Fast handle
-// carries nothing but its (padded) word, so an isolated object occupies
-// exactly one cache line instead of two.
+// carries nothing but its word, so an isolated object occupies exactly one
+// cache line instead of two, and a record's words pack back to back.
 struct NoBound {};
 
 template <class Policy>
 using BoundMember =
     std::conditional_t<Policy::kCheckBounds, sim::BoundSpec, NoBound>;
+
+// The empty base of a multi-word record (PlatformRecord, core/platform.h).
+// Under an isolating policy it aligns the whole record to a line, so the
+// record's unpadded words share that line with nothing else.
+struct NoRecordAlign {};
+struct alignas(util::kCacheLineSize) LineRecordAlign {};
 
 // Forwards the policy's fence scheme (if any) to the platform surface,
 // where the PlatformFenceT trait (core/platform.h) picks it up. Policies
@@ -198,9 +209,13 @@ struct NativePlatform {
   using Backoff = typename Policy::Backoff;
   using Fence = typename detail::PolicyFence<Policy>::type;
 
-  class Register {
+  // One platform word. Register, Cas and WritableCas differ only in which
+  // of write() and cas() they offer; kIsolated puts the word alone on a
+  // line.
+  template <bool kIsolated, bool kWritable, bool kCasable>
+  class Word {
    public:
-    Register(Env&, const char*, std::uint64_t initial, sim::BoundSpec bound) {
+    Word(Env&, const char*, std::uint64_t initial, sim::BoundSpec bound) {
       if constexpr (Policy::kCheckBounds) {
         bound_ = bound;
         ABA_CHECK(bound_.fits(initial));  // One-time: never compiled out.
@@ -213,7 +228,9 @@ struct NativePlatform {
       return word_.value.load(Policy::kLoadOrder);
     }
 
-    void write(std::uint64_t value) {
+    void write(std::uint64_t value)
+      requires kWritable
+    {
       if constexpr (Policy::kCheckBounds) ABA_ASSERT(bound_.fits(value));
       if constexpr (Policy::kCountSteps) {
         ++step_counter();
@@ -222,27 +239,9 @@ struct NativePlatform {
       word_.value.store(value, Policy::kStoreOrder);
     }
 
-   private:
-    [[no_unique_address]] detail::BoundMember<Policy> bound_;
-    detail::WordStorage<Policy::kIsolateCacheLines> word_;
-  };
-
-  class Cas {
-   public:
-    Cas(Env&, const char*, std::uint64_t initial, sim::BoundSpec bound) {
-      if constexpr (Policy::kCheckBounds) {
-        bound_ = bound;
-        ABA_CHECK(bound_.fits(initial));  // One-time: never compiled out.
-      }
-      word_.value.store(initial, std::memory_order_relaxed);
-    }
-
-    std::uint64_t read() {
-      if constexpr (Policy::kCountSteps) ++step_counter();
-      return word_.value.load(Policy::kLoadOrder);
-    }
-
-    bool cas(std::uint64_t expected, std::uint64_t desired) {
+    bool cas(std::uint64_t expected, std::uint64_t desired)
+      requires kCasable
+    {
       if constexpr (Policy::kCheckBounds) ABA_ASSERT(bound_.fits(desired));
       if constexpr (Policy::kCountSteps) {
         ++step_counter();
@@ -255,48 +254,23 @@ struct NativePlatform {
 
    private:
     [[no_unique_address]] detail::BoundMember<Policy> bound_;
-    detail::WordStorage<Policy::kIsolateCacheLines> word_;
+    detail::WordStorage<kIsolated> word_;
   };
 
-  class WritableCas {
-   public:
-    WritableCas(Env&, const char*, std::uint64_t initial, sim::BoundSpec bound) {
-      if constexpr (Policy::kCheckBounds) {
-        bound_ = bound;
-        ABA_CHECK(bound_.fits(initial));  // One-time: never compiled out.
-      }
-      word_.value.store(initial, std::memory_order_relaxed);
-    }
+  using Register = Word<Policy::kIsolateCacheLines, true, false>;
+  using Cas = Word<Policy::kIsolateCacheLines, false, true>;
+  using WritableCas = Word<Policy::kIsolateCacheLines, true, true>;
 
-    std::uint64_t read() {
-      if constexpr (Policy::kCountSteps) ++step_counter();
-      return word_.value.load(Policy::kLoadOrder);
-    }
-
-    bool cas(std::uint64_t expected, std::uint64_t desired) {
-      if constexpr (Policy::kCheckBounds) ABA_ASSERT(bound_.fits(desired));
-      if constexpr (Policy::kCountSteps) {
-        ++step_counter();
-        ++rmw_counter();
-      }
-      return word_.value.compare_exchange_strong(expected, desired,
-                                                 Policy::kCasSuccessOrder,
-                                                 Policy::kCasFailureOrder);
-    }
-
-    void write(std::uint64_t value) {
-      // Write() on a writable CAS word is a plain atomic store.
-      if constexpr (Policy::kCheckBounds) ABA_ASSERT(bound_.fits(value));
-      if constexpr (Policy::kCountSteps) {
-        ++step_counter();
-        ++store_counter();
-      }
-      word_.value.store(value, Policy::kStoreOrder);
-    }
-
-   private:
-    [[no_unique_address]] detail::BoundMember<Policy> bound_;
-    detail::WordStorage<Policy::kIsolateCacheLines> word_;
+  // The words of a multi-word record (a queue node, a ring slot): never
+  // padded one by one. Under an isolating policy the record, not the word,
+  // takes the line; under Counted these are exactly the standalone types.
+  struct Record {
+    using Register = Word<false, true, false>;
+    using Cas = Word<false, false, true>;
+    using WritableCas = Word<false, true, true>;
+    using Base = std::conditional_t<Policy::kIsolateCacheLines,
+                                    detail::LineRecordAlign,
+                                    detail::NoRecordAlign>;
   };
 };
 

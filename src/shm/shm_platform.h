@@ -13,10 +13,15 @@
 // ShmPlatform satisfies the Platform concept (core/platform.h), so
 // TreiberStack, MsQueue and the sharded wrappers run unchanged across
 // processes: every Register/Cas/WritableCas places one cache-line-isolated
-// std::atomic<uint64_t> in the arena. All orderings are seq_cst — the
-// cross-process tier keeps the paper-faithful interleaving semantics (the
-// publish-then-revalidate and announce-then-reread protocols in the
-// reclaimers are StoreLoad-shaped; see native_platform.h for the taxonomy).
+// std::atomic<uint64_t> in the arena. Unlike NativePlatform's Fast
+// policies, ShmPlatform exposes no Record (core/platform.h), so a node's
+// or slot's words keep a line each here: packing them would change every
+// placement's size and offset, hence the segment layout hash that
+// attachers verify, and waits for the shm tier's own layout revision.
+// All orderings are seq_cst — the cross-process tier keeps the
+// paper-faithful interleaving semantics (the publish-then-revalidate and
+// announce-then-reread protocols in the reclaimers are StoreLoad-shaped;
+// see native_platform.h for the taxonomy).
 // Retry loops pick up truncated exponential backoff via PlatformBackoffT.
 #pragma once
 

@@ -191,13 +191,16 @@ class MsQueue {
   std::uint64_t index_mask() const { return (1ULL << options_.index_bits) - 1; }
   std::uint64_t tag_mask() const { return (1ULL << options_.tag_bits) - 1; }
 
-  struct Node {
+  // A record (core/platform.h): under the native Fast policies value and
+  // next share one line instead of taking a line each.
+  struct Node : PlatformRecord<P>::Base {
     Node(typename P::Env& env, std::uint64_t initial_next)
         : value(env, "qnode.value", 0, sim::BoundSpec::unbounded()),
           next(env, "qnode.next", initial_next, sim::BoundSpec::unbounded()) {}
-    typename P::Register value;
-    typename P::WritableCas next;
+    typename PlatformRecord<P>::Register value;
+    typename PlatformRecord<P>::WritableCas next;
   };
+  static_assert(kRecordFillsItsLine<Node>);
 
   // Declaration order is construction order (the SimWorld ids and the shm
   // layout hash follow it): the nodes come after the reclaimer's words.

@@ -361,13 +361,16 @@ class MpscRing {
   }
 
  private:
-  struct Slot {
+  // A record (core/platform.h): under the native Fast policies seq and
+  // value share one line instead of taking a line each.
+  struct Slot : PlatformRecord<P>::Base {
     explicit Slot(typename P::Env& env)
         : seq(env, "ring.seq", 0, sim::BoundSpec::unbounded()),
           value(env, "ring.value", 0, sim::BoundSpec::unbounded()) {}
-    typename P::Register seq;
-    typename P::Register value;
+    typename PlatformRecord<P>::Register seq;
+    typename PlatformRecord<P>::Register value;
   };
+  static_assert(kRecordFillsItsLine<Slot>);
   struct alignas(util::kCacheLineSize) ConsumerLocal {
     std::uint64_t pos = 0;
   };
@@ -528,13 +531,16 @@ class MpmcRing {
   }
 
  private:
-  struct Slot {
+  // A record, like MpscRing::Slot.
+  struct Slot : PlatformRecord<P>::Base {
     Slot(typename P::Env& env, std::uint64_t initial_seq)
         : seq(env, "ring.seq", initial_seq, sim::BoundSpec::unbounded()),
           value(env, "ring.value", 0, sim::BoundSpec::unbounded()) {}
-    typename P::Register seq;  // The slot's unbounded tag (see file comment).
-    typename P::Register value;
+    // The slot's unbounded tag (see file comment).
+    typename PlatformRecord<P>::Register seq;
+    typename PlatformRecord<P>::Register value;
   };
+  static_assert(kRecordFillsItsLine<Slot>);
 
   std::size_t cap_;
   std::uint64_t mask_;

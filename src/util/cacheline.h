@@ -4,8 +4,12 @@
 // additionally charges for cache-line ping-pong when logically independent
 // words land on the same line. Everything that is written by exactly one
 // process (per-process Local state, announce-array entries, hazard slots)
-// or that is the single contended hot word (the CAS object X) is padded to
-// kCacheLineSize so neighbours never invalidate each other.
+// or that is a standalone contended word (the CAS object X, a head, the
+// epoch counter) is padded to kCacheLineSize so neighbours never
+// invalidate each other. A multi-word record (a queue or stack node, a
+// ring slot) is padded as a whole instead: its words are touched together
+// by one operation, so they share the record's one line (PlatformRecord,
+// core/platform.h).
 //
 // We use std::hardware_destructive_interference_size where the library
 // provides it. GCC warns that the value can vary with -mtune (the constant

@@ -21,9 +21,15 @@
 #include "core/llsc_single_cas.h"
 #include "core/llsc_unbounded_tag.h"
 #include "native/native_platform.h"
+#include "reclaim/epoch.h"
+#include "reclaim/hazard_pointer.h"
 #include "spec/lin_checker.h"
 #include "spec/specs.h"
+#include "structures/ms_queue.h"
+#include "structures/ring_buffer.h"
+#include "structures/treiber_stack.h"
 #include "util/cacheline.h"
+#include "util/object_array.h"
 #include "util/rng.h"
 
 namespace aba::testing {
@@ -316,8 +322,8 @@ TEST(NativeStepCounter, CountsSharedOperations) {
 
 // ------------------------------------------------------ policy equivalence
 
-// Both policies must satisfy the Platform concept, and the Fast policy must
-// actually isolate its words on cache lines.
+// Every policy must satisfy the Platform concept (NativeLayout below checks
+// what each one isolates on cache lines).
 static_assert(aba::Platform<native::NativePlatform<native::Counted>>);
 static_assert(aba::Platform<native::NativePlatform<native::Fast>>);
 static_assert(aba::Platform<native::NativePlatform<native::FastAsymmetric>>);
@@ -332,14 +338,107 @@ static_assert(
 static_assert(
     std::is_same_v<aba::PlatformFenceT<native::NativePlatform<native::Counted>>,
                    util::NoFence>);
-static_assert(alignof(native::NativePlatform<native::Fast>::Cas) >=
+
+// ------------------------------------------------------------ record layout
+//
+// Under the isolating policies the record, not the word, is the unit of
+// cache-line isolation: a two-word record (the shape of a queue or stack
+// node and a ring slot) is one line, while a standalone word still takes a
+// line of its own. Under Counted the record words are the standalone types,
+// which is what keeps the Counted ledgers and the Fast ≡ Counted trace
+// comparisons unchanged.
+template <class P>
+struct TwoWordRecord : PlatformRecord<P>::Base {
+  explicit TwoWordRecord(typename P::Env& env)
+      : value(env, "rec.value", 0, sim::BoundSpec::unbounded()),
+        next(env, "rec.next", 0, sim::BoundSpec::unbounded()) {}
+  typename PlatformRecord<P>::Register value;
+  typename PlatformRecord<P>::WritableCas next;
+};
+
+template <class Policy>
+class NativeLayout : public ::testing::Test {};
+using IsolatingPolicies =
+    ::testing::Types<native::Fast, native::FastRelaxed, native::FastAsymmetric>;
+TYPED_TEST_SUITE(NativeLayout, IsolatingPolicies);
+
+TYPED_TEST(NativeLayout, TwoWordRecordIsExactlyOneLine) {
+  using P = native::NativePlatform<TypeParam>;
+  using Record = TwoWordRecord<P>;
+  static_assert(sizeof(Record) == util::kCacheLineSize);
+  static_assert(alignof(Record) == util::kCacheLineSize);
+  static_assert(kRecordFillsItsLine<Record>);
+  // The record's words are unpadded, so both sit on the record's one line.
+  static_assert(sizeof(typename PlatformRecord<P>::Register) ==
+                sizeof(std::uint64_t));
+  static_assert(sizeof(typename PlatformRecord<P>::Cas) ==
+                sizeof(std::uint64_t));
+  static_assert(sizeof(typename PlatformRecord<P>::WritableCas) ==
+                sizeof(std::uint64_t));
+
+  // Instantiating each structure runs the static_assert beside its record:
+  // the node or slot packs onto exactly one line on this policy.
+  static_assert(sizeof(structures::MsQueue<P>) > 0);
+  static_assert(sizeof(structures::MsQueue<
+                       P, reclaim::DeferredEpochReclaimer<P>>) > 0);
+  static_assert(sizeof(structures::TreiberStack<
+                       P, structures::TaggedCasHead<P>,
+                       reclaim::CachedHazardPointerReclaimer<P>>) > 0);
+  static_assert(sizeof(structures::MpscRing<P>) > 0);
+  static_assert(sizeof(structures::MpmcRing<P>) > 0);
+
+  // In a pool the records sit back to back, one line apart, line-aligned.
+  typename P::Env env;
+  util::ObjectArray<Record> pool(4, [&](std::size_t) { return Record(env); });
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const auto base = reinterpret_cast<std::uintptr_t>(&pool[i]);
+    EXPECT_EQ(base % util::kCacheLineSize, 0u);
+    EXPECT_LT(reinterpret_cast<std::uintptr_t>(&pool[i].next) - base,
               util::kCacheLineSize);
-// And the isolated object is exactly one line — the unused bound metadata
-// must not push it to two.
-static_assert(sizeof(native::NativePlatform<native::Fast>::Cas) ==
-              util::kCacheLineSize);
-static_assert(alignof(native::NativePlatform<native::Counted>::Cas) <
-              util::kCacheLineSize);
+    if (i + 1 < pool.size()) {
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&pool[i + 1]) - base,
+                util::kCacheLineSize);
+    }
+  }
+  pool[1].value.write(7);
+  EXPECT_TRUE(pool[1].next.cas(0, 9));
+  EXPECT_EQ(pool[1].value.read(), 7u);
+  EXPECT_EQ(pool[1].next.read(), 9u);
+  EXPECT_EQ(pool[0].next.read(), 0u);
+}
+
+TYPED_TEST(NativeLayout, StandaloneWordsKeepALineEach) {
+  using P = native::NativePlatform<TypeParam>;
+  // Exactly one line each: the unused bound metadata must not push an
+  // isolated word onto a second.
+  static_assert(sizeof(typename P::Register) == util::kCacheLineSize);
+  static_assert(sizeof(typename P::Cas) == util::kCacheLineSize);
+  static_assert(sizeof(typename P::WritableCas) == util::kCacheLineSize);
+  static_assert(alignof(typename P::Register) == util::kCacheLineSize);
+  static_assert(alignof(typename P::Cas) == util::kCacheLineSize);
+  static_assert(alignof(typename P::WritableCas) == util::kCacheLineSize);
+}
+
+TEST(NativeLayout, CountedRecordWordsAreTheStandaloneWords) {
+  using P = native::NativePlatform<native::Counted>;
+  static_assert(
+      std::is_same_v<PlatformRecord<P>::Register, P::Register>);
+  static_assert(std::is_same_v<PlatformRecord<P>::Cas, P::Cas>);
+  static_assert(
+      std::is_same_v<PlatformRecord<P>::WritableCas, P::WritableCas>);
+  // The empty base adds neither size nor alignment: a Counted record is
+  // laid out exactly like its two words declared side by side.
+  static_assert(sizeof(TwoWordRecord<P>) ==
+                sizeof(P::Register) + sizeof(P::WritableCas));
+  static_assert(alignof(TwoWordRecord<P>) == alignof(P::WritableCas));
+  static_assert(alignof(P::Cas) < util::kCacheLineSize);
+  P::Env env;
+  TwoWordRecord<P> record(env);
+  const std::uint64_t before = native::step_counter();
+  record.value.write(1);
+  EXPECT_TRUE(record.next.cas(0, 2));
+  EXPECT_EQ(native::step_counter() - before, 2u);
+}
 
 // Runs a deterministic token-serialized multithreaded LL/SC workload: n real
 // threads, but each operation runs only when the global turn counter hands

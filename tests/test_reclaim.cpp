@@ -1700,5 +1700,74 @@ TEST(NativeAsymmetricFenceStress, DeferredEpochStackBalancedAccounting) {
   EXPECT_EQ(pushed_sum.load(), popped_sum.load());
 }
 
+// The configuration the end-to-end request queue ships: the MS queue on
+// FastAsymmetric with deferred epochs (packed one-line nodes, light
+// announces, heavy batched advances) under real threads. Every value names
+// its producer and sequence number, so beyond conservation the check is
+// exactly-once delivery and per-producer FIFO as each consumer saw it. The
+// pool is a fraction of the enqueues, so nodes are reused through the
+// epoch grace period many times over.
+TEST(NativeAsymmetricFenceStress, DeferredEpochQueueExactlyOnce) {
+  using Queue = structures::MsQueue<AsymP, DeferredEpochReclaimer<AsymP>>;
+  constexpr int kThreads = 3;
+  constexpr std::uint64_t kPerThread = 20000;
+  constexpr int kNodesPerProcess = 1024;
+  typename AsymP::Env env;
+  Queue queue(env, kThreads, kNodesPerProcess);
+  static_assert(kPerThread > kNodesPerProcess);  // Nodes must recycle.
+
+  const auto tag = [](int producer, std::uint64_t seq) {
+    return (static_cast<std::uint64_t>(producer) << 32) | seq;
+  };
+  std::vector<std::vector<std::uint64_t>> seen(kThreads + 1);
+  std::atomic<bool> starved{false};
+  std::vector<std::thread> threads;
+  for (int tid = 0; tid < kThreads; ++tid) {
+    threads.emplace_back([&, tid] {
+      for (std::uint64_t seq = 0; seq < kPerThread; ++seq) {
+        // A refused enqueue is pool pressure: the grace period has not
+        // returned enough nodes yet. Retry; a bounded wait catches a leak.
+        int refusals = 0;
+        while (!queue.enqueue(tid, tag(tid, seq))) {
+          if (++refusals > 1'000'000) {
+            starved = true;
+            break;
+          }
+          std::this_thread::yield();
+        }
+        if (const auto v = queue.dequeue(tid)) {
+          seen[static_cast<std::size_t>(tid)].push_back(*v);
+        }
+      }
+      queue.detach(tid);  // Release the parked announcement.
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_FALSE(starved.load());
+  while (const auto v = queue.dequeue(0)) seen[kThreads].push_back(*v);
+
+  std::vector<std::vector<int>> delivered(
+      kThreads, std::vector<int>(kPerThread, 0));
+  for (const auto& consumer : seen) {
+    std::vector<std::int64_t> last(kThreads, -1);
+    for (const std::uint64_t v : consumer) {
+      const auto producer = static_cast<std::size_t>(v >> 32);
+      const std::uint64_t seq = v & 0xFFFFFFFFu;
+      ASSERT_LT(producer, static_cast<std::size_t>(kThreads));
+      ASSERT_LT(seq, kPerThread);
+      // FIFO per producer, as this consumer saw it.
+      EXPECT_GT(static_cast<std::int64_t>(seq), last[producer]);
+      last[producer] = static_cast<std::int64_t>(seq);
+      ++delivered[producer][seq];
+    }
+  }
+  for (int producer = 0; producer < kThreads; ++producer) {
+    for (std::uint64_t seq = 0; seq < kPerThread; ++seq) {
+      EXPECT_EQ(delivered[producer][seq], 1)
+          << "producer " << producer << " seq " << seq;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aba::reclaim
