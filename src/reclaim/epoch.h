@@ -37,8 +37,9 @@
 //         (epoch-style, exactly the cached-hazard contract). A process that
 //         stops operating must detach or its parked announcement pins the
 //         epoch indefinitely.
-//       * retire(p, i) lands in a per-process LocalRing batch buffer: ZERO
-//         shared steps. A full batch is flushed in one shot — one global
+//       * retire(p, i) lands in PrivateBook's per-process deferred batch (a
+//         plain vector; the leased tier has no deferred mode): ZERO shared
+//         steps. A full batch is flushed in one shot — one global
 //         read stamps the whole batch (a flush-time stamp is >= each
 //         retire-time stamp, so the grace period only lengthens), then one
 //         amortized advance+flush runs.

@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -96,7 +95,7 @@ class LeakyReclaimer {
   // One cache line per process: allocate/retire touch these fields on the
   // hot path and must not false-share with neighbouring processes.
   struct alignas(util::kCacheLineSize) PerProcess {
-    std::deque<std::uint64_t> free;
+    IndexList free;
     std::size_t leaked = 0;
   };
 

@@ -39,7 +39,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -139,7 +138,7 @@ class MutantTaggedReclaimer {
 
  private:
   struct alignas(util::kCacheLineSize) PerProcess {
-    std::deque<std::uint64_t> free;
+    IndexList free;
   };
 
   std::vector<PerProcess> procs_;

@@ -35,12 +35,13 @@
 //
 // PrivateBook keeps all of it inside one process: the shared words are
 // Platform objects (every access a simulator step or a counted native
-// access), the lists are thread-private deques, and death is a DeathOracle
-// plus a per-process death word (reclaim/death.h). With no oracle installed
-// every death path is inert and the cores run the classic protocols step for
-// step. It also owns the deferred-epoch retire ring (defer / record_deferred),
-// which only the in-process tier instantiates. The cross-process backend is
-// shm::LeasedBook (shm/leased_reclaimer.h).
+// access), the free and retired lists are thread-private rings
+// (util/fifo_ring.h), and death is a DeathOracle plus a per-process death
+// word (reclaim/death.h). With no oracle installed every death path is inert
+// and the cores run the classic protocols step for step. It also owns the
+// deferred-epoch retire batch (defer / record_deferred, a per-process
+// vector), which only the in-process tier instantiates. The cross-process
+// backend is shm::LeasedBook (shm/leased_reclaimer.h).
 #pragma once
 
 #include <algorithm>
@@ -48,7 +49,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <iterator>
 #include <optional>
 #include <vector>
@@ -58,6 +58,7 @@
 #include "reclaim/reclaimer.h"
 #include "util/assert.h"
 #include "util/cacheline.h"
+#include "util/fifo_ring.h"
 #include "util/object_array.h"
 
 namespace aba::reclaim {
@@ -222,7 +223,7 @@ class PrivateBook {
     }
   }
 
-  // The deferred-epoch retire ring: unlinked, unstamped indices awaiting a
+  // The deferred-epoch retire batch: unlinked, unstamped indices awaiting a
   // one-shot record.
   void defer(int p, std::uint64_t idx) { procs_[p].deferred.push_back(idx); }
   std::size_t deferred_count(int p) const { return procs_[p].deferred.size(); }
@@ -235,19 +236,20 @@ class PrivateBook {
   }
 
   // Moves every retiree `reclaimable(index, stamp)` accepts to p's free
-  // list, keeping the rest in order.
+  // list, keeping the rest in order: one front-to-back rotation of the
+  // retired ring.
   template <class Pred>
   void release(int p, Pred&& reclaimable) {
     auto& proc = procs_[p];
-    auto kept = proc.retired.begin();
-    for (auto it = proc.retired.begin(); it != proc.retired.end(); ++it) {
-      if (reclaimable(it->index, it->stamp)) {
-        proc.free.push_back(it->index);
+    for (std::size_t left = proc.retired.size(); left > 0; --left) {
+      const Retired r = proc.retired.front();
+      proc.retired.pop_front();
+      if (reclaimable(r.index, r.stamp)) {
+        proc.free.push_back(r.index);
       } else {
-        *kept++ = *it;
+        proc.retired.push_back(r);
       }
     }
-    proc.retired.erase(kept, proc.retired.end());
   }
 
   // A seized victim's unrecorded retirees — its in-retire node (unless the
@@ -316,8 +318,8 @@ class PrivateBook {
   // Thread-private bookkeeping, one cache line per process: the container
   // headers touched on every allocate/retire never false-share.
   struct alignas(util::kCacheLineSize) Proc {
-    std::deque<std::uint64_t> free;
-    std::deque<Retired> retired;
+    IndexList free;
+    util::FifoRing<Retired> retired;
     std::vector<std::uint64_t> deferred;
     // Crash markers (reclaim/death.h), both stored +1: the allocated-but-
     // unlinked node and the unlinked-but-unrecorded retiree. quarantine
@@ -339,7 +341,7 @@ class PrivateBook {
   void drain(int p, int q) {
     auto& victim = procs_[q];
     auto& mine = procs_[p];
-    std::deque<Retired> merged;
+    util::FifoRing<Retired> merged;
     std::merge(mine.retired.begin(), mine.retired.end(),
                victim.retired.begin(), victim.retired.end(),
                std::back_inserter(merged),

@@ -79,17 +79,46 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <optional>
 #include <vector>
 
 #include "core/platform.h"
+#include "util/assert.h"
+#include "util/fifo_ring.h"
 
 namespace aba::reclaim {
 
+// A free list: node indices in 32-bit entries, one contiguous ring.
+using IndexList = util::FifoRing<std::uint32_t>;
+
 // Per-process initial free lists of 0-based node indices; the pool size is
 // their total. Every reclaimer is constructed from (Env&, n, FreeLists).
-using FreeLists = std::vector<std::deque<std::uint64_t>>;
+using FreeLists = std::vector<IndexList>;
+
+// The largest node index a list entry holds.
+inline constexpr std::uint64_t kMaxListIndex =
+    std::numeric_limits<std::uint32_t>::max();
+
+// n free lists, process p's holding [first + p*k, first + (p+1)*k) in
+// order, each in one allocation. An index past kMaxListIndex would be
+// truncated by its entry, so such a pool is refused before any list (or
+// any node) is allocated.
+inline FreeLists partition_pool(int n, int k, std::uint64_t first = 0) {
+  ABA_CHECK(n >= 0 && k >= 0);
+  constexpr std::uint64_t kEntries = kMaxListIndex + 1;
+  const std::uint64_t count =
+      static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(k);
+  ABA_CHECK_MSG(count <= kEntries && first <= kEntries - count,
+                "node indices must fit a 32-bit free-list entry");
+  FreeLists lists(static_cast<std::size_t>(n));
+  auto next = static_cast<std::uint32_t>(first);
+  for (IndexList& list : lists) {
+    list.reserve(static_cast<std::size_t>(k));
+    for (int i = 0; i < k; ++i) list.push_back(next++);
+  }
+  return lists;
+}
 
 // Where a process currently stands in its reclaimer's protocol. The value
 // is thread-private bookkeeping (updated by p's own calls, read by the

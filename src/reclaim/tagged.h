@@ -16,13 +16,12 @@
 // configuration (the deterministic corruption schedule in the tests).
 //
 // Zero overhead: no shared state, no guards, allocate/retire are
-// thread-private deque operations — the step sequence of the resulting
-// structure is exactly the paper's pseudo-code.
+// thread-private ring operations (util/fifo_ring.h) — the step sequence of
+// the resulting structure is exactly the paper's pseudo-code.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -95,7 +94,7 @@ class TaggedReclaimer {
   // One cache line per process: the free-list header is touched on every
   // allocate/retire and must not false-share with its neighbours.
   struct alignas(util::kCacheLineSize) PerProcess {
-    std::deque<std::uint64_t> free;
+    IndexList free;
   };
 
   std::vector<PerProcess> procs_;

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -51,20 +50,11 @@ class MsQueue {
       : options_(options),
         head_(env, "queue.head", pack(0, 0), sim::BoundSpec::unbounded()),
         tail_(env, "queue.tail", pack(0, 0), sim::BoundSpec::unbounded()),
-        reclaimer_(env, n, initial_free(n, nodes_per_process)),
+        reclaimer_(env, n,
+                   reclaim::partition_pool(n, nodes_per_process, /*first=*/1)),
         nodes_(checked_pool_size(n, nodes_per_process), [&](std::size_t) {
           return Node(env, pack(null_index(), 0));
         }) {}
-
-  static std::vector<std::deque<std::uint64_t>> initial_free(
-      int n, int nodes_per_process) {
-    std::vector<std::deque<std::uint64_t>> free(n);
-    std::uint64_t next_node = 1;  // 0 is the dummy.
-    for (int p = 0; p < n; ++p) {
-      for (int i = 0; i < nodes_per_process; ++i) free[p].push_back(next_node++);
-    }
-    return free;
-  }
 
   bool enqueue(int p, std::uint64_t value) {
     // Allocation precedes the protected region (the epoch contract).

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -131,19 +130,14 @@ class TreiberStack {
   // is heap-owned because native platform objects wrap std::atomic and are
   // not movable.
   TreiberStack(typename P::Env& env, int n, std::unique_ptr<Head> head,
-               std::vector<std::deque<std::uint64_t>> initial_free)
+               reclaim::FreeLists initial_free)
       : head_(std::move(head)),
         reclaimer_(env, n, std::move(initial_free)),
         nodes_(checked_pool_size(), [&](std::size_t) { return Node(env); }) {}
 
-  // Convenience: distribute `per_process` nodes to each process round-robin.
-  static std::vector<std::deque<std::uint64_t>> partition(int n, int per_process) {
-    std::vector<std::deque<std::uint64_t>> free(n);
-    std::uint64_t next = 0;
-    for (int p = 0; p < n; ++p) {
-      for (int i = 0; i < per_process; ++i) free[p].push_back(next++);
-    }
-    return free;
+  // Convenience: `per_process` consecutive nodes for each process.
+  static reclaim::FreeLists partition(int n, int per_process) {
+    return reclaim::partition_pool(n, per_process);
   }
 
   // Pushes `value`; returns false if the reclaimer cannot produce a safe

@@ -92,10 +92,32 @@ static_assert(ReclaimerFor<DeferredEpochReclaimer<NativeP>, NativeP>);
 using AsymP = native::NativePlatform<native::FastAsymmetric>;
 static_assert(ReclaimerFor<DeferredEpochReclaimer<AsymP>, AsymP>);
 
-FreeLists one_process_pool(int nodes) {
-  FreeLists free(1);
-  for (int i = 0; i < nodes; ++i) free[0].push_back(i);
-  return free;
+FreeLists one_process_pool(int nodes) { return partition_pool(1, nodes); }
+
+// --------------------------------------------------- unit: partition_pool
+
+TEST(PartitionPool, ContiguousRangesInOrder) {
+  const FreeLists lists = partition_pool(3, 2, /*first=*/1);
+  ASSERT_EQ(lists.size(), 3u);
+  std::uint32_t next = 1;
+  for (const IndexList& list : lists) {
+    EXPECT_EQ(list.size(), 2u);
+    EXPECT_EQ(list.capacity(), 2u) << "one allocation, no slack";
+    for (const std::uint32_t idx : list) EXPECT_EQ(idx, next++);
+  }
+}
+
+// A list entry is 32 bits: the last index it holds is kMaxListIndex, and a
+// pool reaching past it is refused before a single list is allocated.
+TEST(PartitionPool, FillsThirtyTwoBitEntriesExactly) {
+  const FreeLists lists = partition_pool(2, 3, kMaxListIndex - 5);
+  EXPECT_EQ(*lists[1].begin() + 2, kMaxListIndex);
+}
+
+TEST(PartitionPoolDeath, RefusesIndicesPastThirtyTwoBits) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(partition_pool(2, 3, kMaxListIndex - 4), "32-bit");
+  EXPECT_DEATH(partition_pool(5, 1 << 30), "32-bit");
 }
 
 // --------------------------------------------------- unit: tagged / leaky
@@ -1300,8 +1322,7 @@ TEST(RetireBatch, HazardBatchPaysOneScanAndRespectsGuards) {
   const std::size_t threshold =
       2 * 2 * HazardPointerReclaimer<NativeP>::kSlotsPerProcess;
   FreeLists free(2);
-  free[0].resize(threshold);
-  for (std::size_t i = 0; i < threshold; ++i) free[0][i] = i;
+  for (std::size_t i = 0; i < threshold; ++i) free[0].push_back(i);
   HazardPointerReclaimer<NativeP> r(env, 2, free);
   ASSERT_EQ(r.scan_threshold(), threshold);
   r.guard(1, 0, 0);  // p1 pins node 0 across the whole batch.

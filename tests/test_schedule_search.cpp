@@ -16,13 +16,16 @@
 //     a worst-case reclamation schedule must still be a correct execution;
 //   * the committed corpus under tests/schedules/ (ABA_SCHEDULE_DIR)
 //     replays with its golden bounds — every future reclaimer change is
-//     checked against the worst schedules ever found.
+//     checked against the worst schedules ever found — and with the exact
+//     traces pinned in tests/golden/schedule_traces.txt.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -337,6 +340,20 @@ std::vector<std::filesystem::path> corpus_files() {
   return files;
 }
 
+std::optional<ScheduleScript> load_script(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return ScheduleScript::parse(buffer.str());
+}
+
+SearchFixtureFactory fixture_of(const ScheduleScript& script) {
+  const int pool = script.meta.count("pool")
+                       ? std::stoi(script.meta.at("pool"))
+                       : kDefaultPoolPerProcess;
+  return reclaim_fixture(script.meta.at("fixture"), pool);
+}
+
 TEST(ScheduleCorpus, ReplaysAreBitIdenticalAndMatchGoldenBounds) {
   const auto files = corpus_files();
   ASSERT_FALSE(files.empty())
@@ -344,21 +361,14 @@ TEST(ScheduleCorpus, ReplaysAreBitIdenticalAndMatchGoldenBounds) {
   std::set<std::string> fixtures_seen;
   for (const auto& path : files) {
     SCOPED_TRACE(path.filename().string());
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const auto script = ScheduleScript::parse(buffer.str());
+    const auto script = load_script(path);
     ASSERT_TRUE(script.has_value()) << "corpus file failed to parse";
 
     ASSERT_TRUE(script->meta.count("fixture"));
     ASSERT_TRUE(script->meta.count("cost"));
     const std::string fixture_name = script->meta.at("fixture");
     fixtures_seen.insert(fixture_name);
-    const int pool = script->meta.count("pool")
-                         ? std::stoi(script->meta.at("pool"))
-                         : kDefaultPoolPerProcess;
-    const auto factory = reclaim_fixture(fixture_name, pool);
+    const auto factory = fixture_of(*script);
     const CostFn cost = cost_by_name(script->meta.at("cost"));
 
     // Lease-mutant convictions (PR 10) are committed *because* they violate
@@ -442,6 +452,49 @@ TEST(ScheduleCorpus, ReplaysAreBitIdenticalAndMatchGoldenBounds) {
   EXPECT_TRUE(fixtures_seen.count("stack_epoch")) << "corpus gap";
   EXPECT_TRUE(fixtures_seen.count("stack_epoch_deferred")) << "corpus gap";
   EXPECT_TRUE(fixtures_seen.count("queue_epoch_deferred")) << "corpus gap";
+}
+
+// One golden line per corpus file: its name, an FNV-1a hash of the replayed
+// trace's text plus the spec verdict, the trace length and the verdict.
+std::string golden_line(const std::string& file, const ReplayResult& replay) {
+  const std::string verdict = !replay.verdict.checked ? "unchecked"
+                              : replay.verdict.ok     ? "ok"
+                                                      : "violation";
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : trace_signature(replay.trace) + verdict + "\n" +
+                          replay.verdict.detail) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  std::ostringstream out;
+  out << file << " " << std::hex << std::setw(16) << std::setfill('0') << hash
+      << std::dec << " " << replay.trace.size() << " " << verdict;
+  return out.str();
+}
+
+// Every corpus replay is pinned to the trace it produced when
+// tests/golden/schedule_traces.txt was written, so a change to the reclaim
+// layer's bookkeeping that moves an allocation, a shared step or a verdict
+// fails here even where the golden peaks still match. On a mismatch the
+// actual block prints; copy it over the golden only for an intended
+// schedule change.
+TEST(ScheduleCorpus, TracesMatchGolden) {
+  std::ifstream golden(std::filesystem::path(ABA_GOLDEN_DIR) /
+                       "schedule_traces.txt");
+  ASSERT_TRUE(golden.good()) << "no golden under " << ABA_GOLDEN_DIR;
+  std::string expected;
+  for (std::string line; std::getline(golden, line);) {
+    if (!line.empty() && line[0] != '#') expected += line + "\n";
+  }
+  std::string actual;
+  for (const auto& path : corpus_files()) {
+    const auto script = load_script(path);
+    ASSERT_TRUE(script.has_value()) << path;
+    const ReplayResult replay = ScheduleExplorer::replay(
+        fixture_of(*script), *script, cost_by_name(script->meta.at("cost")));
+    actual += golden_line(path.filename().string(), replay) + "\n";
+  }
+  EXPECT_EQ(expected, actual) << "actual block:\n" << actual;
 }
 
 }  // namespace

@@ -419,10 +419,7 @@ TEST(LeasedReclaimer, EpochExpropriatesFrozenAnnouncement) {
 // epoch still holds it.
 TEST(LeasedReclaimer, EpochMidRetireOrphanKeepsGracePeriod) {
   TierFixture fx(3);
-  reclaim::FreeLists initial(3);
-  for (std::uint64_t p = 0; p < 3; ++p) {
-    for (std::uint64_t i = 0; i < 4; ++i) initial[p].push_back(p * 4 + i);
-  }
+  const reclaim::FreeLists initial = reclaim::partition_pool(3, 4);
   LeasedEpochReclaimer r(fx.env, 3, initial);
   fx.seg.publish(fx.arena.layout_hash());
   const int p0 = fx.leases.acquire();

@@ -362,6 +362,20 @@ TEST(HeadIndexFieldDeath, MsQueueRejectsPoolReachingNullIndex) {
       "index_mask");
 }
 
+// With 40 index bits the queue's words could name node 2^32, but a free
+// list's 32-bit entry cannot: the queue refuses the pool before allocating
+// a node (or a list).
+TEST(HeadIndexFieldDeath, MsQueueRejectsPoolPastThirtyTwoBitLists) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::SimWorld world(4);
+        MsQueue<SimP> queue(world, 4, 1 << 30,
+                            {.index_bits = 40, .tag_bits = 24});
+      },
+      "32-bit");
+}
+
 TEST(HeadIndexField, MsQueueFillsIndexBelowNull) {
   sim::SimWorld world(1);
   MsQueue<SimP> queue(world, 1, 13, {.index_bits = 4, .tag_bits = 16});

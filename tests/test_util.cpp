@@ -1,16 +1,22 @@
 // Unit tests for the utility layer: packing codecs, the sequential local
-// ring, the object array, RNG, histograms, table printer.
+// ring, the growable FIFO ring, the object array, RNG, histograms, table
+// printer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <deque>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "native/native_platform.h"
+#include "reclaim/reclaimer.h"
 #include "sim/sim_platform.h"
 #include "structures/ring_buffer.h"
 #include "util/cacheline.h"
+#include "util/fifo_ring.h"
 #include "util/histogram.h"
 #include "util/object_array.h"
 #include "util/packed_word.h"
@@ -214,6 +220,98 @@ TEST(LocalRing, TryVerbsRefuseAtBoundaries) {
   EXPECT_EQ(q.try_pop(), std::optional<int>(2));
   EXPECT_EQ(q.try_pop(), std::optional<int>(3));
   EXPECT_EQ(q.try_pop(), std::nullopt);
+}
+
+// ---------------------------------------------------------------- FifoRing
+
+TEST(FifoRing, FifoOrderAcrossWrapsAndGrowth) {
+  FifoRing<std::uint64_t> ring;
+  ring.reserve(4);
+  std::uint64_t pushed = 0;
+  std::uint64_t popped = 0;
+  // Many wraps at a fixed capacity: three live entries walk the buffer.
+  for (int i = 0; i < 3; ++i) ring.push_back(pushed++);
+  for (int i = 0; i < 1000; ++i) {
+    ring.push_back(pushed++);
+    ASSERT_EQ(ring.front(), popped++);
+    ring.pop_front();
+  }
+  EXPECT_EQ(ring.capacity(), 4u);
+  // Growth from a wrapped head keeps the order, across several doublings.
+  for (int i = 0; i < 100; ++i) ring.push_back(pushed++);
+  EXPECT_EQ(ring.size(), 103u);
+  std::uint64_t expect = popped;
+  for (const std::uint64_t v : ring) EXPECT_EQ(v, expect++);
+  while (!ring.empty()) {
+    ASSERT_EQ(ring.front(), popped++);
+    ring.pop_front();
+  }
+  EXPECT_EQ(popped, pushed);
+  ring.push_back(7);
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.begin(), ring.end());
+}
+
+// Capacity is a power of two that grows only when full, so it never
+// exceeds bit_ceil of the most entries held at once (the cap a reclaimer
+// list inherits from its pool).
+TEST(FifoRing, CapacityIsAPowerOfTwoWithinTheCap) {
+  FifoRing<std::uint32_t> ring;
+  EXPECT_EQ(ring.capacity(), 0u);
+  ring.reserve(5);
+  EXPECT_EQ(ring.capacity(), 8u);
+  Xoshiro256 rng(11);
+  std::size_t most = 0;
+  for (int i = 0; i < 5000; ++i) {
+    if (rng.below(3) != 0 || ring.empty()) {
+      ring.push_back(static_cast<std::uint32_t>(i));
+    } else {
+      ring.pop_front();
+    }
+    most = std::max(most, ring.size());
+    ASSERT_TRUE(std::has_single_bit(ring.capacity()));
+    ASSERT_LE(ring.capacity(), std::max<std::size_t>(8, std::bit_ceil(most)));
+  }
+  EXPECT_GT(most, 8u) << "the sequence must have grown the ring";
+}
+
+// A seeded push/pop/rotate sequence against a std::deque oracle: the same
+// entries in the same order at every step, and the same fingerprint (size,
+// then elements in order) the reclaimers fold into the DPOR key.
+TEST(FifoRing, MatchesDequeOracle) {
+  FifoRing<std::uint32_t> ring;
+  std::deque<std::uint64_t> oracle;
+  Xoshiro256 rng(2024);
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t op = rng.below(8);
+    if (op < 4 || oracle.empty()) {
+      const auto v = static_cast<std::uint32_t>(rng());
+      ring.push_back(v);
+      oracle.push_back(v);
+    } else if (op < 6) {
+      ASSERT_EQ(ring.front(), oracle.front());
+      ring.pop_front();
+      oracle.pop_front();
+    } else {
+      // Rotate: the front entry moves to the back, as release() keeps a
+      // retiree it may not free yet.
+      ring.push_back(ring.front());
+      ring.pop_front();
+      oracle.push_back(oracle.front());
+      oracle.pop_front();
+    }
+    ASSERT_EQ(ring.size(), oracle.size());
+    if (step % 97 == 0) {
+      ASSERT_TRUE(std::equal(ring.begin(), ring.end(), oracle.begin(),
+                             oracle.end()));
+      reclaim::Fingerprint a;
+      reclaim::Fingerprint b;
+      EXPECT_EQ(a.mix_range(ring).value(), b.mix_range(oracle).value());
+    }
+  }
+  EXPECT_TRUE(std::equal(ring.begin(), ring.end(), oracle.begin(),
+                         oracle.end()));
 }
 
 // --------------------------------------------------------------------- RNG
