@@ -27,25 +27,39 @@ namespace {
 using namespace aba;
 using SimP = sim::SimPlatform;
 
+// The E7 routine on a fresh two-process world: reader 1 DReads, writer 0
+// completes `writes` same-value DWrites, reader 1 DReads again. Returns the
+// second DRead's flag (false = the writes escaped detection).
+template <class Register>
+bool flag_after_writes(const typename Register::Options& options,
+                       std::uint64_t writes) {
+  sim::SimWorld world(2);
+  world.set_trace_enabled(false);
+  Register reg(world, 2, options);
+  world.invoke(1, [&] { reg.dread(1); });
+  world.run_to_completion(1);
+  for (std::uint64_t i = 0; i < writes; ++i) {
+    world.invoke(0, [&] { reg.dwrite(0, 0); });
+    world.run_to_completion(0);
+  }
+  bool flag = false;
+  world.invoke(1, [&] { flag = reg.dread(1).second; });
+  world.run_to_completion(1);
+  return flag;
+}
+
+using NaiveTag = core::AbaRegisterBoundedTagNaive<SimP>;
+
 // Minimal number of same-value writes between two DReads after which the
 // second DRead reports flag = false (an escape). Returns 0 if no escape
 // occurs up to `limit`.
 std::uint64_t minimal_escape_writes(unsigned tag_bits, std::uint64_t limit) {
   for (std::uint64_t writes = 1; writes <= limit; ++writes) {
-    sim::SimWorld world(2);
-    world.set_trace_enabled(false);
-    core::AbaRegisterBoundedTagNaive<SimP> reg(
-        world, 2, {.value_bits = 1, .tag_bits = tag_bits, .initial_value = 0});
-    world.invoke(1, [&] { reg.dread(1); });
-    world.run_to_completion(1);
-    for (std::uint64_t i = 0; i < writes; ++i) {
-      world.invoke(0, [&] { reg.dwrite(0, 0); });
-      world.run_to_completion(0);
+    if (!flag_after_writes<NaiveTag>(
+            {.value_bits = 1, .tag_bits = tag_bits, .initial_value = 0},
+            writes)) {
+      return writes;  // Escape: the writes went unnoticed.
     }
-    bool flag = true;
-    world.invoke(1, [&] { flag = reg.dread(1).second; });
-    world.run_to_completion(1);
-    if (!flag) return writes;  // Escape: the writes went unnoticed.
   }
   return 0;
 }
@@ -56,21 +70,12 @@ double escape_rate(unsigned tag_bits, int trials, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   int escapes = 0;
   for (int trial = 0; trial < trials; ++trial) {
-    sim::SimWorld world(2);
-    world.set_trace_enabled(false);
-    core::AbaRegisterBoundedTagNaive<SimP> reg(
-        world, 2, {.value_bits = 1, .tag_bits = tag_bits, .initial_value = 0});
-    world.invoke(1, [&] { reg.dread(1); });
-    world.run_to_completion(1);
     const std::uint64_t writes = 1 + rng.below(4ULL << tag_bits);
-    for (std::uint64_t i = 0; i < writes; ++i) {
-      world.invoke(0, [&] { reg.dwrite(0, 0); });
-      world.run_to_completion(0);
+    if (!flag_after_writes<NaiveTag>(
+            {.value_bits = 1, .tag_bits = tag_bits, .initial_value = 0},
+            writes)) {
+      ++escapes;
     }
-    bool flag = true;
-    world.invoke(1, [&] { flag = reg.dread(1).second; });
-    world.run_to_completion(1);
-    if (!flag) ++escapes;
   }
   return static_cast<double>(escapes) / trials;
 }
@@ -104,23 +109,11 @@ void print_tables() {
   rates.print();
 
   // Control: the unbounded-tag register across the worst threshold above.
-  {
-    sim::SimWorld world(2);
-    world.set_trace_enabled(false);
-    core::AbaRegisterUnboundedTag<SimP> reg(world, 2, {.value_bits = 1});
-    world.invoke(1, [&] { reg.dread(1); });
-    world.run_to_completion(1);
-    for (int i = 0; i < 1024; ++i) {
-      world.invoke(0, [&] { reg.dwrite(0, 0); });
-      world.run_to_completion(0);
-    }
-    bool flag = false;
-    world.invoke(1, [&] { flag = reg.dread(1).second; });
-    world.run_to_completion(1);
-    bench::note(std::string("\ncontrol: unbounded-tag register after 1024 "
-                            "same-value writes -> flag = ") +
-                (flag ? "true (never escapes)" : "FALSE (escape?!)"));
-  }
+  const bool flag = flag_after_writes<core::AbaRegisterUnboundedTag<SimP>>(
+      {.value_bits = 1}, 1024);
+  bench::note(std::string("\ncontrol: unbounded-tag register after 1024 "
+                          "same-value writes -> flag = ") +
+              (flag ? "true (never escapes)" : "FALSE (escape?!)"));
   bench::note(
       "Claim shape: escapes happen at exactly 2^k interposed writes and at\n"
       "rate ~1/2^k under random interference — likely-correct is not\n"

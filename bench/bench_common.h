@@ -3,7 +3,7 @@
 // Each binary reproduces one experiment row from docs/DESIGN.md (E1..E9):
 // it prints the table/figure-equivalent the paper's claim corresponds to,
 // and registers google-benchmark timings for the native-platform parts.
-// The E1-E6 tables are checked row for row against tests/golden/ (ctest
+// The E1-E7 tables are checked row for row against tests/golden/ (ctest
 // paper_tables_golden).
 // E9 (bench_throughput_matrix) does not use google-benchmark; it emits the
 // BENCH_native.json perf-trajectory file via bench_json.h instead.

@@ -29,8 +29,7 @@ void fig4_table() {
         n, harness::aba_reg_factory<core::AbaRegisterBounded<SimP>>(
                n, {.value_bits = 1}),
         lowerbound::CoveringAdversary::Options{.max_iterations_per_level = 128,
-                                               .max_replays = 100000,
-                                               .verbose_log = false});
+                                               .max_replays = 100000});
     const auto r = adversary.run(n - 1);
     table.add_row({util::Table::fmt(static_cast<std::uint64_t>(n)),
                    util::Table::fmt(static_cast<std::uint64_t>(n - 1)),
@@ -56,8 +55,7 @@ void naive_tag_table() {
         harness::aba_reg_factory<core::AbaRegisterBoundedTagNaive<SimP>>(
             n, {.value_bits = 1, .tag_bits = k, .initial_value = 0}),
         lowerbound::CoveringAdversary::Options{.max_iterations_per_level = 600,
-                                               .max_replays = 2000000,
-                                               .verbose_log = false});
+                                               .max_replays = 2000000});
     const auto r = adversary.run(1);
     table.add_row({util::Table::fmt(static_cast<std::uint64_t>(k)),
                    util::Table::fmt(std::uint64_t{1} << k),
@@ -82,8 +80,7 @@ void BM_CoveringAdversary_Fig4(benchmark::State& state) {
         n, harness::aba_reg_factory<core::AbaRegisterBounded<SimP>>(
                n, {.value_bits = 1}),
         lowerbound::CoveringAdversary::Options{.max_iterations_per_level = 128,
-                                               .max_replays = 100000,
-                                               .verbose_log = false});
+                                               .max_replays = 100000});
     benchmark::DoNotOptimize(adversary.run(n - 1));
   }
 }

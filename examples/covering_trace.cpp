@@ -75,8 +75,7 @@ int main() {
     CoveringAdversary adversary(
         n, aba_reg_factory<Unbounded>(n, {.value_bits = 1}),
         CoveringAdversary::Options{.max_iterations_per_level = 48,
-                                   .max_replays = 20000,
-                                   .verbose_log = false});
+                                   .max_replays = 20000});
     print_report("unbounded tag: 1 unbounded register (lower bound's escape hatch)",
                  adversary.run(n - 1));
   }

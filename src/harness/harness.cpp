@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
-#include <utility>
 
 #include "util/assert.h"
 #include "util/rng.h"
@@ -12,15 +11,18 @@
 namespace aba::harness {
 
 ProgramCursor::ProgramCursor(int num_processes,
-                             std::vector<WorkloadOp> workload)
-    : workload_(std::move(workload)),
-      queues_(static_cast<std::size_t>(num_processes)),
+                             const std::vector<WorkloadOp>& workload)
+    : queues_(static_cast<std::size_t>(num_processes)),
       next_op_(static_cast<std::size_t>(num_processes), 0) {
-  for (const auto& op : workload_) {
-    // Always on: schedule scripts parsed from files reach here too.
-    ABA_CHECK(op.pid >= 0 && op.pid < num_processes);
-    queues_[static_cast<std::size_t>(op.pid)].push_back(op);
-  }
+  workload_.reserve(workload.size());
+  for (const auto& op : workload) append(op);
+}
+
+void ProgramCursor::append(const WorkloadOp& op) {
+  // Always on: schedule scripts parsed from files reach here too.
+  ABA_CHECK(op.pid >= 0 && op.pid < num_processes());
+  workload_.push_back(op);
+  queues_[static_cast<std::size_t>(op.pid)].push_back(op);
 }
 
 bool ProgramCursor::runnable(const sim::SimWorld& world, int pid) const {

@@ -70,7 +70,7 @@ using FixtureFactory = std::function<std::unique_ptr<Invoker>(
 // rule.
 class ProgramCursor {
  public:
-  ProgramCursor(int num_processes, std::vector<WorkloadOp> workload);
+  ProgramCursor(int num_processes, const std::vector<WorkloadOp>& workload);
 
   // Poised at a step, or idle with an op left to invoke.
   bool runnable(const sim::SimWorld& world, int pid) const;
@@ -79,6 +79,9 @@ class ProgramCursor {
   // is done by definition: it never runs again and its remaining queued ops
   // are abandoned with it.
   bool all_done(const sim::SimWorld& world) const;
+  // Appends `op` to the end of its process's program: drivers that decide
+  // op counts as they run (Lemma 1's covering adversary) grow it this way.
+  void append(const WorkloadOp& op);
   // Moves `pid`, which must be runnable: one step if poised, else invoke
   // its next op.
   void advance(sim::SimWorld& world, Invoker& invoker, int pid);

@@ -25,30 +25,25 @@
 //     never repeat and the adversary reports that boundedness failed — the
 //     separation between bounded and unbounded base objects, observed.
 //
-// Configurations are identified with the scripts (action sequences) that
-// reach them from the initial configuration; probes run on throwaway replays
-// so the main chain is never perturbed — exactly the proof's use of
-// Exec(C, sigma) on chosen schedules.
+// A configuration is the grant script (search::ScheduleRunner's grant list)
+// that reaches it from the initial configuration of
+// search::harness_fixture(factory, SpecKind::kAbaRegister), and a replay is
+// a fresh runner fed those grants — the explorer's Exec(C, sigma) form.
+// Processes get their next WeakWrite/WeakRead appended to their program
+// when a grant finds them idle, since the construction decides op counts as
+// it goes. Probes run on throwaway replays so the main chain is never
+// perturbed.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "harness/harness.h"
-#include "sim/sim_world.h"
-#include "spec/history.h"
+#include "sim/schedule_search.h"
 
 namespace aba::lowerbound {
-
-// One driver action; a script is a replayable sequence of these.
-struct Act {
-  enum class Kind : std::uint8_t { kInvokeWrite, kInvokeRead, kStep };
-  Kind kind;
-  int pid = 0;
-};
 
 struct CoveringReport {
   // Outcome.
@@ -63,6 +58,10 @@ struct CoveringReport {
   std::string violation_detail;
   bool clean_flag = false;  // Flag returned from the p-clean configuration.
   bool dirty_flag = false;  // Flag returned from the p-dirty configuration.
+  // The clean or dirty configuration whose final WeakRead returned the
+  // wrong flag, as a script ScheduleExplorer::replay re-executes on
+  // harness_fixture(factory, SpecKind::kAbaRegister).
+  std::optional<search::ScheduleScript> witness;
 
   // Statistics.
   std::uint64_t replays = 0;
@@ -78,7 +77,6 @@ class CoveringAdversary {
   struct Options {
     int max_iterations_per_level = 128;  // Chain length before giving up.
     std::uint64_t max_replays = 50000;
-    bool verbose_log = true;
   };
 
   CoveringAdversary(int n, harness::FixtureFactory factory, Options options);
@@ -90,38 +88,23 @@ class CoveringAdversary {
   CoveringReport run(int target_k);
 
  private:
-  struct Runner {
-    std::unique_ptr<sim::SimWorld> world;
-    std::unique_ptr<spec::History> history;
-    std::unique_ptr<harness::Invoker> invoker;
-
-    // The flag of `pid`'s last completed WeakRead.
-    bool last_read_flag(int pid) const;
-  };
-
-  Runner make_runner() const;
-  void apply(Runner& runner, const Act& act) const;
-  Runner replay(const std::vector<Act>& script) const;
-
-  // Recursive inductive step; extends `script` in place on `live`.
+  // Recursive inductive step; extends `live`'s grant script in place.
   // Returns true iff k registers are covered by readers 1..k at the end of
-  // `script` (with process 0 idle); false means a violation or budget stop
-  // was recorded in report_.
-  bool extend_cover(Runner& live, std::vector<Act>& script, int k);
+  // it (with process 0 idle); false means a violation or budget stop was
+  // recorded in report_.
+  bool extend_cover(search::ScheduleRunner& live, int k);
 
   struct ProbeResult {
-    bool escaped = false;           // Poised to write outside the cover.
-    std::vector<Act> path;          // Actions taken by the probe.
+    bool escaped = false;     // Poised to write outside the cover.
+    std::size_t grants = 0;   // Grants the probe took (all its own).
   };
-  // Runs reader `probe_pid` solo from the configuration reached by `script`,
-  // stopping when it is poised to write outside `covered` or completes.
-  ProbeResult probe(const std::vector<Act>& script, int probe_pid,
+  // Grants reader `probe_pid` alone from the configuration reached by
+  // `grants`, stopping when it is poised to write outside `covered` or idle.
+  ProbeResult probe(const std::vector<int>& grants, int probe_pid,
                     const std::vector<sim::ObjectId>& covered);
 
-  void log(std::string line);
-
   int n_;
-  harness::FixtureFactory factory_;
+  search::SearchFixtureFactory fixture_;
   Options options_;
   CoveringReport report_;
 };

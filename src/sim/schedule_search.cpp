@@ -94,7 +94,9 @@ std::optional<ScheduleScript> ScheduleScript::parse(const std::string& text) {
       continue;
     }
     if (word == "processes") {
-      if (!(tokens >> script.num_processes) || script.num_processes < 1) {
+      // A second line could shrink the count under ops already parsed.
+      if (script.num_processes != 0 || !(tokens >> script.num_processes) ||
+          script.num_processes < 1) {
         return std::nullopt;
       }
     } else if (word == "meta") {
@@ -656,7 +658,7 @@ ScheduleRunner::ScheduleRunner(SearchFixture fixture,
                                std::vector<harness::WorkloadOp> workload,
                                CostFn cost)
     : fixture_(std::move(fixture)),
-      program_(fixture_.world->num_processes(), std::move(workload)),
+      program_(fixture_.world->num_processes(), workload),
       cost_(std::move(cost)) {
   sample();  // Baseline (grant 0).
 }
@@ -773,9 +775,7 @@ std::vector<int> ScheduleExplorer::ordered_choices(Live& live) const {
   }
   harness::Invoker& invoker = live.runner.invoker();
   const auto rank = [&](int pid) {
-    const bool vulnerable =
-        options_.park_vulnerable &&
-        reclaim::is_vulnerable(invoker.reclaim_phase(pid));
+    const bool vulnerable = reclaim::is_vulnerable(invoker.reclaim_phase(pid));
     return std::make_tuple(vulnerable ? 1 : 0, live.runner.ops_remaining(pid),
                            pid == live.last_pid ? 0 : 1, pid);
   };

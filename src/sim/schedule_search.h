@@ -4,9 +4,10 @@
 // PR 4 shipped hand-written worst-step schedules for the cached-guard
 // hazard mode (GuardCacheSchedule.*): park a reader right after its guard
 // publish, then drive a retire storm against the pin. This subsystem turns
-// that pattern into a search problem, in the spirit of the paper's
-// covering-adversary constructions (src/lowerbound/covering_adversary.*)
-// and of the CHESS/DPOR line of systematic concurrency testing:
+// that pattern into a search problem, in the spirit of the CHESS/DPOR line
+// of systematic concurrency testing. Its ScheduleRunner also drives the
+// paper's covering adversary (src/lowerbound/covering_adversary.*), whose
+// configurations are grant lists over harness_fixture:
 //
 //   * a SCHEDULE is a script of step grants — the pid moved at each
 //     juncture, where "move" means invoke-the-next-workload-op if idle,
@@ -279,7 +280,8 @@ SpecVerdict check_history(const SearchFixture& fixture);
 // -------------------------------------------------------------- runner
 
 // Engine-side grant-by-grant control over one fixture: the primitive the
-// explorer, the replayer and the scripted-seed tests all share. Sampling
+// explorer, the replayer, the scripted-seed tests and the covering
+// adversary (lowerbound/covering_adversary.h) all share. Sampling
 // happens after every grant; peak() is the running maximum of the cost.
 class ScheduleRunner {
  public:
@@ -300,6 +302,9 @@ class ScheduleRunner {
   // argument is a crash grant (see crash_grant above): the victim is killed
   // at the current configuration and its queued ops are abandoned.
   void grant(int pid);
+
+  // Appends `op` to its process's program (harness::ProgramCursor::append).
+  void append_op(const harness::WorkloadOp& op) { program_.append(op); }
 
   // Grants `pid` while it stays runnable, up to `max_grants` times.
   void grant_while_runnable(int pid, std::uint64_t max_grants);
@@ -356,11 +361,6 @@ struct SearchOptions {
   std::uint64_t max_executions = 192;
   // Global step budget across the whole search, replays included.
   std::uint64_t max_grants = 1u << 20;
-  // Deprioritize processes whose reclaimer reports a vulnerable phase
-  // (ReclaimPhase guard-published / epoch-announced): they stay parked
-  // while others storm. The heuristic that rediscovers the scripted
-  // worst cases; disable to measure its value.
-  bool park_vulnerable = true;
   // Crash events the search may inject per schedule. At every juncture, for
   // each process poised at a vulnerable or mid-retire ReclaimPhase, the
   // explorer also considers killing it there (ranked before step grants, so

@@ -11,6 +11,7 @@
 #include "harness/adapters.h"
 #include "lowerbound/covering_adversary.h"
 #include "lowerbound/tradeoff_auditor.h"
+#include "sim/schedule_search.h"
 #include "sim/sim_platform.h"
 
 namespace aba::lowerbound {
@@ -57,8 +58,7 @@ TEST(CoveringAdversary, BreaksNaiveTagEvenWithWideTags) {
       n, aba_reg_factory<NaiveTag>(
              n, {.value_bits = 1, .tag_bits = 5, .initial_value = 0}),
       CoveringAdversary::Options{.max_iterations_per_level = 256,
-                                 .max_replays = 100000,
-                                 .verbose_log = false});
+                                 .max_replays = 100000});
   const auto report = adversary.run(1);
   EXPECT_TRUE(report.violation_found);
   // The chain must have run past the tag period before the repeat.
@@ -99,8 +99,7 @@ TEST(CoveringAdversary, UnboundedTagExhaustsBudgetWithoutRepeat) {
   CoveringAdversary adversary(
       n, aba_reg_factory<UnboundedTag>(n, {.value_bits = 1}),
       CoveringAdversary::Options{.max_iterations_per_level = 64,
-                                 .max_replays = 50000,
-                                 .verbose_log = false});
+                                 .max_replays = 50000});
   const auto report = adversary.run(1);
   EXPECT_FALSE(report.violation_found);
   EXPECT_FALSE(report.cover_reached);
@@ -113,6 +112,37 @@ TEST(CoveringAdversary, ProducesNarratedTrace) {
                               aba_reg_factory<Fig4>(n, {.value_bits = 1}));
   const auto report = adversary.run(n - 1);
   EXPECT_FALSE(report.log.empty());
+}
+
+TEST(CoveringAdversary, WitnessReplaysAsSpecViolation) {
+  // The violating configuration is a grant script over the model checker's
+  // fixture: its replay is deterministic and fails the ABA-register spec.
+  const int n = 3;
+  const auto factory = aba_reg_factory<NaiveTag>(
+      n, {.value_bits = 4, .tag_bits = 2, .initial_value = 0});
+  const auto report = CoveringAdversary(n, factory).run(n - 1);
+  ASSERT_TRUE(report.violation_found);
+  ASSERT_TRUE(report.witness.has_value());
+  const auto fixture =
+      search::harness_fixture(factory, search::SpecKind::kAbaRegister);
+  const auto first = search::ScheduleExplorer::replay(
+      fixture, *report.witness, search::retired_unreclaimed_cost);
+  const auto second = search::ScheduleExplorer::replay(
+      fixture, *report.witness, search::retired_unreclaimed_cost);
+  EXPECT_TRUE(first.verdict.checked);
+  EXPECT_FALSE(first.verdict.ok);
+  const auto text = [](const std::vector<sim::StepRecord>& trace) {
+    std::string out;
+    for (const auto& step : trace) out += sim::to_string(step) + "\n";
+    return out;
+  };
+  EXPECT_FALSE(first.trace.empty());
+  EXPECT_EQ(text(first.trace), text(second.trace));
+
+  // A correct register yields no violation, so no witness.
+  EXPECT_FALSE(CoveringAdversary(4, aba_reg_factory<Fig4>(4, {.value_bits = 1}))
+                   .run(3)
+                   .witness.has_value());
 }
 
 // ------------------------------------------------------- tradeoff auditor

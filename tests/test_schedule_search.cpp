@@ -246,6 +246,10 @@ TEST(ScheduleScript, ParseRejectsMalformedInput) {
       ScheduleScript::parse(
           "schedule-script v1\nprocesses 2\ngrants 0 !x\nend\n")
           .has_value());
+  EXPECT_FALSE(  // A second processes line, shrinking n under pid 3's op.
+      ScheduleScript::parse("schedule-script v1\nprocesses 4\nop 3 dread 0\n"
+                            "grants 3\nprocesses 2\nend\n")
+          .has_value());
 }
 
 TEST(ScheduleScript, AllStandardFixturesConstruct) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paper-table goldens (ctest: paper_tables_golden).
 
-Runs each E1-E6 experiment binary with its google-benchmark timings
+Runs each E1-E7 experiment binary with its google-benchmark timings
 filtered out and compares every table it prints (header, rule and rows)
 with GOLDEN_DIR/<binary name>.txt. The prose notes around the tables are
 not compared. A table is a header line, a rule of dashes as long as the
