@@ -15,10 +15,13 @@
 //      measured miss rate tracks the analytic 1/2^k.
 //   c) the unbounded-tag register never escapes (the paper's trivial
 //      construction as the control).
+#include <limits>
+
 #include "bench_common.h"
 #include "core/aba_register_bounded_tag_naive.h"
 #include "core/aba_register_unbounded_tag.h"
-#include "sim/sim_world.h"
+#include "harness/adapters.h"
+#include "sim/schedule_search.h"
 #include "sim/sim_platform.h"
 #include "util/rng.h"
 
@@ -27,25 +30,25 @@ namespace {
 using namespace aba;
 using SimP = sim::SimPlatform;
 
-// The E7 routine on a fresh two-process world: reader 1 DReads, writer 0
+// The E7 routine on a fresh two-process fixture: reader 1 DReads, writer 0
 // completes `writes` same-value DWrites, reader 1 DReads again. Returns the
 // second DRead's flag (false = the writes escaped detection).
 template <class Register>
 bool flag_after_writes(const typename Register::Options& options,
                        std::uint64_t writes) {
-  sim::SimWorld world(2);
-  world.set_trace_enabled(false);
-  Register reg(world, 2, options);
-  world.invoke(1, [&] { reg.dread(1); });
-  world.run_to_completion(1);
-  for (std::uint64_t i = 0; i < writes; ++i) {
-    world.invoke(0, [&] { reg.dwrite(0, 0); });
-    world.run_to_completion(0);
-  }
-  bool flag = false;
-  world.invoke(1, [&] { flag = reg.dread(1).second; });
-  world.run_to_completion(1);
-  return flag;
+  constexpr auto kUntilDone = std::numeric_limits<std::uint64_t>::max();
+  std::vector<harness::WorkloadOp> workload{{1, spec::Method::kDRead, 0}};
+  workload.insert(workload.end(), writes, {0, spec::Method::kDWrite, 0});
+  search::ScheduleRunner runner(
+      search::harness_fixture(harness::aba_reg_factory<Register>(2, options),
+                              search::SpecKind::kAbaRegister)(2),
+      std::move(workload), search::retired_unreclaimed_cost);
+  runner.fixture().world->set_trace_enabled(false);
+  runner.grant_while_runnable(1, kUntilDone);
+  runner.grant_while_runnable(0, kUntilDone);
+  runner.append_op({1, spec::Method::kDRead, 0});
+  runner.grant_while_runnable(1, kUntilDone);
+  return spec::dread_flag(runner.fixture().history->completed_ops().back().ret);
 }
 
 using NaiveTag = core::AbaRegisterBoundedTagNaive<SimP>;

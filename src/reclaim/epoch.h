@@ -448,7 +448,7 @@ class EpochBasedReclaimer {
   // behind — comes from the words' step-free peeks: with PrivateBook those
   // are the mirrors maintained at the write sites (reading the real
   // platform registers would cost shared steps and, on the simulator, could
-  // only run on a simulated thread). The deferred cache hit updates no
+  // only run inside a simulated process). The deferred cache hit updates no
   // mirror (the announcement did not change), so stats stay mirror-only
   // with no new shared steps. A lag that stays pinned at 0 while retires
   // accumulate is the signature of a frozen epoch: the stalled announcer IS

@@ -23,7 +23,7 @@
 //
 // Every slot is preseeded (kLive, generation 1, heartbeat 1) at
 // construction time via object initial values: announced traffic from the
-// engine thread would deadlock the announce-then-block protocol, so
+// engine side trips SimWorld::access's outside-a-process check, so
 // acquire() is never exercised here.
 #pragma once
 
@@ -70,7 +70,7 @@ class SimLeaseHost {
     }
   }
 
-  // Announced (process-thread only): the searched transitions.
+  // Announced (from inside a process only): the searched transitions.
   std::uint64_t state(int slot) const {
     return world_->access(PendingOp{state_[slot], OpKind::kRead, 0, 0}).value;
   }

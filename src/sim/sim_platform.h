@@ -1,9 +1,9 @@
 // SimPlatform — Platform implementation backed by a SimWorld.
 //
-// Handles are created on the engine thread (algorithm construction happens
-// before any process runs) and used from simulated process threads, where
-// each access announces a PendingOp and blocks until the engine grants the
-// step (see SimWorld::access).
+// Handles are created on the engine side (algorithm construction happens
+// before any process runs) and used from inside simulated processes, where
+// each access announces a PendingOp and suspends the process until the
+// engine grants the step (see SimWorld::access).
 #pragma once
 
 #include <cstdint>

@@ -4,15 +4,41 @@
 // ABA_FORCE_ASSERTS in every build type (see the root CMakeLists.txt).
 #include "sim/sim_world.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cstdlib>
 #include <sstream>
 
 #include "util/assert.h"
 
+// Each compiler's own feature macros select the sanitizer fiber hooks:
+// GCC's __SANITIZE_*__, Clang's __has_feature.
+#ifndef __has_feature
+#define __has_feature(x) 0
+#endif
+#if defined(__SANITIZE_ADDRESS__) || __has_feature(address_sanitizer)
+#define ABA_SIM_ASAN 1
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__) || __has_feature(thread_sanitizer)
+#define ABA_SIM_TSAN 1
+// Declared here because not every compiler's tsan_interface.h has them.
+extern "C" {
+void* __tsan_get_current_fiber();
+void* __tsan_create_fiber(unsigned flags);
+void __tsan_destroy_fiber(void* fiber);
+void __tsan_switch_to_fiber(void* fiber, unsigned flags);
+}
+#endif
+
 namespace aba::sim {
 
 namespace {
-thread_local SimWorld* tls_world = nullptr;
-thread_local ProcessId tls_pid = -1;
+std::size_t page_bytes() {
+  static const auto bytes = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return bytes;
+}
 }  // namespace
 
 std::string to_string(const StepRecord& step) {
@@ -34,96 +60,125 @@ std::string to_string(const StepRecord& step) {
   return out.str();
 }
 
-SimWorld* SimWorld::current_world() { return tls_world; }
-ProcessId SimWorld::current_pid() { return tls_pid; }
-
 SimWorld::SimWorld(int num_processes) : procs_(num_processes) {
   ABA_ASSERT(num_processes > 0);
-  for (int p = 0; p < num_processes; ++p) {
-    procs_[p].thread = std::thread([this, p] { thread_main(p); });
+  const std::size_t guard = page_bytes();
+  for (auto& proc : procs_) {
+    void* base = mmap(nullptr, guard + kFiberStackBytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    ABA_ASSERT_MSG(base != MAP_FAILED, "cannot map a fiber stack");
+    const int rc = mprotect(base, guard, PROT_NONE);
+    ABA_ASSERT_MSG(rc == 0, "cannot protect a fiber stack's guard page");
+    proc.stack = static_cast<char*>(base) + guard;
+#ifdef ABA_SIM_TSAN
+    proc.tsan_fiber = __tsan_create_fiber(0);
+#endif
   }
 }
 
 SimWorld::~SimWorld() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutting_down_ = true;
-    for (auto& proc : procs_) proc.cv->notify_all();
+  // Every suspended method unwinds on its own stack: the abort throws
+  // ExecutionAborted out of its access(), and its fiber ends at
+  // run_method's final switch.
+  for (ProcessId pid = 0; pid < num_processes(); ++pid) {
+    if (procs_[pid].phase == Phase::kAnnounced) resume(pid, /*abort=*/true);
   }
-  for (auto& proc : procs_) proc.thread.join();
+  for (auto& proc : procs_) {
+#ifdef ABA_SIM_TSAN
+    __tsan_destroy_fiber(proc.tsan_fiber);
+#endif
+    munmap(proc.stack - page_bytes(), page_bytes() + kFiberStackBytes);
+  }
 }
 
-void SimWorld::thread_main(ProcessId pid) {
-  tls_world = this;
-  tls_pid = pid;
-  std::unique_lock<std::mutex> lock(mu_);
+void SimWorld::fiber_entry(unsigned world_hi, unsigned world_lo, int pid) {
+  const std::uintptr_t world = (std::uintptr_t{world_hi} << 32) | world_lo;
+  reinterpret_cast<SimWorld*>(world)->run_method(pid);
+}
+
+void SimWorld::run_method(ProcessId pid) {
+#ifdef ABA_SIM_ASAN
+  __sanitizer_finish_switch_fiber(nullptr, &engine_stack_, &engine_stack_size_);
+#endif
   auto& proc = procs_[pid];
-  for (;;) {
-    proc.cv->wait(lock, [&] { return shutting_down_ || proc.phase == Phase::kHasMethod; });
-    if (shutting_down_) return;
-    proc.phase = Phase::kRunning;
-    std::function<void()> method = std::move(proc.method);
-    proc.method = nullptr;
-    lock.unlock();
-    try {
-      method();
-    } catch (const ExecutionAborted&) {
-      // World shutting down, or this process was crashed at its
-      // announcement; the flags below distinguish the two.
-    } catch (...) {
-      // Any other exception escaping a method (reclaim::LeaseRevoked from a
-      // self-fencing process) kills this process, deterministically: mark
-      // it crashed and exit the thread. The engine call that granted the
-      // fatal step observes MethodStatus::kCrashed.
-      lock.lock();
-      if (shutting_down_) return;
-      proc.crash_requested = true;
-      proc.phase = Phase::kCrashed;
-      engine_cv_.notify_all();
-      return;
-    }
-    lock.lock();
-    if (shutting_down_) return;
-    if (proc.crash_requested) {
-      // Crash acknowledged: the victim thread exits; crash() (or the
-      // engine call blocked in wait_for_yield_locked) resumes only now,
-      // so the unwind never overlaps engine execution.
-      proc.phase = Phase::kCrashed;
-      engine_cv_.notify_all();
-      return;
-    }
-    proc.phase = Phase::kIdle;
-    engine_cv_.notify_all();
+  bool died = false;
+  try {
+    proc.method();
+  } catch (...) {
+    // ExecutionAborted: crash() or the world's teardown resumed this process
+    // with an abort. Anything else (reclaim::LeaseRevoked from a
+    // self-fencing process) kills the process the same way; the engine call
+    // that granted the fatal step observes MethodStatus::kCrashed.
+    died = true;
   }
+  // The final switch must happen here, outside the handler. The C++ runtime
+  // keeps its caught-exception stack per OS thread, so every fiber shares
+  // it: a fiber that switched out from inside a handler would leave its
+  // exception on that stack for another fiber's throw and catch to corrupt.
+  proc.method = nullptr;
+  proc.phase = died ? Phase::kCrashed : Phase::kIdle;
+  yield(proc, /*final_switch=*/true);
+  std::abort();  // A finished fiber is never resumed.
+}
+
+MethodStatus SimWorld::resume(ProcessId pid, bool abort) {
+  ABA_ASSERT_MSG(current_ < 0, "engine call from inside a simulated process");
+  auto& proc = procs_[pid];
+  proc.abort = abort;
+  current_ = pid;
+#ifdef ABA_SIM_TSAN
+  engine_fiber_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(proc.tsan_fiber, 0);
+#endif
+#ifdef ABA_SIM_ASAN
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(&fake_stack, proc.stack, kFiberStackBytes);
+#endif
+  swapcontext(&engine_, &proc.context);
+#ifdef ABA_SIM_ASAN
+  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
+  current_ = -1;
+  if (proc.phase == Phase::kAnnounced) return MethodStatus::kPoised;
+  return proc.phase == Phase::kCrashed ? MethodStatus::kCrashed
+                                       : MethodStatus::kCompleted;
+}
+
+void SimWorld::yield(Proc& proc, [[maybe_unused]] bool final_switch) {
+#ifdef ABA_SIM_ASAN
+  // A null save slot on the final switch lets ASan free the fiber's fake
+  // stack.
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(final_switch ? nullptr : &fake_stack,
+                                 engine_stack_, engine_stack_size_);
+#endif
+#ifdef ABA_SIM_TSAN
+  __tsan_switch_to_fiber(engine_fiber_, 0);
+#endif
+  swapcontext(&proc.context, &engine_);
+#ifdef ABA_SIM_ASAN
+  __sanitizer_finish_switch_fiber(fake_stack, &engine_stack_, &engine_stack_size_);
+#endif
 }
 
 ObjectId SimWorld::create_object(ObjectKind kind, std::string name,
                                  std::uint64_t initial, BoundSpec bound) {
-  std::lock_guard<std::mutex> lock(mu_);
   ABA_ASSERT_MSG(bound.fits(initial), "initial value exceeds declared object width");
   objects_.push_back(ObjectInfo{std::move(name), kind, bound, initial});
   return static_cast<ObjectId>(objects_.size() - 1);
 }
 
-std::size_t SimWorld::num_objects() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return objects_.size();
-}
-
 ObjectInfo SimWorld::object_info(ObjectId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   ABA_ASSERT(id >= 0 && static_cast<std::size_t>(id) < objects_.size());
   return objects_[id];
 }
 
 std::uint64_t SimWorld::object_value(ObjectId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   ABA_ASSERT(id >= 0 && static_cast<std::size_t>(id) < objects_.size());
   return objects_[id].value;
 }
 
 std::vector<std::uint64_t> SimWorld::memory_snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::uint64_t> snapshot;
   snapshot.reserve(objects_.size());
   for (const auto& obj : objects_) snapshot.push_back(obj.value);
@@ -131,7 +186,6 @@ std::vector<std::uint64_t> SimWorld::memory_snapshot() const {
 }
 
 std::vector<std::uint64_t> SimWorld::signature_key() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::uint64_t> key;
   key.reserve(objects_.size() + procs_.size() * 4);
   for (const auto& obj : objects_) key.push_back(obj.value);
@@ -161,42 +215,29 @@ std::vector<std::uint64_t> SimWorld::signature_key() const {
   return key;
 }
 
-MethodStatus SimWorld::wait_for_yield_locked(std::unique_lock<std::mutex>& lock,
-                                             ProcessId pid) {
-  auto& proc = procs_[pid];
-  // kCrashed is accepted because a granted step can end in a self-fence
-  // (LeaseRevoked): the victim's thread marks itself crashed and exits
-  // while the engine is parked right here.
-  engine_cv_.wait(lock, [&] {
-    return proc.phase == Phase::kAnnounced || proc.phase == Phase::kIdle ||
-           proc.phase == Phase::kCrashed;
-  });
-  if (proc.phase == Phase::kAnnounced) return MethodStatus::kPoised;
-  return proc.phase == Phase::kCrashed ? MethodStatus::kCrashed
-                                       : MethodStatus::kCompleted;
-}
-
 MethodStatus SimWorld::invoke(ProcessId pid, std::function<void()> method) {
-  std::unique_lock<std::mutex> lock(mu_);
   ABA_ASSERT(pid >= 0 && static_cast<std::size_t>(pid) < procs_.size());
   auto& proc = procs_[pid];
   ABA_ASSERT_MSG(proc.phase == Phase::kIdle, "invoke on a non-idle process");
   proc.method = std::move(method);
-  proc.phase = Phase::kHasMethod;
+  proc.phase = Phase::kRunning;
   proc.steps_in_method = 0;
-  proc.cv->notify_all();
-  return wait_for_yield_locked(lock, pid);
+  getcontext(&proc.context);
+  proc.context.uc_stack.ss_sp = proc.stack;
+  proc.context.uc_stack.ss_size = kFiberStackBytes;
+  proc.context.uc_link = nullptr;
+  const auto world = reinterpret_cast<std::uintptr_t>(this);
+  makecontext(&proc.context, reinterpret_cast<void (*)()>(&fiber_entry), 3,
+              static_cast<unsigned>(world >> 32), static_cast<unsigned>(world),
+              pid);
+  return resume(pid, /*abort=*/false);
 }
 
 MethodStatus SimWorld::step(ProcessId pid) {
-  std::unique_lock<std::mutex> lock(mu_);
   ABA_ASSERT(pid >= 0 && static_cast<std::size_t>(pid) < procs_.size());
-  auto& proc = procs_[pid];
-  ABA_ASSERT_MSG(proc.phase == Phase::kAnnounced,
+  ABA_ASSERT_MSG(procs_[pid].phase == Phase::kAnnounced,
                  "step on a process that is not poised");
-  proc.phase = Phase::kGranted;
-  proc.cv->notify_all();
-  return wait_for_yield_locked(lock, pid);
+  return resume(pid, /*abort=*/false);
 }
 
 std::uint64_t SimWorld::run_to_completion(ProcessId pid) {
@@ -209,41 +250,31 @@ std::uint64_t SimWorld::run_to_completion(ProcessId pid) {
 }
 
 void SimWorld::crash(ProcessId pid) {
-  std::unique_lock<std::mutex> lock(mu_);
   ABA_ASSERT(pid >= 0 && static_cast<std::size_t>(pid) < procs_.size());
   auto& proc = procs_[pid];
   ABA_ASSERT_MSG(proc.phase == Phase::kAnnounced || proc.phase == Phase::kIdle,
                  "crash on a process that is neither poised nor idle");
-  proc.crash_requested = true;
   if (proc.phase == Phase::kIdle) {
-    // The thread is parked waiting for a method; it stays parked (it can
-    // never see kHasMethod again — invoke asserts idleness) and exits at
-    // shutdown. Mark the death directly.
     proc.phase = Phase::kCrashed;
     return;
   }
-  // Poised: wake the blocked access(); the thread unwinds via
-  // ExecutionAborted — its announced step is never applied — and
-  // acknowledges by setting kCrashed. Waiting for the ack keeps crashes
-  // deterministic: the engine never runs concurrently with the unwind.
-  proc.cv->notify_all();
-  engine_cv_.wait(lock, [&] { return proc.phase == Phase::kCrashed; });
+  // Poised: the abort unwinds the method on its own stack — its announced
+  // step is never applied — before this returns, so the unwind never
+  // overlaps engine execution.
+  resume(pid, /*abort=*/true);
 }
 
 bool SimWorld::is_crashed(ProcessId pid) const {
-  std::lock_guard<std::mutex> lock(mu_);
   ABA_ASSERT(pid >= 0 && static_cast<std::size_t>(pid) < procs_.size());
   return procs_[pid].phase == Phase::kCrashed;
 }
 
 bool SimWorld::is_idle(ProcessId pid) const {
-  std::lock_guard<std::mutex> lock(mu_);
   ABA_ASSERT(pid >= 0 && static_cast<std::size_t>(pid) < procs_.size());
   return procs_[pid].phase == Phase::kIdle;
 }
 
 bool SimWorld::all_idle() const {
-  std::lock_guard<std::mutex> lock(mu_);
   for (const auto& proc : procs_) {
     if (proc.phase != Phase::kIdle) return false;
   }
@@ -251,57 +282,20 @@ bool SimWorld::all_idle() const {
 }
 
 std::optional<PendingOp> SimWorld::poised(ProcessId pid) const {
-  std::lock_guard<std::mutex> lock(mu_);
   ABA_ASSERT(pid >= 0 && static_cast<std::size_t>(pid) < procs_.size());
   const auto& proc = procs_[pid];
   if (proc.phase != Phase::kAnnounced) return std::nullopt;
   return proc.pending;
 }
 
-std::uint64_t SimWorld::steps_in_method(ProcessId pid) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return procs_[pid].steps_in_method;
-}
-
-std::uint64_t SimWorld::now() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return clock_;
-}
-
-std::uint64_t SimWorld::next_event_time() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return clock_++;
-}
-
-void SimWorld::set_trace_enabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  trace_enabled_ = enabled;
-}
-
-void SimWorld::clear_trace() {
-  std::lock_guard<std::mutex> lock(mu_);
-  trace_.clear();
-}
-
-std::vector<StepRecord> SimWorld::trace_copy() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return trace_;
-}
-
-std::uint64_t SimWorld::total_steps() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_steps_;
-}
-
 std::vector<std::uint64_t> SimWorld::observation_hashes() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::uint64_t> hashes;
   hashes.reserve(procs_.size());
   for (const auto& proc : procs_) hashes.push_back(proc.obs_hash);
   return hashes;
 }
 
-AccessResult SimWorld::apply_locked(const PendingOp& op, ProcessId pid) {
+AccessResult SimWorld::apply(const PendingOp& op, ProcessId pid) {
   ABA_ASSERT(op.obj >= 0 && static_cast<std::size_t>(op.obj) < objects_.size());
   auto& obj = objects_[op.obj];
   AccessResult result;
@@ -354,23 +348,17 @@ AccessResult SimWorld::apply_locked(const PendingOp& op, ProcessId pid) {
 }
 
 AccessResult SimWorld::access(const PendingOp& op) {
-  ABA_ASSERT_MSG(tls_world == this,
+  ABA_ASSERT_MSG(current_ >= 0,
                  "shared-memory access from outside a simulated process");
-  const ProcessId pid = tls_pid;
-  std::unique_lock<std::mutex> lock(mu_);
+  const ProcessId pid = current_;
   auto& proc = procs_[pid];
   ABA_ASSERT(proc.phase == Phase::kRunning);
   proc.pending = op;
   proc.phase = Phase::kAnnounced;
-  engine_cv_.notify_all();
-  proc.cv->wait(lock, [&] {
-    return shutting_down_ || proc.crash_requested ||
-           proc.phase == Phase::kGranted;
-  });
-  if (shutting_down_ || proc.crash_requested) throw ExecutionAborted{};
-  AccessResult result = apply_locked(op, pid);
+  yield(proc, /*final_switch=*/false);
+  if (proc.abort) throw ExecutionAborted{};
   proc.phase = Phase::kRunning;
-  return result;
+  return apply(op, pid);
 }
 
 }  // namespace aba::sim

@@ -2,19 +2,21 @@
 //
 // SimWorld realizes the paper's computation model: n processes that execute
 // atomic steps on base objects, in an order chosen by a schedule. Each
-// simulated process runs on its own OS thread, but a step-token handshake
-// guarantees that at most one process ever runs at a time, so an execution
-// is a sequence of atomic steps exactly as in the model.
+// simulated process runs as a fiber (a ucontext on its own fixed-size stack)
+// inside the thread that drives the world, so exactly one process or the
+// driving code runs at any moment, and an execution is a sequence of atomic
+// steps exactly as in the model.
 //
 // The central trick is the *announce-then-block* protocol: when algorithm
 // code performs a shared-memory access through a sim platform handle, the
-// access is first announced as a PendingOp and the process blocks until the
-// driving code (the "engine": a test, a schedule runner, or a lower-bound
-// adversary) grants the step. Between engine calls, every non-idle process
-// sits blocked at an announcement, which gives the engine the paper's
-// "poised to execute" notion: it can inspect exactly which operation (with
-// parameters) each process will execute next — the raw material of covering
-// arguments (WCov/CCov sets, block-writes, signatures).
+// access is first announced as a PendingOp and the process switches back to
+// the driving code (the "engine": a test, a schedule runner, or a
+// lower-bound adversary), which later resumes it with a grant. Between
+// engine calls, every non-idle process is suspended at an announcement,
+// which gives the engine the paper's "poised to execute" notion: it can
+// inspect exactly which operation (with parameters) each process will
+// execute next — the raw material of covering arguments (WCov/CCov sets,
+// block-writes, signatures).
 //
 // Configurations: the engine can snapshot all object values ("reg(C)" in
 // Lemma 1) and the full signature (object values + every process's poised
@@ -28,27 +30,28 @@
 // "Exec(C, sigma)" replay style the proofs use.
 #pragma once
 
-#include <condition_variable>
+#include <ucontext.h>
+
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/types.h"
 
 namespace aba::sim {
 
-// Thrown through algorithm code when the world shuts down mid-method;
-// algorithm code must be exception-safe with respect to simulator state
-// (it holds no locks and the simulator owns all shared objects).
+// Thrown through algorithm code when the world shuts down mid-method or the
+// process is crashed at its announcement; algorithm code must be
+// exception-safe with respect to simulator state (it holds no locks and the
+// simulator owns all shared objects), and must not access shared memory
+// from a destructor that runs during that unwind.
 struct ExecutionAborted {};
 
 enum class MethodStatus : std::uint8_t {
-  kPoised,     // The method announced a shared-memory step and is blocked.
+  kPoised,     // The method announced a shared-memory step and is suspended.
   kCompleted,  // The method ran to completion.
   kCrashed,    // The process died (crash event or self-fence) mid-method.
 };
@@ -62,6 +65,10 @@ struct ObjectInfo {
 
 class SimWorld {
  public:
+  // Each process's fiber stack: fixed, with a PROT_NONE guard page below it
+  // so a runaway recursion faults instead of overwriting a neighbour.
+  static constexpr std::size_t kFiberStackBytes = std::size_t{256} << 10;
+
   explicit SimWorld(int num_processes);
   ~SimWorld();
 
@@ -70,12 +77,12 @@ class SimWorld {
 
   int num_processes() const { return static_cast<int>(procs_.size()); }
 
-  // ---- Memory management (engine thread, before or between steps) ----
+  // ---- Memory management (engine side, before or between steps) ----
 
   ObjectId create_object(ObjectKind kind, std::string name, std::uint64_t initial,
                          BoundSpec bound);
 
-  std::size_t num_objects() const;
+  std::size_t num_objects() const { return objects_.size(); }
   ObjectInfo object_info(ObjectId id) const;
   std::uint64_t object_value(ObjectId id) const;
 
@@ -99,7 +106,7 @@ class SimWorld {
   // its DPOR state key: equal hashes + equal signature means equal futures.
   std::vector<std::uint64_t> observation_hashes() const;
 
-  // ---- Process control (engine thread only) ----
+  // ---- Process control (engine side only) ----
 
   // Starts `method` on process `pid` (which must be idle) and runs it until
   // it announces its first shared-memory step or completes. Invocation
@@ -117,7 +124,7 @@ class SimWorld {
   bool is_idle(ProcessId pid) const;
   bool all_idle() const;
 
-  // ---- Crash events (engine thread only) ----
+  // ---- Crash events (engine side only) ----
   //
   // Kills process `pid` at the current configuration — the simulator's model
   // of SIGKILL. The process must be poised (it dies *instead of* executing
@@ -125,7 +132,7 @@ class SimWorld {
   // hazard guard, an epoch announcement — permanently in place) or idle.
   // A crashed process never runs again: poised() is nullopt, is_idle() is
   // false, invoke()/step() on it are engine errors. Deterministic: the call
-  // returns only after the victim's thread has fully unwound, so replaying
+  // returns only after the victim's fiber has fully unwound, so replaying
   // the same grant-plus-crash script reproduces the execution bit for bit.
   //
   // A method that lets any exception other than ExecutionAborted escape
@@ -138,62 +145,55 @@ class SimWorld {
   std::optional<PendingOp> poised(ProcessId pid) const;
 
   // Steps executed so far within pid's current (or most recent) method.
-  std::uint64_t steps_in_method(ProcessId pid) const;
+  std::uint64_t steps_in_method(ProcessId pid) const {
+    return procs_[pid].steps_in_method;
+  }
 
   // ---- Time and tracing ----
 
   // Monotonic logical clock: advanced by every step and by every history
   // event drawn via next_event_time(). Gives one total order over steps and
   // method invocation/response events.
-  std::uint64_t now() const;
-  std::uint64_t next_event_time();
+  std::uint64_t now() const { return clock_; }
+  std::uint64_t next_event_time() { return clock_++; }
 
-  void set_trace_enabled(bool enabled);
-  void clear_trace();
-  std::vector<StepRecord> trace_copy() const;
-  std::uint64_t total_steps() const;
+  void set_trace_enabled(bool enabled) { trace_enabled_ = enabled; }
+  void clear_trace() { trace_.clear(); }
+  std::vector<StepRecord> trace_copy() const { return trace_; }
+  std::uint64_t total_steps() const { return total_steps_; }
 
-  // ---- Called from simulated process threads (via platform handles) ----
+  // ---- Called from inside simulated processes (via platform handles) ----
 
   AccessResult access(const PendingOp& op);
-
-  // The world and process id of the calling simulated process thread.
-  static SimWorld* current_world();
-  static ProcessId current_pid();
 
  private:
   enum class Phase : std::uint8_t {
     kIdle,       // No method assigned.
-    kHasMethod,  // Method assigned, thread not yet running it.
-    kRunning,    // Thread executing local code (transient; engine is blocked
-                 // waiting for the next announcement or completion).
-    kAnnounced,  // Blocked at an announced shared-memory operation.
-    kGranted,    // Step granted; thread about to execute it (transient).
+    kRunning,    // The fiber is executing local code (the engine is
+                 // suspended until the next announcement or completion).
+    kAnnounced,  // Suspended at an announced shared-memory operation.
     kCrashed,    // Dead (crash event or self-fence); never runs again.
   };
 
   struct Proc {
-    std::thread thread;
     Phase phase = Phase::kIdle;
+    // What the next resume carries: false = grant, true = abort (crash()
+    // or teardown; the announced step is never applied).
+    bool abort = false;
     std::function<void()> method;
     PendingOp pending;
-    // Set by crash(); the victim's blocked access() wakes on it, unwinds,
-    // and acknowledges by setting phase = kCrashed.
-    bool crash_requested = false;
     std::uint64_t steps_in_method = 0;
     std::uint64_t obs_hash = 0xcbf29ce484222325ull;  // FNV-1a offset basis.
-    std::unique_ptr<std::condition_variable> cv =
-        std::make_unique<std::condition_variable>();
+    ucontext_t context{};
+    char* stack = nullptr;  // kFiberStackBytes, above its guard page.
+    void* tsan_fiber = nullptr;  // ThreadSanitizer builds only.
   };
 
-  void thread_main(ProcessId pid);
-  AccessResult apply_locked(const PendingOp& op, ProcessId pid);
-  MethodStatus wait_for_yield_locked(std::unique_lock<std::mutex>& lock,
-                                     ProcessId pid);
-
-  mutable std::mutex mu_;
-  std::condition_variable engine_cv_;
-  bool shutting_down_ = false;
+  static void fiber_entry(unsigned world_hi, unsigned world_lo, int pid);
+  void run_method(ProcessId pid);
+  MethodStatus resume(ProcessId pid, bool abort);
+  void yield(Proc& proc, bool final_switch);
+  AccessResult apply(const PendingOp& op, ProcessId pid);
 
   std::vector<Proc> procs_;
   std::vector<ObjectInfo> objects_;
@@ -202,6 +202,14 @@ class SimWorld {
   bool trace_enabled_ = true;
   std::vector<StepRecord> trace_;
   std::uint64_t total_steps_ = 0;
+
+  ucontext_t engine_{};      // The engine's context while a process runs.
+  ProcessId current_ = -1;   // The running process; -1 on the engine side.
+  // The engine's stack bounds (AddressSanitizer) and fiber (ThreadSanitizer),
+  // recorded at each switch into a process; unused in other builds.
+  const void* engine_stack_ = nullptr;
+  std::size_t engine_stack_size_ = 0;
+  void* engine_fiber_ = nullptr;
 };
 
 }  // namespace aba::sim

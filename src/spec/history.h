@@ -68,7 +68,7 @@ struct Op {
   std::string to_string() const;
 };
 
-// Thread-compatible during simulation (handshake-serialized), internally
+// Used from one thread during simulation (processes are fibers), internally
 // locked so native stress tests can record from many threads.
 class History {
  public:

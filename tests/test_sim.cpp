@@ -205,15 +205,32 @@ TEST(SimWorld, DeterministicReplayProducesIdenticalState) {
   EXPECT_NE(run(0), run(1));
 }
 
+// Counts the unwinds of the method frame that holds it.
+struct UnwindCounter {
+  int* count;
+  ~UnwindCounter() { ++*count; }
+};
+
 TEST(SimWorld, DestructionWithMidMethodProcessesIsClean) {
-  SimWorld world(2);
-  SimPlatform::Register reg(world, "r", 0, BoundSpec::unbounded());
-  world.invoke(0, [&] {
-    for (int i = 0; i < 100; ++i) reg.write(i);
-  });
-  world.invoke(1, [&] { reg.read(); });
-  world.step(0);
-  // Both processes are mid-method here; the destructor must unwind them.
+  std::vector<int> unwound(3, 0);
+  {
+    SimWorld world(3);
+    SimPlatform::Register reg(world, "r", 7, BoundSpec::unbounded());
+    for (ProcessId pid = 0; pid < 3; ++pid) {
+      world.invoke(pid, [&, pid] {
+        UnwindCounter counter{&unwound[pid]};
+        for (int i = 0; i < 100; ++i) reg.write(100 * pid + i);
+      });
+    }
+    world.step(0);
+    // crash() unwinds the victim's parked method before it returns.
+    world.crash(1);
+    EXPECT_EQ(unwound, (std::vector<int>{0, 1, 0}));
+    // Only p0's first write landed; p1 died instead of taking its step.
+    EXPECT_EQ(world.object_value(reg.id()), 0u);
+    // Processes 0 and 2 are mid-method here; the destructor must unwind them.
+  }
+  EXPECT_EQ(unwound, (std::vector<int>{1, 1, 1}));
 }
 
 TEST(SimWorld, EventClockOrdersInvocationsAndSteps) {
@@ -250,7 +267,7 @@ TEST(SimWorldDeath, CasOnPlainRegisterRejected) {
         const ObjectId id = world.create_object(ObjectKind::kRegister, "r", 0,
                                                 BoundSpec::unbounded());
         world.invoke(0, [&, id] {
-          SimWorld::current_world()->access(PendingOp{id, OpKind::kCas, 0, 1});
+          world.access(PendingOp{id, OpKind::kCas, 0, 1});
         });
         world.run_to_completion(0);
       },
@@ -265,11 +282,36 @@ TEST(SimWorldDeath, WriteOnPureCasRejected) {
         const ObjectId id =
             world.create_object(ObjectKind::kCas, "c", 0, BoundSpec::unbounded());
         world.invoke(0, [&, id] {
-          SimWorld::current_world()->access(PendingOp{id, OpKind::kWrite, 1, 0});
+          world.access(PendingOp{id, OpKind::kWrite, 1, 0});
         });
         world.run_to_completion(0);
       },
       "Write\\(\\) on a non-writable CAS");
+}
+
+// Recurses `depth` frames deep. Each frame's buffer stays live across the
+// call (the callee reads it), so the stack grows by at least
+// depth * sizeof(frame).
+[[gnu::noinline]] int dig(int depth, volatile char* parent) {
+  volatile char frame[256];
+  frame[0] = static_cast<char>(parent[0] + 1);
+  if (depth == 0) return frame[0];
+  return dig(depth - 1, frame) + frame[0];
+}
+
+TEST(SimWorldDeath, RunawayRecursionInAMethodDies) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        // Process 1's stack is a neighbouring allocation that one and a
+        // half stacks' worth of frames would reach without the guard page.
+        SimWorld world(2);
+        world.invoke(0, [] {
+          volatile char root[1] = {0};
+          dig(static_cast<int>(SimWorld::kFiberStackBytes * 3 / 2 / 256), root);
+        });
+      },
+      "");
 }
 
 TEST(SimWorld, StepRecordToString) {
