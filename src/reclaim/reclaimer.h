@@ -111,11 +111,12 @@ inline FreeLists partition_pool(int n, int k, std::uint64_t first = 0) {
       static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(k);
   ABA_CHECK_MSG(count <= kEntries && first <= kEntries - count,
                 "node indices must fit a 32-bit free-list entry");
-  FreeLists lists(static_cast<std::size_t>(n));
-  auto next = static_cast<std::uint32_t>(first);
-  for (IndexList& list : lists) {
-    list.reserve(static_cast<std::size_t>(k));
-    for (int i = 0; i < k; ++i) list.push_back(next++);
+  FreeLists lists;
+  lists.reserve(static_cast<std::size_t>(n));
+  for (int p = 0; p < n; ++p) {
+    lists.push_back(IndexList::iota(static_cast<std::uint32_t>(first),
+                                    static_cast<std::size_t>(k)));
+    first += static_cast<std::uint64_t>(k);
   }
   return lists;
 }

@@ -19,6 +19,7 @@
 #endif
 #if defined(__SANITIZE_ADDRESS__) || __has_feature(address_sanitizer)
 #define ABA_SIM_ASAN 1
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(__SANITIZE_THREAD__) || __has_feature(thread_sanitizer)
@@ -39,6 +40,61 @@ std::size_t page_bytes() {
   static const auto bytes = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   return bytes;
 }
+
+// Fiber stacks that finished worlds released, kept mapped (guard page
+// included) for the next world this thread builds: a model checker builds
+// a world per replay, and mapping, protecting and unmapping each stack
+// again would cost three system calls per process per replay.
+class StackCache {
+ public:
+  // Enough for several live worlds' worth of processes; the rest unmap.
+  static constexpr std::size_t kMaxStacks = 32;
+
+  StackCache() = default;
+  StackCache(const StackCache&) = delete;
+  StackCache& operator=(const StackCache&) = delete;
+  ~StackCache() {
+    while (count_ > 0) unmap(stacks_[--count_]);
+  }
+
+  // A stack of SimWorld::kFiberStackBytes above a PROT_NONE guard page.
+  char* take() {
+    if (count_ > 0) {
+      char* stack = stacks_[--count_];
+#ifdef ABA_SIM_ASAN
+      // The frames of the fiber that last ran here left their redzones.
+      ASAN_UNPOISON_MEMORY_REGION(stack, SimWorld::kFiberStackBytes);
+#endif
+      return stack;
+    }
+    const std::size_t guard = page_bytes();
+    void* base = mmap(nullptr, guard + SimWorld::kFiberStackBytes,
+                      PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    ABA_ASSERT_MSG(base != MAP_FAILED, "cannot map a fiber stack");
+    const int rc = mprotect(base, guard, PROT_NONE);
+    ABA_ASSERT_MSG(rc == 0, "cannot protect a fiber stack's guard page");
+    return static_cast<char*>(base) + guard;
+  }
+
+  void give_back(char* stack) {
+    if (count_ < kMaxStacks) {
+      stacks_[count_++] = stack;
+    } else {
+      unmap(stack);
+    }
+  }
+
+ private:
+  static void unmap(char* stack) {
+    munmap(stack - page_bytes(), page_bytes() + SimWorld::kFiberStackBytes);
+  }
+
+  char* stacks_[kMaxStacks] = {};
+  std::size_t count_ = 0;
+};
+
+thread_local StackCache stack_cache;
 }  // namespace
 
 std::string to_string(const StepRecord& step) {
@@ -62,14 +118,8 @@ std::string to_string(const StepRecord& step) {
 
 SimWorld::SimWorld(int num_processes) : procs_(num_processes) {
   ABA_ASSERT(num_processes > 0);
-  const std::size_t guard = page_bytes();
   for (auto& proc : procs_) {
-    void* base = mmap(nullptr, guard + kFiberStackBytes, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-    ABA_ASSERT_MSG(base != MAP_FAILED, "cannot map a fiber stack");
-    const int rc = mprotect(base, guard, PROT_NONE);
-    ABA_ASSERT_MSG(rc == 0, "cannot protect a fiber stack's guard page");
-    proc.stack = static_cast<char*>(base) + guard;
+    proc.stack = stack_cache.take();
 #ifdef ABA_SIM_TSAN
     proc.tsan_fiber = __tsan_create_fiber(0);
 #endif
@@ -87,7 +137,7 @@ SimWorld::~SimWorld() {
 #ifdef ABA_SIM_TSAN
     __tsan_destroy_fiber(proc.tsan_fiber);
 #endif
-    munmap(proc.stack - page_bytes(), page_bytes() + kFiberStackBytes);
+    stack_cache.give_back(proc.stack);
   }
 }
 

@@ -66,7 +66,8 @@ struct ObjectInfo {
 class SimWorld {
  public:
   // Each process's fiber stack: fixed, with a PROT_NONE guard page below it
-  // so a runaway recursion faults instead of overwriting a neighbour.
+  // so a runaway recursion faults instead of overwriting a neighbour. A
+  // finished world's stacks stay mapped for the next world on its thread.
   static constexpr std::size_t kFiberStackBytes = std::size_t{256} << 10;
 
   explicit SimWorld(int num_processes);

@@ -65,6 +65,21 @@ class FifoRing {
     for (const T& value : values) push_back(value);
   }
 
+  // A ring holding first, first + 1, ..., first + count - 1, front to back:
+  // what reserve(count) and count push_backs build, filled in one pass.
+  static FifoRing iota(T first, std::size_t count) {
+    FifoRing ring;
+    if (count == 0) return ring;
+    const std::size_t capacity = std::bit_ceil(count);
+    ring.buffer_.reserve(capacity);
+    for (std::size_t i = 0; i < count; ++i) {
+      ring.buffer_.push_back(static_cast<T>(first + i));
+    }
+    ring.buffer_.resize(capacity);
+    ring.size_ = count;
+    return ring;
+  }
+
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return buffer_.size(); }

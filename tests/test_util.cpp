@@ -7,9 +7,20 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cerrno>
+#endif
 
 #include "native/native_platform.h"
 #include "reclaim/reclaimer.h"
@@ -314,6 +325,33 @@ TEST(FifoRing, MatchesDequeOracle) {
                          oracle.end()));
 }
 
+// iota builds in one pass the ring that reserve and pushes build: the
+// same entries in the same order, the same capacity and the same
+// fingerprint, including an empty ring, counts that are not a power of two
+// and a range that ends at the last 32-bit index.
+TEST(FifoRing, IotaMatchesPushedRing) {
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 32;
+  const std::pair<std::uint64_t, std::size_t> cases[] = {
+      {0, 0}, {5, 1}, {1, 3}, {7, 16384}, {100, 1000}, {kTop - 6, 6}};
+  for (const auto& [first, count] : cases) {
+    SCOPED_TRACE(count);
+    FifoRing<std::uint32_t> pushed;
+    pushed.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      pushed.push_back(static_cast<std::uint32_t>(first + i));
+    }
+    const auto built = FifoRing<std::uint32_t>::iota(
+        static_cast<std::uint32_t>(first), count);
+    EXPECT_EQ(built.size(), pushed.size());
+    EXPECT_EQ(built.capacity(), pushed.capacity());
+    EXPECT_TRUE(std::equal(built.begin(), built.end(), pushed.begin(),
+                           pushed.end()));
+    reclaim::Fingerprint a;
+    reclaim::Fingerprint b;
+    EXPECT_EQ(a.mix_range(built).value(), b.mix_range(pushed).value());
+  }
+}
+
 // --------------------------------------------------------------------- RNG
 
 TEST(Rng, DeterministicBySeed) {
@@ -434,30 +472,46 @@ struct Logged {
   std::vector<int>* log;
 };
 
+// Enough Logged elements for the mapped path, one more than a huge page
+// holds, so the page-rounded size is not a multiple of the huge page.
+constexpr std::size_t kMappedElements = kHugePageBytes / sizeof(Logged) + 1;
+
+// from - 1, from - 2, ..., 0: the destruction log of elements [0, from).
+std::vector<int> countdown(std::size_t from) {
+  std::vector<int> ids(from);
+  for (std::size_t i = 0; i < from; ++i) ids[i] = static_cast<int>(from - 1 - i);
+  return ids;
+}
+
 TEST(ObjectArray, DestroysInReverseOrder) {
-  std::vector<int> log;
-  {
-    ObjectArray<Logged> a(4, [&](std::size_t i) {
-      return Logged(static_cast<int>(i), &log, -1);
-    });
-    EXPECT_TRUE(log.empty());
+  for (const std::size_t n : {std::size_t{4}, kMappedElements}) {
+    std::vector<int> log;
+    {
+      ObjectArray<Logged> a(n, [&](std::size_t i) {
+        return Logged(static_cast<int>(i), &log, -1);
+      });
+      EXPECT_TRUE(log.empty());
+    }
+    EXPECT_TRUE(log == countdown(n)) << n << " elements";
   }
-  EXPECT_EQ(log, (std::vector<int>{3, 2, 1, 0}));
 }
 
 TEST(ObjectArray, ThrowingConstructorDestroysBuiltPrefix) {
-  std::vector<int> log;
-  EXPECT_THROW(
-      {
-        ObjectArray<Logged> a(6, [&](std::size_t i) {
-          return Logged(static_cast<int>(i), &log, 3);
-        });
-      },
-      std::runtime_error);
-  // Elements 0..2 were built and are destroyed, last first; element 3 never
-  // finished constructing. The storage itself is freed (LeakSanitizer
-  // checks it in the sanitizer build).
-  EXPECT_EQ(log, (std::vector<int>{2, 1, 0}));
+  // Elements [0, throw_at) were built and are destroyed, last first;
+  // element throw_at never finished constructing. The storage itself is
+  // freed (LeakSanitizer checks the allocator path in the sanitizer build).
+  for (const std::size_t n : {std::size_t{6}, kMappedElements}) {
+    const std::size_t throw_at = n / 2;
+    std::vector<int> log;
+    EXPECT_THROW(
+        {
+          ObjectArray<Logged> a(n, [&](std::size_t i) {
+            return Logged(static_cast<int>(i), &log, static_cast<int>(throw_at));
+          });
+        },
+        std::runtime_error);
+    EXPECT_TRUE(log == countdown(throw_at)) << n << " elements";
+  }
 }
 
 TEST(ObjectArray, EmptyArray) {
@@ -470,6 +524,64 @@ TEST(ObjectArray, EmptyArray) {
   }
   EXPECT_TRUE(log.empty());
 }
+
+// An array of at least kHugePageBytes is mapped on its own: it starts on a
+// huge-page boundary, and its elements are built in index order.
+TEST(ObjectArray, MappedArrayStartsOnAHugePageBoundary) {
+  std::vector<int> log;
+  std::vector<std::size_t> calls;
+  ObjectArray<Logged> a(kMappedElements, [&](std::size_t i) {
+    calls.push_back(i);
+    return Logged(static_cast<int>(i), &log, -1);
+  });
+  ASSERT_EQ(a.size(), kMappedElements);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.data()) % kHugePageBytes, 0u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(calls[i], i);
+    ASSERT_EQ(a[i].id, static_cast<int>(i));
+  }
+}
+
+#if defined(__linux__)
+// The mapping is trimmed to the array's page-rounded size: a huge page
+// never covers memory that construction did not touch, which is what keeps
+// resident memory where the allocator path had it.
+TEST(ObjectArray, MappingIsExactlyThePageRoundedArray) {
+  std::vector<int> log;
+  ObjectArray<Logged> a(kMappedElements, [&](std::size_t i) {
+    return Logged(static_cast<int>(i), &log, -1);
+  });
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const std::uintptr_t bytes = kMappedElements * sizeof(Logged);
+  const std::uintptr_t rounded = (bytes + page - 1) / page * page;
+  const auto at = reinterpret_cast<std::uintptr_t>(a.data());
+  // The page past the end belonged to the over-mapping and is unmapped
+  // again. Checked first, before anything else can map there. (The maps
+  // entry alone cannot show this: the huge-page advice splits an untrimmed
+  // tail into an entry of its own.)
+  unsigned char resident = 0;
+  errno = 0;
+  EXPECT_EQ(mincore(reinterpret_cast<void*>(at + rounded), page, &resident), -1);
+  EXPECT_EQ(errno, ENOMEM);
+  std::ifstream maps("/proc/self/maps");
+  ASSERT_TRUE(maps.is_open());
+  std::string line;
+  bool found = false;
+  while (std::getline(maps, line)) {
+    std::uintptr_t lo = 0;
+    std::uintptr_t hi = 0;
+    char dash = 0;
+    std::istringstream range(line);
+    range >> std::hex >> lo >> dash >> hi;
+    if (lo <= at && at < hi) {
+      found = true;
+      EXPECT_EQ(lo, at) << line;
+      EXPECT_EQ(hi - lo, rounded) << line;
+    }
+  }
+  EXPECT_TRUE(found);
+}
+#endif
 
 // ------------------------------------------------------------------- Table
 
