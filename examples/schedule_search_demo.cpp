@@ -50,36 +50,41 @@ constexpr int kProcs = 2;
 constexpr int kCycles = 12;
 constexpr int kCrashCycles = 24;
 
-// Symmetric put/take storm: both pids carry enough retires that whichever
-// one the searcher kills, the survivor still drives the suspect/confirm
-// handshake to a confirmed expropriation.
-std::vector<harness::WorkloadOp> crash_workload(const std::string& fixture) {
-  const bool is_queue = fixture.find("queue") != std::string::npos;
-  const spec::Method put = is_queue ? spec::Method::kEnq : spec::Method::kPush;
-  const spec::Method take = is_queue ? spec::Method::kDeq : spec::Method::kPop;
-  std::vector<harness::WorkloadOp> workload;
-  for (int pid = 0; pid < kProcs; ++pid) {
-    for (int c = 0; c < kCrashCycles; ++c) {
-      workload.push_back(
-          {pid, put, static_cast<std::uint64_t>(pid * 1000 + c)});
-      workload.push_back({pid, take, 0});
-    }
+// Stamps the golden bounds the corpus test replays a worst case against.
+void stamp_golden(search::ScheduleScript& script, const std::string& name,
+                  const search::ReplayResult& replay) {
+  script.meta["fixture"] = name;
+  script.meta["cost"] = "retired_unreclaimed";
+  script.meta["expect_peak"] =
+      std::to_string(static_cast<long long>(replay.peak_cost));
+  script.meta["expect_peak_grant"] = std::to_string(replay.peak_grant);
+  script.meta["expect_grants"] = std::to_string(script.grants.size());
+}
+
+// Writes `script` to `path` below its leading `#` comment lines.
+bool write_script(const std::string& path, const char* comment,
+                  const search::ScheduleScript& script) {
+  std::ofstream out(path);
+  if (!out.good()) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
   }
-  return workload;
+  out << comment << script.serialize();
+  std::printf("  wrote %s\n", path.c_str());
+  return true;
 }
 
 // Searches with one crash grant allowed and emits the first candidate whose
 // replay actually recovers (a confirmed expropriation in the drained final
 // stats). Returns false if no such schedule surfaced within budget.
 bool emit_crash_schedule(const std::string& name, const std::string& out_dir) {
+  // A symmetric storm: whichever process the searcher kills, the survivor
+  // still drives the suspect/confirm handshake to an expropriation.
   const auto factory = search::reclaim_fixture(name);
-  search::SearchOptions options;
-  options.top_k = 8;
-  options.context_bound = 3;
-  options.max_executions = 48;
-  options.max_crashes = 1;
-  search::ScheduleExplorer explorer(factory, kProcs, crash_workload(name),
-                                    search::retired_unreclaimed_cost, options);
+  search::ScheduleExplorer explorer(
+      factory, kProcs,
+      search::symmetric_storm_workload(name, kProcs, kCrashCycles),
+      search::retired_unreclaimed_cost, search::crash_search_options());
   const search::SearchResult result = explorer.run();
 
   for (const auto& entry : result.best) {
@@ -105,12 +110,7 @@ bool emit_crash_schedule(const std::string& name, const std::string& out_dir) {
     const auto crashes = std::count_if(script.grants.begin(),
                                        script.grants.end(),
                                        search::is_crash_grant);
-    script.meta["fixture"] = name;
-    script.meta["cost"] = "retired_unreclaimed";
-    script.meta["expect_peak"] =
-        std::to_string(static_cast<long long>(first.peak_cost));
-    script.meta["expect_peak_grant"] = std::to_string(first.peak_grant);
-    script.meta["expect_grants"] = std::to_string(script.grants.size());
+    stamp_golden(script, name, first);
     script.meta["crashes"] = std::to_string(crashes);
     script.meta["expect_expropriations"] =
         std::to_string(first.final_stats.expropriations);
@@ -127,23 +127,16 @@ bool emit_crash_schedule(const std::string& name, const std::string& out_dir) {
                 static_cast<unsigned long long>(result.executions),
                 first.final_stats.expropriations);
 
-    if (!out_dir.empty()) {
-      const std::string path = out_dir + "/" + name + ".crash.sched";
-      std::ofstream out(path);
-      if (!out.good()) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-      }
-      out << "# Searched crash schedule — a kill at a vulnerable reclamation "
-             "phase plus the\n"
-             "# survivor's recovery; golden bounds include the drained final "
-             "stats. Found by\n"
-             "# schedule_search_demo --crashes; replayed by ScheduleCorpus.* "
-             "(tests/test_schedule_search.cpp).\n"
-          << script.serialize();
-      std::printf("  wrote %s\n", path.c_str());
-    }
-    return true;
+    return out_dir.empty() ||
+           write_script(
+               out_dir + "/" + name + ".crash.sched",
+               "# Searched crash schedule — a kill at a vulnerable "
+               "reclamation phase plus the\n"
+               "# survivor's recovery; golden bounds include the drained "
+               "final stats. Found by\n"
+               "# schedule_search_demo --crashes; replayed by "
+               "ScheduleCorpus.* (tests/test_schedule_search.cpp).\n",
+               script);
   }
   std::printf("%-30s %10s\n", name.c_str(), "(no recovering crash schedule)");
   return false;
@@ -180,15 +173,9 @@ struct ConvictBudget {
 bool emit_conviction(const std::string& name, const std::string& out_dir,
                      const ConvictBudget& budget) {
   const auto factory = search::reclaim_fixture(name, budget.pool);
-  search::SearchOptions options;
-  options.top_k = 1;
-  options.context_bound = budget.context_bound;
-  options.max_executions = budget.max_executions;
-  options.max_grants = 1ull << 30;  // Let max_executions be the real budget.
-  options.max_crashes = budget.max_crashes;
-  options.check_spec = true;
-  options.stop_on_violation = true;
-  options.prelude = budget.prelude;
+  const search::SearchOptions options = search::conviction_search_options(
+      budget.context_bound, budget.max_executions, budget.max_crashes,
+      budget.prelude);
   for (const auto& candidate :
        search::workload_candidates(name, budget.procs, budget.cycles)) {
     if (!budget.workload.empty() && candidate.name != budget.workload) continue;
@@ -241,26 +228,19 @@ bool emit_conviction(const std::string& name, const std::string& out_dir,
       script.meta["search_prelude"] = std::to_string(budget.prelude.size());
     }
 
-    if (!out_dir.empty()) {
-      const std::string path = out_dir + "/" + name + ".crash.sched";
-      std::ofstream out(path);
-      if (!out.good()) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-      }
-      out << "# Lease-mutant conviction — a spec violation the bounded "
-             "crash-enabled search\n"
-             "# found against this deliberately broken reclaimer; replaying "
-             "it re-produces\n"
-             "# the failing verdict. Found by schedule_search_demo "
-             "--convict; replayed by\n"
-             "# LeaseMutantCatch.*, CorpusHygiene.* and ScheduleCorpus.* "
-             "(tests/test_model_check.cpp,\n"
-             "# tests/test_schedule_search.cpp).\n"
-          << script.serialize();
-      std::printf("  wrote %s\n", path.c_str());
-    }
-    return true;
+    return out_dir.empty() ||
+           write_script(
+               out_dir + "/" + name + ".crash.sched",
+               "# Lease-mutant conviction — a spec violation the bounded "
+               "crash-enabled search\n"
+               "# found against this deliberately broken reclaimer; "
+               "replaying it re-produces\n"
+               "# the failing verdict. Found by schedule_search_demo "
+               "--convict; replayed by\n"
+               "# LeaseMutantCatch.*, CorpusHygiene.* and ScheduleCorpus.* "
+               "(tests/test_model_check.cpp,\n"
+               "# tests/test_schedule_search.cpp).\n",
+               script);
   }
   std::printf("%-38s (no conviction within budget)\n", name.c_str());
   return false;
@@ -365,11 +345,7 @@ int main(int argc, char** argv) {
   }
   for (const std::string& name : wanted) {
     const auto factory = search::reclaim_fixture(name);
-
-    search::SearchOptions options;
-    options.top_k = 3;
-    options.context_bound = 3;
-    options.max_executions = 128;
+    const search::SearchOptions options = search::corpus_search_options();
     search::SearchResult result;
     std::string winning_workload;
     if (workload_search) {
@@ -404,12 +380,7 @@ int main(int argc, char** argv) {
                    name.c_str());
       return 1;
     }
-    script.meta["fixture"] = name;
-    script.meta["cost"] = "retired_unreclaimed";
-    script.meta["expect_peak"] = std::to_string(
-        static_cast<long long>(first.peak_cost));
-    script.meta["expect_peak_grant"] = std::to_string(first.peak_grant);
-    script.meta["expect_grants"] = std::to_string(script.grants.size());
+    stamp_golden(script, name, first);
 
     std::printf("%-30s %10.0f %12llu %10llu%s%s\n", name.c_str(),
                 first.peak_cost,
@@ -418,19 +389,14 @@ int main(int argc, char** argv) {
                 winning_workload.empty() ? "" : "  workload=",
                 winning_workload.c_str());
 
-    if (!out_dir.empty()) {
-      const std::string path = out_dir + "/" + name + suffix;
-      std::ofstream out(path);
-      if (!out.good()) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return 1;
-      }
-      out << "# Searched reclamation worst case — found by "
-             "schedule_search_demo,\n"
-             "# replayed with golden bounds by ScheduleCorpus.* "
-             "(tests/test_schedule_search.cpp).\n"
-          << script.serialize();
-      std::printf("  wrote %s\n", path.c_str());
+    if (!out_dir.empty() &&
+        !write_script(out_dir + "/" + name + suffix,
+                      "# Searched reclamation worst case — found by "
+                      "schedule_search_demo,\n"
+                      "# replayed with golden bounds by ScheduleCorpus.* "
+                      "(tests/test_schedule_search.cpp).\n",
+                      script)) {
+      return 1;
     }
   }
   return 0;

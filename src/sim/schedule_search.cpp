@@ -1,656 +1,18 @@
+// The schedule-search engine (sim/schedule_search.h): ScheduleRunner, the
+// DPOR ScheduleExplorer with its state key, and the workload search.
 #include "sim/schedule_search.h"
 
 #include <algorithm>
-#include <cctype>
-#include <map>
-#include <sstream>
+#include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
-#include "harness/adapters.h"
-#include "reclaim/epoch.h"
-#include "reclaim/hazard_pointer.h"
-#include "reclaim/leaky.h"
-#include "reclaim/mutant.h"
-#include "reclaim/tagged.h"
-#include "sim/sim_lease.h"
-#include "sim/sim_platform.h"
-#include "spec/lin_checker.h"
-#include "spec/specs.h"
-#include "structures/ms_queue.h"
-#include "structures/ring_buffer.h"
-#include "structures/sharded.h"
-#include "structures/treiber_stack.h"
 #include "util/assert.h"
 
 namespace aba::search {
-
-namespace {
-
-// Script method names are the spec's names in lower case (push, deq, dread,
-// ll, ...), so every object the harness drives has a script form.
-std::string method_name(spec::Method m) {
-  std::string name = spec::to_string(m);
-  for (char& c : name) c = static_cast<char>(std::tolower(c));
-  return name;
-}
-
-std::optional<spec::Method> method_from(const std::string& name) {
-  for (int m = 0; m <= static_cast<int>(spec::Method::kDeq); ++m) {  // Last.
-    const auto method = static_cast<spec::Method>(m);
-    if (name == method_name(method)) return method;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-// ----------------------------------------------------------------- script
-
-std::string ScheduleScript::serialize() const {
-  std::ostringstream out;
-  out << "schedule-script v1\n";
-  out << "processes " << num_processes << "\n";
-  for (const auto& [key, value] : meta) {
-    out << "meta " << key << " " << value << "\n";
-  }
-  for (const auto& op : workload) {
-    out << "op " << op.pid << " " << method_name(op.method) << " " << op.arg
-        << "\n";
-  }
-  for (std::size_t i = 0; i < grants.size(); ++i) {
-    if (i % 24 == 0) out << (i == 0 ? "grants" : "\ngrants");
-    if (is_crash_grant(grants[i])) {
-      out << " !" << crash_victim(grants[i]);
-    } else {
-      out << ' ' << grants[i];
-    }
-  }
-  if (!grants.empty()) out << "\n";
-  out << "end\n";
-  return out.str();
-}
-
-std::optional<ScheduleScript> ScheduleScript::parse(const std::string& text) {
-  ScheduleScript script;
-  std::istringstream in(text);
-  std::string line;
-  bool saw_header = false;
-  bool saw_end = false;
-  while (std::getline(in, line)) {
-    // Strip comments and blank lines.
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream tokens(line);
-    std::string word;
-    if (!(tokens >> word)) continue;
-
-    if (!saw_header) {
-      std::string version;
-      if (word != "schedule-script" || !(tokens >> version) || version != "v1") {
-        return std::nullopt;
-      }
-      saw_header = true;
-      continue;
-    }
-    if (word == "processes") {
-      // A second line could shrink the count under ops already parsed.
-      if (script.num_processes != 0 || !(tokens >> script.num_processes) ||
-          script.num_processes < 1) {
-        return std::nullopt;
-      }
-    } else if (word == "meta") {
-      std::string key, value;
-      if (!(tokens >> key)) return std::nullopt;
-      std::getline(tokens, value);
-      const std::size_t start = value.find_first_not_of(" \t");
-      script.meta[key] =
-          start == std::string::npos ? std::string() : value.substr(start);
-    } else if (word == "op") {
-      harness::WorkloadOp op;
-      std::string method;
-      if (!(tokens >> op.pid >> method >> op.arg)) return std::nullopt;
-      const auto parsed = method_from(method);
-      if (!parsed || op.pid < 0 || op.pid >= script.num_processes) {
-        return std::nullopt;
-      }
-      op.method = *parsed;
-      script.workload.push_back(op);
-    } else if (word == "grants") {
-      std::string token;
-      while (tokens >> token) {
-        bool crash = false;
-        if (!token.empty() && token[0] == '!') {
-          crash = true;
-          token.erase(0, 1);
-        }
-        int pid = -1;
-        try {
-          std::size_t used = 0;
-          pid = std::stoi(token, &used);
-          if (used != token.size()) return std::nullopt;
-        } catch (...) {
-          return std::nullopt;
-        }
-        if (pid < 0 || pid >= script.num_processes) return std::nullopt;
-        script.grants.push_back(crash ? crash_grant(pid) : pid);
-      }
-    } else if (word == "end") {
-      saw_end = true;
-      break;
-    } else {
-      return std::nullopt;
-    }
-  }
-  if (!saw_header || !saw_end) return std::nullopt;
-  return script;
-}
-
-// ------------------------------------------------------------------ costs
-
-double retired_unreclaimed_cost(const reclaim::ReclaimStats& s) {
-  return static_cast<double>(s.retired_unreclaimed);
-}
-
-double pool_pressure_cost(const reclaim::ReclaimStats& s) {
-  return static_cast<double>(s.pool_size) - static_cast<double>(s.free_nodes);
-}
-
-double guard_occupancy_cost(const reclaim::ReclaimStats& s) {
-  return static_cast<double>(s.guard_slots_occupied);
-}
-
-double epoch_lag_cost(const reclaim::ReclaimStats& s) {
-  return static_cast<double>(s.epoch_lag);
-}
-
-double epoch_lag_backlog_cost(const reclaim::ReclaimStats& s) {
-  return static_cast<double>(s.epoch_lag) *
-         static_cast<double>(s.retired_unreclaimed);
-}
-
-CostFn cost_by_name(const std::string& name) {
-  if (name == "retired_unreclaimed") return retired_unreclaimed_cost;
-  if (name == "pool_pressure") return pool_pressure_cost;
-  if (name == "guard_occupancy") return guard_occupancy_cost;
-  if (name == "epoch_lag") return epoch_lag_cost;
-  if (name == "epoch_lag_backlog") return epoch_lag_backlog_cost;
-  ABA_CHECK_MSG(false, "unknown schedule-search cost function name");
-  return retired_unreclaimed_cost;
-}
-
-// --------------------------------------------------------------- verdicts
-
-namespace {
-
-// Multiset conservation: every taken value was put successfully at least as
-// many times as it was taken. The invariant that survives crashes — with
-// one credit per crashed victim's pending put, whose effect may have landed
-// without the op completing (a push killed after the linking CAS leaves its
-// value reachable; the quarantine rule keeps the node out of circulation,
-// but a survivor popping it is a legitimate take).
-SpecVerdict check_conservation(const std::vector<spec::Op>& ops,
-                               spec::Method take,
-                               const std::vector<spec::Op>& pending) {
-  SpecVerdict verdict;
-  verdict.checked = true;
-  std::map<std::uint64_t, long> balance;
-  for (const auto& op : ops) {
-    if (op.method != take && op.ret == 1) ++balance[op.arg];
-  }
-  for (const auto& op : pending) {
-    if (op.method == spec::Method::kPush || op.method == spec::Method::kEnq) {
-      ++balance[op.arg];
-    }
-  }
-  for (const auto& op : ops) {
-    if (op.method == take && op.ret != 0) {
-      const std::uint64_t value = op.ret - 1;  // pack_opt inverse.
-      auto it = balance.find(value);
-      if (it == balance.end() || it->second <= 0) {
-        verdict.ok = false;
-        std::ostringstream out;
-        out << "conservation violated: value " << value
-            << " taken by p" << op.pid << " was never put (or taken twice)";
-        verdict.detail = out.str();
-        return verdict;
-      }
-      --it->second;
-    }
-  }
-  return verdict;
-}
-
-template <class Spec>
-SpecVerdict check_linearizable_history(const std::vector<spec::Op>& ops,
-                                       const typename Spec::State& initial) {
-  SpecVerdict verdict;
-  verdict.checked = true;
-  const auto result = spec::check_linearizable<Spec>(ops, initial);
-  if (!result.linearizable) {
-    verdict.ok = false;
-    verdict.detail = spec::explain(ops, result);
-  }
-  return verdict;
-}
-
-}  // namespace
-
-SpecVerdict check_history(const SearchFixture& fixture) {
-  const SpecKind kind = fixture.spec;
-  if (kind == SpecKind::kNone) return {};
-  const sim::SimWorld& world = *fixture.world;
-  const int n = world.num_processes();
-  const std::vector<spec::Op> ops = fixture.history->completed_ops();
-  bool crashed = false;
-  for (int pid = 0; pid < n; ++pid) crashed = crashed || world.is_crashed(pid);
-  if (crashed) {
-    ABA_CHECK_MSG(kind != SpecKind::kAbaRegister && kind != SpecKind::kLlsc,
-                  "crash verdicts exist for the container specs only");
-    const spec::Method take =
-        (kind == SpecKind::kQueue || kind == SpecKind::kRing)
-            ? spec::Method::kDeq
-            : spec::Method::kPop;
-    return check_conservation(ops, take, fixture.history->pending_ops());
-  }
-  switch (kind) {
-    case SpecKind::kStack:
-      return check_linearizable_history<spec::StackSpec>(
-          ops, spec::StackSpec::initial());
-    case SpecKind::kQueue:
-      return check_linearizable_history<spec::QueueSpec>(
-          ops, spec::QueueSpec::initial());
-    case SpecKind::kRing:
-      ABA_CHECK_MSG(fixture.ring_capacity >= 1,
-                    "kRing verdict needs the fixture's ring_capacity");
-      return check_linearizable_history<spec::BoundedQueueSpec>(
-          ops, spec::BoundedQueueSpec::initial(fixture.ring_capacity));
-    case SpecKind::kAbaRegister:
-      return check_linearizable_history<spec::AbaRegisterSpec>(
-          ops, spec::AbaRegisterSpec::initial(n, 0));
-    case SpecKind::kLlsc:
-      return check_linearizable_history<spec::LlscSpec>(
-          ops, spec::LlscSpec::initial(n, 0, true));
-    case SpecKind::kShardedStack: {
-      ABA_CHECK_MSG(fixture.shard_tags, "kShardedStack needs shard_tags");
-      const std::vector<int>& shard_tags = fixture.shard_tags();
-      const int num_shards = fixture.num_shards;
-      ABA_CHECK_MSG(shard_tags.size() == ops.size(),
-                    "sharded verdict needs one landing shard per history op");
-      std::vector<std::vector<spec::Op>> by_shard(
-          static_cast<std::size_t>(num_shards));
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        ABA_CHECK(shard_tags[i] >= 0 && shard_tags[i] < num_shards);
-        by_shard[static_cast<std::size_t>(shard_tags[i])].push_back(ops[i]);
-      }
-      for (int shard = 0; shard < num_shards; ++shard) {
-        SpecVerdict verdict = check_linearizable_history<spec::StackSpec>(
-            by_shard[static_cast<std::size_t>(shard)],
-            spec::StackSpec::initial());
-        if (!verdict.ok) {
-          verdict.detail =
-              "shard " + std::to_string(shard) + ": " + verdict.detail;
-          return verdict;
-        }
-      }
-      SpecVerdict verdict;
-      verdict.checked = true;
-      return verdict;
-    }
-    case SpecKind::kNone:
-      break;
-  }
-  return {};
-}
-
-// --------------------------------------------------------------- fixtures
-
-namespace {
-
-using SimP = sim::SimPlatform;
-
-// Death oracle over the simulator: a process is dead exactly when the
-// engine crashed it. Installed unconditionally in every flat fixture —
-// trace-neutral while nobody dies (see SearchFixture::oracle).
-struct SimDeathOracle final : reclaim::DeathOracle {
-  const sim::SimWorld* world;
-  explicit SimDeathOracle(const sim::SimWorld* w) : world(w) {}
-  bool is_dead(int pid) const override { return world->is_crashed(pid); }
-};
-
-SearchFixture fixture_shell(int n) {
-  SearchFixture fx;
-  fx.world = std::make_unique<sim::SimWorld>(n);
-  // The search replays thousands of executions; tracing is re-enabled by
-  // ScheduleExplorer::replay, which is when the trace matters.
-  fx.world->set_trace_enabled(false);
-  fx.history = std::make_unique<spec::History>();
-  fx.oracle = std::make_unique<SimDeathOracle>(fx.world.get());
-  return fx;
-}
-
-// Not every reclaimer has crash machinery (the tag-family ones are
-// oracle-free by design); wire the oracle only where it exists.
-template <class R>
-void maybe_set_death_oracle(R& reclaimer, const reclaim::DeathOracle* oracle) {
-  if constexpr (requires { reclaimer.set_death_oracle(oracle); }) {
-    reclaimer.set_death_oracle(oracle);
-  }
-}
-
-template <class R, class Head = structures::RawCasHead<SimP>>
-SearchFixture make_stack_fixture(int n, int pool) {
-  using Stack = structures::TreiberStack<SimP, Head, R>;
-  SearchFixture fx = fixture_shell(n);
-  auto stack = std::make_unique<Stack>(
-      *fx.world, n, std::make_unique<Head>(*fx.world, n),
-      Stack::partition(n, pool));
-  maybe_set_death_oracle(stack->reclaimer(), fx.oracle.get());
-  fx.invoker = std::make_unique<harness::ContainerInvoker<Stack>>(
-      *fx.world, *fx.history, std::move(stack));
-  return fx;
-}
-
-template <class R>
-SearchFixture make_queue_fixture(int n, int pool) {
-  using Queue = structures::MsQueue<SimP, R>;
-  SearchFixture fx = fixture_shell(n);
-  auto queue = std::make_unique<Queue>(*fx.world, n, pool);
-  maybe_set_death_oracle(queue->reclaimer(), fx.oracle.get());
-  fx.invoker = std::make_unique<harness::ContainerInvoker<Queue>>(
-      *fx.world, *fx.history, std::move(queue));
-  return fx;
-}
-
-// The MPMC ring under the model checker: no reclaimer (the per-slot
-// sequence words ARE the ABA answer — there are no nodes to reclaim, so
-// every cost function reads zero and the fixture is driven purely for its
-// spec verdict). Capacity 2 (the minimum): the full and empty boundaries —
-// where the strict-refusal contract bites — are a single op away from any
-// state, so even small search budgets cross them constantly.
-SearchFixture make_ring_fixture(int n, int /*pool*/) {
-  using Ring = structures::MpmcRing<SimP>;
-  constexpr std::size_t kCapacity = 2;
-  SearchFixture fx = fixture_shell(n);
-  fx.invoker = std::make_unique<harness::ContainerInvoker<Ring>>(
-      *fx.world, *fx.history,
-      std::make_unique<Ring>(*fx.world, n, kCapacity));
-  fx.ring_capacity = kCapacity;
-  return fx;
-}
-
-SearchFixture make_sharded_stack_fixture(int n, int pool) {
-  using Stack =
-      structures::ShardedTreiberStack<SimP, structures::RawCasHead<SimP>,
-                                      reclaim::CachedHazardPointerReclaimer<SimP>,
-                                      2>;
-  SearchFixture fx = fixture_shell(n);
-  auto invoker = std::make_unique<harness::ShardTaggedInvoker<Stack>>(
-      *fx.world, *fx.history,
-      std::make_unique<Stack>(*fx.world, n, Stack::make_heads(*fx.world, n),
-                              pool / 2));
-  auto* tagging = invoker.get();
-  fx.shard_tags = [tagging]() -> const std::vector<int>& {
-    return tagging->shard_of();
-  };
-  fx.num_shards = 2;
-  fx.invoker = std::move(invoker);
-  return fx;
-}
-
-// One registered fixture: its corpus `fixture` meta name, the factory, the
-// spec its histories are checked against (which also picks the workloads'
-// put/take verbs), and whether the per-process pool applies.
-struct FixtureEntry {
-  const char* name;
-  SearchFixture (*make)(int n, int pool);
-  SpecKind spec;
-  bool uses_pool;
-};
-
-using Hazard = reclaim::HazardPointerReclaimer<SimP>;
-using Cached = reclaim::CachedHazardPointerReclaimer<SimP>;
-using Epoch = reclaim::EpochBasedReclaimer<SimP>;
-using Deferred = reclaim::DeferredEpochReclaimer<SimP>;
-using TaggedHead = structures::TaggedCasHead<SimP>;
-using sim::SimLeasedHazardReclaimerT;
-using sim::SimLeasedEpochReclaimerT;
-using reclaim::LeaseMutation;
-
-constexpr FixtureEntry kFixtures[] = {
-    {"stack_hazard", make_stack_fixture<Hazard>, SpecKind::kStack, true},
-    {"stack_hazard_cached", make_stack_fixture<Cached>, SpecKind::kStack,
-     true},
-    {"stack_epoch", make_stack_fixture<Epoch>, SpecKind::kStack, true},
-    // Deferred-announce variant: the announcement is cached across ops and
-    // only refreshed on an epoch miss, so most begin_ops take one shared
-    // read and zero stores. The searcher probes the announce-validate
-    // window that the caching widens.
-    {"stack_epoch_deferred", make_stack_fixture<Deferred>, SpecKind::kStack,
-     true},
-    // The shipped immediate-reuse configuration: the TaggedCasHead's
-    // per-swing version bump is what detects recycled indices.
-    {"stack_tagged",
-     make_stack_fixture<reclaim::TaggedReclaimer<SimP>, TaggedHead>,
-     SpecKind::kStack, true},
-    {"stack_leaky", make_stack_fixture<reclaim::LeakyReclaimer<SimP>>,
-     SpecKind::kStack, true},
-    // The seeded bug: immediate reuse on a raw head — no version bump
-    // anywhere. The spec-driven search must convict this one.
-    {"stack_mutant_tagged",
-     make_stack_fixture<reclaim::MutantTaggedReclaimer<SimP>>,
-     SpecKind::kStack, true},
-    {"queue_hazard", make_queue_fixture<Hazard>, SpecKind::kQueue, true},
-    {"queue_hazard_cached", make_queue_fixture<Cached>, SpecKind::kQueue,
-     true},
-    {"queue_epoch", make_queue_fixture<Epoch>, SpecKind::kQueue, true},
-    {"queue_epoch_deferred", make_queue_fixture<Deferred>, SpecKind::kQueue,
-     true},
-    {"sharded_stack_hazard_cached", make_sharded_stack_fixture,
-     SpecKind::kShardedStack, true},
-    {"ring_mpmc", make_ring_fixture, SpecKind::kRing, false},
-    // ---- The crash-robust shm tier, sim-hosted (sim/sim_lease.h): the
-    // hazard/epoch cores over LeasedBook with the real PidLeaseTable
-    // protocol on a simulated shared-segment arena. Crash grants (`!p`)
-    // drive the actual suspect -> confirm -> seize/veto/quarantine machinery
-    // under the search.
-    {"stack_leased_hazard", make_stack_fixture<sim::SimLeasedHazardReclaimer>,
-     SpecKind::kStack, true},
-    {"stack_leased_hazard_cached",
-     make_stack_fixture<sim::SimLeasedCachedHazardReclaimer>,
-     SpecKind::kStack, true},
-    {"stack_leased_epoch", make_stack_fixture<sim::SimLeasedEpochReclaimer>,
-     SpecKind::kStack, true},
-    // Every retire routed through the retire_batch pending window (chunk of
-    // one): the searched mid-batch crash juncture of the staged hand-off.
-    {"stack_leased_epoch_batched",
-     make_stack_fixture<sim::SimLeasedEpochBatchedReclaimer>,
-     SpecKind::kStack, true},
-    {"queue_leased_hazard", make_queue_fixture<sim::SimLeasedHazardReclaimer>,
-     SpecKind::kQueue, true},
-    {"queue_leased_hazard_cached",
-     make_queue_fixture<sim::SimLeasedCachedHazardReclaimer>,
-     SpecKind::kQueue, true},
-    {"queue_leased_epoch", make_queue_fixture<sim::SimLeasedEpochReclaimer>,
-     SpecKind::kQueue, true},
-    // ---- The lease-mutant zoo (reclaim/mutant.h, LeaseMutation): each
-    // drops exactly one safety decision of the death handshake. The bounded
-    // search must convict all three; the all-kNone fixtures above must
-    // survive the identical budget.
-    {"stack_leased_mutant_stale_confirm",
-     make_stack_fixture<SimLeasedHazardReclaimerT<
-         reclaim::EagerGuards, LeaseMutation::kStaleConfirm>>,
-     SpecKind::kStack, true},
-    {"stack_leased_mutant_no_quarantine",
-     make_stack_fixture<SimLeasedHazardReclaimerT<
-         reclaim::EagerGuards, LeaseMutation::kNone,
-         LeaseMutation::kNoQuarantine>>,
-     SpecKind::kStack, true},
-    {"stack_leased_mutant_no_restamp",
-     make_stack_fixture<SimLeasedEpochReclaimerT<LeaseMutation::kNone,
-                                                 LeaseMutation::kNoRestamp>>,
-     SpecKind::kStack, true},
-};
-
-const FixtureEntry& fixture_entry(const std::string& name) {
-  for (const FixtureEntry& entry : kFixtures) {
-    if (name == entry.name) return entry;
-  }
-  std::string known;
-  for (const FixtureEntry& entry : kFixtures) {
-    known += std::string(known.empty() ? "" : ", ") + entry.name;
-  }
-  const std::string msg =
-      "unknown schedule-search fixture name '" + name + "'; registered: " +
-      known;
-  ABA_CHECK_MSG(false, msg.c_str());
-  return kFixtures[0];
-}
-
-// The put/take verbs a fixture's spec is written over.
-std::pair<spec::Method, spec::Method> verbs_of(const std::string& fixture) {
-  const SpecKind kind = fixture_entry(fixture).spec;
-  if (kind == SpecKind::kQueue || kind == SpecKind::kRing) {
-    return {spec::Method::kEnq, spec::Method::kDeq};
-  }
-  return {spec::Method::kPush, spec::Method::kPop};
-}
-
-}  // namespace
-
-SearchFixtureFactory reclaim_fixture(const std::string& name,
-                                     int pool_per_process) {
-  const FixtureEntry& entry = fixture_entry(name);
-  ABA_CHECK(!entry.uses_pool || pool_per_process >= 1);
-  return [&entry, pool_per_process](int n) {
-    SearchFixture fx = entry.make(n, pool_per_process);
-    fx.spec = entry.spec;
-    return fx;
-  };
-}
-
-std::vector<std::string> reclaim_fixture_names() {
-  std::vector<std::string> names;
-  for (const FixtureEntry& entry : kFixtures) names.emplace_back(entry.name);
-  return names;
-}
-
-SearchFixtureFactory harness_fixture(harness::FixtureFactory factory,
-                                     SpecKind spec) {
-  return [factory = std::move(factory), spec](int n) {
-    SearchFixture fx = fixture_shell(n);
-    fx.invoker = factory(*fx.world, *fx.history);
-    fx.spec = spec;
-    return fx;
-  };
-}
-
-std::vector<harness::WorkloadOp> storm_workload(const std::string& fixture,
-                                                int num_processes, int cycles) {
-  ABA_CHECK(num_processes >= 2 && cycles >= 1);
-  const auto [put, take] = verbs_of(fixture);
-  std::vector<harness::WorkloadOp> workload;
-  // A priming put so a reader that runs first has a node to protect.
-  workload.push_back({0, put, 1});
-  for (int i = 0; i < cycles; ++i) {
-    workload.push_back({0, put, static_cast<std::uint64_t>(100 + i)});
-    workload.push_back({0, take, 0});
-  }
-  workload.push_back({0, take, 0});  // Drain the prime.
-  for (int pid = 1; pid < num_processes; ++pid) {
-    workload.push_back({pid, take, 0});  // The parkable readers.
-  }
-  return workload;
-}
-
-std::vector<WorkloadCandidate> workload_candidates(const std::string& fixture,
-                                                   int num_processes,
-                                                   int cycles) {
-  ABA_CHECK(num_processes >= 2 && cycles >= 1);
-  const auto [put, take] = verbs_of(fixture);
-  std::vector<WorkloadCandidate> candidates;
-
-  candidates.push_back(
-      {"storm", storm_workload(fixture, num_processes, cycles)});
-
-  {
-    // Two stormers churning the pool; at n == 2 the second collapses onto
-    // pid 0 (a double-length storm), which is still a legal shape.
-    const int second = num_processes >= 3 ? 1 : 0;
-    std::vector<harness::WorkloadOp> w;
-    w.push_back({0, put, 1});
-    for (int i = 0; i < cycles; ++i) {
-      w.push_back({0, put, static_cast<std::uint64_t>(100 + i)});
-      w.push_back({second, put, static_cast<std::uint64_t>(200 + i)});
-      w.push_back({0, take, 0});
-      w.push_back({second, take, 0});
-    }
-    w.push_back({0, take, 0});  // Drain the prime.
-    for (int pid = second + 1; pid < num_processes; ++pid) {
-      w.push_back({pid, take, 0});
-    }
-    candidates.push_back({"double_storm", std::move(w)});
-  }
-
-  {
-    // All puts then all takes: the maximal-occupancy shape. Failed puts
-    // under pool exhaustion are legal no-ops in the specs (ret == 0).
-    std::vector<harness::WorkloadOp> w;
-    for (int i = 0; i <= cycles; ++i) {
-      w.push_back({0, put, static_cast<std::uint64_t>(300 + i)});
-    }
-    for (int i = 0; i <= cycles; ++i) w.push_back({0, take, 0});
-    for (int pid = 1; pid < num_processes; ++pid) {
-      w.push_back({pid, take, 0});
-    }
-    candidates.push_back({"put_surge", std::move(w)});
-  }
-
-  {
-    // The storm against readers that each take twice: two parkable
-    // vulnerable windows per reader instead of one.
-    std::vector<harness::WorkloadOp> w;
-    w.push_back({0, put, 1});
-    for (int i = 0; i < cycles; ++i) {
-      w.push_back({0, put, static_cast<std::uint64_t>(400 + i)});
-      w.push_back({0, take, 0});
-    }
-    w.push_back({0, take, 0});  // Drain the prime.
-    for (int pid = 1; pid < num_processes; ++pid) {
-      w.push_back({pid, take, 0});
-      w.push_back({pid, take, 0});
-    }
-    candidates.push_back({"reader_pairs", std::move(w)});
-  }
-
-  if (num_processes == 2) {
-    // Two TRUE stormers — the n=2 shape double_storm cannot express (it
-    // collapses its second stormer onto pid 0). This is the only two-process
-    // workload where a crash can kill a PUSHER while the survivor still
-    // allocates: only allocation scans drive the suspect/confirm death
-    // handshake, so a reader-only peer could never expropriate the victim —
-    // the shape the leased-reclaimer crash searches need. At n >= 3
-    // double_storm already has a real second stormer.
-    std::vector<harness::WorkloadOp> w;
-    w.push_back({0, put, 1});
-    for (int i = 0; i < cycles; ++i) {
-      w.push_back({0, put, static_cast<std::uint64_t>(500 + i)});
-      w.push_back({1, put, static_cast<std::uint64_t>(600 + i)});
-      w.push_back({0, take, 0});
-      w.push_back({1, take, 0});
-    }
-    // Two drain takes, not one: a victim crashed mid-push leaves its node
-    // linked at the stack bottom, so observing a reclamation bug there (a
-    // doubly-circulating node popping the same value twice) needs the
-    // survivor to pop one past its own balanced cycles. In clean executions
-    // the extra take legally observes empty.
-    w.push_back({0, take, 0});
-    w.push_back({0, take, 0});
-    candidates.push_back({"crossed_storm", std::move(w)});
-  }
-
-  return candidates;
-}
 
 // ----------------------------------------------------------------- runner
 

@@ -87,6 +87,14 @@
 //     (epoch lag × retire backlog) this is the outer loop every new
 //     structure plugs into.
 //
+// Four translation units implement this header: schedule_search.cpp (the
+// engine: ScheduleRunner, ScheduleExplorer with its DPOR state key, and
+// search_workloads), schedule_script.cpp (script I/O and cost functions),
+// schedule_verdicts.cpp (check_history) and schedule_fixtures.cpp (the
+// kFixtures registry, harness_fixture, put_take, the workload shapes and
+// the corpus search depths). Only the fixtures TU sees concrete structures
+// and reclaimers.
+//
 // Everything here is deterministic: the search uses no randomness, fixture
 // construction is replayable, and two replays of the same script produce
 // bit-identical step traces (the corpus test asserts exactly that).
@@ -192,18 +200,23 @@ using SearchFixtureFactory = std::function<SearchFixture(int n)>;
 // reachable within a small search budget.
 inline constexpr int kDefaultPoolPerProcess = 48;
 
-// The standard reclaimer-targeting fixtures over the simulator, keyed by
-// the corpus `fixture` meta value: {stack,queue}_{hazard,hazard_cached,
-// epoch} (TreiberStack with a raw CAS head / MsQueue),
-// sharded_stack_hazard_cached (2 shards, tagging invoker), plus the
-// CAS-site-policy family the mutation tests contrast: stack_tagged
-// (immediate reuse, version-bumping TaggedCasHead), stack_leaky (no reuse,
-// raw head), and stack_mutant_tagged (reclaim/mutant.h: immediate reuse on
-// a raw head — the seeded ABA bug the spec-driven search must convict).
-// ABA_CHECK-fails on an unknown name.
+// The registered fixtures over the simulator, keyed by the corpus
+// `fixture` meta value. The kFixtures table in schedule_fixtures.cpp is the
+// registry: one row per fixture gives its name, factory, SpecKind and pool
+// use. ABA_CHECK-fails on an unknown name.
 SearchFixtureFactory reclaim_fixture(
     const std::string& name, int pool_per_process = kDefaultPoolPerProcess);
 std::vector<std::string> reclaim_fixture_names();
+
+// The put/take verbs a container spec is written over: enq/deq for kQueue
+// and kRing, push/pop otherwise. By name, the registered fixture's SpecKind
+// decides (ABA_CHECK-fails on an unknown name).
+struct PutTake {
+  spec::Method put;
+  spec::Method take;
+};
+PutTake put_take(SpecKind kind);
+PutTake put_take(const std::string& fixture);
 
 // The random drivers' fixture, served to the explorer: each call builds a
 // fresh world and history, lets `factory` construct the implementation in
@@ -215,9 +228,16 @@ SearchFixtureFactory harness_fixture(harness::FixtureFactory factory,
 // The canonical adversarial workload for those fixtures: process 0 drives
 // `cycles` put/take pairs (the retire storm); every other process performs
 // a single take (the parkable reader). Put/take verbs follow the fixture
-// (push/pop vs enqueue/dequeue).
+// (put_take).
 std::vector<harness::WorkloadOp> storm_workload(const std::string& fixture,
                                                 int num_processes, int cycles);
+
+// The symmetric storm the crash searches run: every process drives `cycles`
+// put/take pairs, putting pid * 1000 + c, so whichever process is killed
+// the survivors still retire enough to drive the death handshake to a
+// confirmed expropriation.
+std::vector<harness::WorkloadOp> symmetric_storm_workload(
+    const std::string& fixture, int num_processes, int cycles);
 
 // A named workload shape for the outer (workload-dimension) search.
 struct WorkloadCandidate {
@@ -388,7 +408,7 @@ struct SearchOptions {
   // point and every suffix interleaving itself. Preemptions and crashes
   // inside the prelude are charged against the same budgets as searched
   // grants, so a conviction's recorded context bound stays honest.
-  std::vector<int> prelude;
+  std::vector<int> prelude = {};
   // Per-schedule grant bound: a DFS path whose grant sequence reaches this
   // length is cut (counted in SearchResult::truncated_paths). 0 = unbounded,
   // which is correct for the lock-free fixtures — every op solo-terminates,
@@ -400,6 +420,17 @@ struct SearchOptions {
   // one frame per grant until the stack overflows.
   std::uint64_t max_grants_per_execution = 0;
 };
+
+// The committed corpus's search depths, defined beside the fixture table:
+// the plain worst-case search every crash-free .sched was found at, the
+// crash search behind every *.crash.sched with a golden peak, and the
+// spec-driven search a lease-mutant conviction records in its meta.
+SearchOptions corpus_search_options();
+SearchOptions crash_search_options();
+SearchOptions conviction_search_options(int context_bound,
+                                        std::uint64_t max_executions,
+                                        int max_crashes,
+                                        std::vector<int> prelude = {});
 
 struct FoundSchedule {
   ScheduleScript script;

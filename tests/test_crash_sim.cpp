@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -38,33 +37,17 @@
 #include "reclaim/reclaimer.h"
 #include "sim/schedule_search.h"
 #include "spec/history.h"
+#include "test_support.h"
 #include "util/assert.h"
 
 namespace aba::search {
 namespace {
 
-using harness::WorkloadOp;
+using aba::testing::expect_conserved;
 using reclaim::ReclaimPhase;
 using spec::Method;
 
 constexpr int kProcs = 2;
-
-// A symmetric storm: BOTH processes run `cycles` put/take pairs, so either
-// one can serve as the crash victim while the other still has enough
-// retires left to drive the two-phase handshake to confirmation.
-std::vector<WorkloadOp> both_storm(bool is_queue, int cycles) {
-  std::vector<WorkloadOp> workload;
-  const Method put = is_queue ? Method::kEnq : Method::kPush;
-  const Method take = is_queue ? Method::kDeq : Method::kPop;
-  for (int pid = 0; pid < kProcs; ++pid) {
-    for (int c = 0; c < cycles; ++c) {
-      workload.push_back(
-          {pid, put, static_cast<std::uint64_t>(pid * 1000 + c)});
-      workload.push_back({pid, take, 0});
-    }
-  }
-  return workload;
-}
 
 // Net nodes the *completed* history left inside the structure.
 long in_structure(const std::vector<spec::Op>& ops, Method take) {
@@ -76,29 +59,12 @@ long in_structure(const std::vector<spec::Op>& ops, Method take) {
   return net;
 }
 
-// Multiset conservation on the completed history: no value taken that was
-// never successfully put.
-void expect_conserved(const std::vector<spec::Op>& ops, Method take) {
-  std::map<std::uint64_t, long> balance;
-  for (const auto& op : ops) {
-    if (op.method != take && op.ret == 1) ++balance[op.arg];
-  }
-  for (const auto& op : ops) {
-    if (op.method == take && op.ret != 0) {
-      auto it = balance.find(op.ret - 1);  // pack_opt inverse
-      ASSERT_TRUE(it != balance.end() && it->second > 0)
-          << "taken value " << (op.ret - 1) << " never put (or taken twice)";
-      --it->second;
-    }
-  }
-}
-
 // ---------------------------------------------------- SimWorld crash units
 
 TEST(CrashSim, CrashedProcessStopsAndRestDrains) {
   const std::string name = "stack_hazard";
   ScheduleRunner runner(reclaim_fixture(name)(kProcs),
-                        both_storm(/*is_queue=*/false, 4),
+                        symmetric_storm_workload(name, kProcs, 4),
                         retired_unreclaimed_cost);
   EXPECT_FALSE(runner.fixture().world->is_crashed(1));
 
@@ -127,7 +93,8 @@ TEST(CrashSim, CrashedProcessStopsAndRestDrains) {
 TEST(CrashSim, CrashGrantIsRecordedInScript) {
   const std::string name = "stack_epoch";
   ScheduleRunner runner(reclaim_fixture(name)(kProcs),
-                        both_storm(false, 2), retired_unreclaimed_cost);
+                        symmetric_storm_workload(name, kProcs, 2),
+                        retired_unreclaimed_cost);
   runner.grant(1);
   runner.grant(crash_grant(1));
   while (runner.runnable(0)) runner.grant(0);
@@ -181,9 +148,9 @@ TEST(DeathHandshake, ExpropriatedProcessSelfFences) {
 // checks expropriation + pool conservation.
 void crash_sweep_case(const std::string& fixture_name, ReclaimPhase target) {
   SCOPED_TRACE(fixture_name + " @ " + std::string(reclaim::to_string(target)));
-  const bool is_queue = fixture_name.rfind("queue", 0) == 0;
   ScheduleRunner runner(reclaim_fixture(fixture_name)(kProcs),
-                        both_storm(is_queue, 32), retired_unreclaimed_cost);
+                        symmetric_storm_workload(fixture_name, kProcs, 32),
+                        retired_unreclaimed_cost);
 
   bool reached = false;
   while (runner.runnable(1)) {
@@ -204,7 +171,7 @@ void crash_sweep_case(const std::string& fixture_name, ReclaimPhase target) {
       << "the survivor never expropriated the dead lease";
   EXPECT_LE(s.quarantined, 1u) << "quarantine must cost at most one node";
 
-  const Method take = is_queue ? Method::kDeq : Method::kPop;
+  const Method take = put_take(fixture_name).take;
   const auto ops = runner.fixture().history->completed_ops();
   expect_conserved(ops, take);
   // Conservation: mid-retire deaths removed one node from the structure
@@ -275,16 +242,9 @@ void expect_searched_crash_recovers(const std::string& fixture_name) {
   // A symmetric 24-cycle storm: whichever process the searcher kills, the
   // survivor still retires enough to drive the two-phase handshake to
   // confirmation during the replay's drain.
-  const bool is_queue = fixture_name.rfind("queue", 0) == 0;
-  const auto workload = both_storm(is_queue, 24);
-
-  SearchOptions options;
-  options.top_k = 8;
-  options.context_bound = 3;
-  options.max_executions = 48;
-  options.max_crashes = 1;
-  ScheduleExplorer explorer(factory, kProcs, workload,
-                            retired_unreclaimed_cost, options);
+  ScheduleExplorer explorer(
+      factory, kProcs, symmetric_storm_workload(fixture_name, kProcs, 24),
+      retired_unreclaimed_cost, crash_search_options());
   const SearchResult result = explorer.run();
   ASSERT_FALSE(result.best.empty());
 
@@ -310,7 +270,7 @@ void expect_searched_crash_recovers(const std::string& fixture_name) {
   EXPECT_EQ(first.trace.size(), second.trace.size());
   EXPECT_GE(first.final_stats.expropriations, 1u)
       << "the drained replay never recovered the dead lease";
-  expect_conserved(first.history, is_queue ? Method::kDeq : Method::kPop);
+  expect_conserved(first.history, put_take(fixture_name).take);
 }
 
 TEST(CrashSearch, FindsRecoveringCrashScheduleStackHazardCached) {

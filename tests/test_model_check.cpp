@@ -29,19 +29,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/schedule_search.h"
 #include "spec/history.h"
+#include "test_support.h"
 #include "util/assert.h"
 
 namespace aba::search {
 namespace {
+
+using aba::testing::candidate_workload;
+using aba::testing::corpus_files;
+using aba::testing::fixture_of;
+using aba::testing::load_script;
 
 // The mutation-harness budget: identical for the mutant and every shipped
 // reclaimer. Pool of 2 nodes/process makes index recycling reachable within
@@ -169,24 +172,14 @@ LeaseBudget no_restamp_budget() {
 
 SearchResult run_lease_search(const std::string& fixture_name,
                               const LeaseBudget& budget) {
-  SearchOptions options;
-  options.top_k = 1;
-  options.context_bound = 3;
-  options.max_executions = budget.max_executions;
-  options.max_grants = 1ull << 30;  // Let max_executions be the real budget.
-  options.max_crashes = 1;
-  options.check_spec = true;
-  options.stop_on_violation = true;
-  options.prelude = budget.prelude;
-  const auto candidates =
-      workload_candidates(fixture_name, budget.procs, budget.cycles);
-  const auto shape = std::find_if(candidates.begin(), candidates.end(),
-                                  [&](const WorkloadCandidate& c) {
-                                    return c.name == budget.workload;
-                                  });
-  ABA_CHECK_MSG(shape != candidates.end(), "unknown lease-budget workload");
+  const SearchOptions options = conviction_search_options(
+      /*context_bound=*/3, budget.max_executions, /*max_crashes=*/1,
+      budget.prelude);
+  const auto workload = candidate_workload(fixture_name, budget.procs,
+                                           budget.cycles, budget.workload);
+  ABA_CHECK_MSG(!workload.empty(), "unknown lease-budget workload");
   ScheduleExplorer explorer(reclaim_fixture(fixture_name, kMutationPool),
-                            budget.procs, shape->workload, pool_pressure_cost,
+                            budget.procs, workload, pool_pressure_cost,
                             options);
   return explorer.run();
 }
@@ -260,14 +253,9 @@ TEST(DporRegression, BoundedExhaustiveSearchPrunesNodesAndReplays) {
   // fewer replayed grants (the node-budget fix: the live runner rides down
   // the preferred path, visited-state pruning cuts revisited subtrees).
   const auto factory = reclaim_fixture("stack_mutant_tagged", kMutationPool);
-  const auto candidates =
-      workload_candidates("stack_mutant_tagged", 2, kMutationCycles);
-  const auto double_storm =
-      std::find_if(candidates.begin(), candidates.end(),
-                   [](const WorkloadCandidate& c) {
-                     return c.name == "double_storm";
-                   });
-  ASSERT_NE(double_storm, candidates.end());
+  const auto double_storm = candidate_workload(
+      "stack_mutant_tagged", 2, kMutationCycles, "double_storm");
+  ASSERT_FALSE(double_storm.empty());
 
   SearchResult results[2];
   for (const bool dpor : {true, false}) {
@@ -275,7 +263,7 @@ TEST(DporRegression, BoundedExhaustiveSearchPrunesNodesAndReplays) {
     options.max_executions = 20000;
     options.stop_on_violation = false;  // Exhaust; don't stop at the first.
     options.dpor = dpor;
-    ScheduleExplorer explorer(factory, 2, double_storm->workload,
+    ScheduleExplorer explorer(factory, 2, double_storm,
                               pool_pressure_cost, options);
     results[dpor ? 0 : 1] = explorer.run();
   }
@@ -341,18 +329,6 @@ TEST(DporRegression, UnboundedSearchExhaustsWherePlainDfsCannot) {
 
 // --------------------------------------------------------- corpus hygiene
 
-std::vector<std::filesystem::path> corpus_files() {
-  std::vector<std::filesystem::path> files;
-  const std::filesystem::path dir(ABA_SCHEDULE_DIR);
-  if (std::filesystem::exists(dir)) {
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-      if (entry.path().extension() == ".sched") files.push_back(entry.path());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
 TEST(CorpusHygiene, GoldenPeaksAreStillTheSearchMaxima) {
   // Re-runs the search each corpus schedule was found by — same workload,
   // same cost, the committed search depth — and checks the golden
@@ -366,11 +342,7 @@ TEST(CorpusHygiene, GoldenPeaksAreStillTheSearchMaxima) {
   ASSERT_FALSE(files.empty());
   for (const auto& path : files) {
     SCOPED_TRACE(path.filename().string());
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const auto script = ScheduleScript::parse(buffer.str());
+    const auto script = load_script(path);
     ASSERT_TRUE(script.has_value());
     // Lease-mutant convictions carry expect_verdict instead of expect_peak;
     // their hygiene check (re-running the recorded conviction search) is
@@ -384,20 +356,11 @@ TEST(CorpusHygiene, GoldenPeaksAreStillTheSearchMaxima) {
     const bool is_crash_script = script->meta.count("crashes") &&
                                  std::stoi(script->meta.at("crashes")) > 0;
 
-    // The committed search depth (examples/schedule_search_demo.cpp).
-    SearchOptions options;
-    options.context_bound = 3;
-    if (is_crash_script) {
-      options.top_k = 8;
-      options.max_executions = 48;
-      options.max_crashes = 1;
-    } else {
-      options.top_k = 3;
-      options.max_executions = 128;
-    }
-    ScheduleExplorer explorer(reclaim_fixture(script->meta.at("fixture")),
-                              script->num_processes, script->workload,
-                              cost_by_name(script->meta.at("cost")), options);
+    // The committed search depth.
+    ScheduleExplorer explorer(
+        fixture_of(*script), script->num_processes, script->workload,
+        cost_by_name(script->meta.at("cost")),
+        is_crash_script ? crash_search_options() : corpus_search_options());
     const SearchResult result = explorer.run();
     ASSERT_NE(result.top(), nullptr);
     if (is_crash_script) {
@@ -422,11 +385,7 @@ TEST(CorpusHygiene, ConvictionScriptsStillConvictWithinTheirRecordedBudget) {
   int convictions_seen = 0;
   for (const auto& path : corpus_files()) {
     SCOPED_TRACE(path.filename().string());
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const auto script = ScheduleScript::parse(buffer.str());
+    const auto script = load_script(path);
     ASSERT_TRUE(script.has_value());
     if (!script->meta.count("expect_verdict")) continue;
     ++convictions_seen;
@@ -436,8 +395,7 @@ TEST(CorpusHygiene, ConvictionScriptsStillConvictWithinTheirRecordedBudget) {
           "search_executions", "search_crashes", "search_cycles"}) {
       ASSERT_TRUE(script->meta.count(key)) << "conviction meta missing " << key;
     }
-    const auto factory = reclaim_fixture(script->meta.at("fixture"),
-                                         std::stoi(script->meta.at("pool")));
+    const auto factory = fixture_of(*script);
     const CostFn cost = cost_by_name(script->meta.at("cost"));
 
     // The committed script still replays to the failing verdict,
@@ -451,33 +409,26 @@ TEST(CorpusHygiene, ConvictionScriptsStillConvictWithinTheirRecordedBudget) {
     EXPECT_EQ(first.trace.size(), second.trace.size());
 
     // The recorded search still finds it within budget.
-    SearchOptions options;
-    options.top_k = 1;
-    options.context_bound = std::stoi(script->meta.at("search_context_bound"));
-    options.max_executions = std::stoull(script->meta.at("search_executions"));
-    options.max_grants = 1ull << 30;
-    options.max_crashes = std::stoi(script->meta.at("search_crashes"));
-    options.check_spec = true;
-    options.stop_on_violation = true;
+    std::vector<int> prelude;
     if (script->meta.count("search_prelude")) {
       const std::size_t staged =
           std::stoul(script->meta.at("search_prelude"));
       ASSERT_LE(staged, script->grants.size());
-      options.prelude.assign(script->grants.begin(),
-                             script->grants.begin() +
-                                 static_cast<std::ptrdiff_t>(staged));
+      prelude.assign(script->grants.begin(),
+                     script->grants.begin() +
+                         static_cast<std::ptrdiff_t>(staged));
     }
-    const auto candidates =
-        workload_candidates(script->meta.at("fixture"), script->num_processes,
-                            std::stoi(script->meta.at("search_cycles")));
-    const auto shape = std::find_if(candidates.begin(), candidates.end(),
-                                    [&](const WorkloadCandidate& c) {
-                                      return c.name ==
-                                             script->meta.at("workload");
-                                    });
-    ASSERT_NE(shape, candidates.end());
-    ScheduleExplorer explorer(factory, script->num_processes, shape->workload,
-                              cost, options);
+    const SearchOptions options = conviction_search_options(
+        std::stoi(script->meta.at("search_context_bound")),
+        std::stoull(script->meta.at("search_executions")),
+        std::stoi(script->meta.at("search_crashes")), std::move(prelude));
+    const auto workload =
+        candidate_workload(script->meta.at("fixture"), script->num_processes,
+                           std::stoi(script->meta.at("search_cycles")),
+                           script->meta.at("workload"));
+    ASSERT_FALSE(workload.empty());
+    ScheduleExplorer explorer(factory, script->num_processes, workload, cost,
+                              options);
     const SearchResult result = explorer.run();
     EXPECT_TRUE(result.violation_found())
         << "the recorded search budget no longer convicts ("

@@ -24,8 +24,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
-#include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -34,8 +32,8 @@
 #include "reclaim/reclaimer.h"
 #include "sim/schedule_search.h"
 #include "sim/types.h"
-#include "spec/lin_checker.h"
 #include "spec/specs.h"
+#include "test_support.h"
 #include "util/assert.h"
 
 namespace aba::search {
@@ -43,6 +41,11 @@ namespace {
 
 using harness::WorkloadOp;
 using spec::Method;
+using aba::testing::corpus_files;
+using aba::testing::expect_conserved;
+using aba::testing::expect_sharded_contract;
+using aba::testing::fixture_of;
+using aba::testing::load_script;
 
 constexpr int kProcs = 2;
 constexpr int kCycles = 12;
@@ -53,30 +56,6 @@ std::string trace_signature(const std::vector<sim::StepRecord>& trace) {
   return out.str();
 }
 
-// Multiset conservation: every taken value was put successfully at least as
-// many times as it was taken.
-void expect_conserved(const std::vector<spec::Op>& ops, Method take) {
-  std::map<std::uint64_t, long> balance;
-  for (const auto& op : ops) {
-    if (op.method != take && op.ret == 1) ++balance[op.arg];
-  }
-  for (const auto& op : ops) {
-    if (op.method == take && op.ret != 0) {
-      const std::uint64_t value = op.ret - 1;  // pack_opt inverse
-      auto it = balance.find(value);
-      ASSERT_TRUE(it != balance.end() && it->second > 0)
-          << "taken value " << value << " never put (or taken twice)";
-      --it->second;
-    }
-  }
-}
-
-template <class Spec>
-void expect_linearizable(const std::vector<spec::Op>& ops) {
-  const auto result = spec::check_linearizable<Spec>(ops, Spec::initial());
-  EXPECT_TRUE(result.linearizable) << spec::explain(ops, result);
-}
-
 // The full invariant battery on one replayed schedule: conservation plus
 // linearizability — whole-history for flat fixtures, per-shard when the
 // fixture recorded landing shards. Crash schedules skip linearizability:
@@ -84,29 +63,19 @@ void expect_linearizable(const std::vector<spec::Op>& ops) {
 // crash mid-retire removed a value no recorded take accounts for), so only
 // conservation — no value taken that was never put — still holds on the
 // completed history.
-void expect_schedule_invariants(const ReplayResult& replay, bool is_queue,
+void expect_schedule_invariants(const ReplayResult& replay, PutTake verbs,
                                 bool has_crash = false) {
-  const Method take = is_queue ? Method::kDeq : Method::kPop;
-  expect_conserved(replay.history, take);
-  if (has_crash) return;
-  if (replay.shard_tags.empty()) {
-    if (is_queue) {
-      expect_linearizable<spec::QueueSpec>(replay.history);
-    } else {
-      expect_linearizable<spec::StackSpec>(replay.history);
-    }
-    return;
+  if (has_crash) return expect_conserved(replay.history, verbs.take);
+  const std::vector<int> one_shard(replay.history.size(), 0);
+  const std::vector<int>& shard_of =
+      replay.shard_tags.empty() ? one_shard : replay.shard_tags;
+  if (verbs.take == Method::kDeq) {
+    expect_sharded_contract<spec::QueueSpec>(replay.history, shard_of,
+                                             replay.num_shards, verbs.take);
+  } else {
+    expect_sharded_contract<spec::StackSpec>(replay.history, shard_of,
+                                             replay.num_shards, verbs.take);
   }
-  ASSERT_EQ(replay.history.size(), replay.shard_tags.size());
-  std::vector<std::vector<spec::Op>> by_shard(
-      static_cast<std::size_t>(replay.num_shards));
-  for (std::size_t i = 0; i < replay.history.size(); ++i) {
-    ASSERT_GE(replay.shard_tags[i], 0) << "op " << i << " missing shard tag";
-    ASSERT_LT(replay.shard_tags[i], replay.num_shards);
-    by_shard[static_cast<std::size_t>(replay.shard_tags[i])].push_back(
-        replay.history[i]);
-  }
-  for (const auto& sub : by_shard) expect_linearizable<spec::StackSpec>(sub);
 }
 
 // The scripted seed, rebuilt grant-by-grant: complete the storm driver's
@@ -153,12 +122,8 @@ void expect_search_beats_scripted(const std::string& fixture_name,
   EXPECT_GE(scripted_peak, min_scripted_peak)
       << fixture_name << ": the scripted seed must itself do damage";
 
-  SearchOptions options;
-  options.top_k = 3;
-  options.context_bound = 3;
-  options.max_executions = 128;
   ScheduleExplorer explorer(factory, kProcs, workload,
-                            retired_unreclaimed_cost, options);
+                            retired_unreclaimed_cost, corpus_search_options());
   const SearchResult result = explorer.run();
   ASSERT_NE(result.top(), nullptr) << fixture_name;
   EXPECT_GE(result.top()->peak_cost, scripted_peak)
@@ -305,7 +270,7 @@ TEST(ScheduleSearch, TopKSchedulesKeepStructureInvariants) {
           factory, found.script, retired_unreclaimed_cost);
       EXPECT_EQ(replay.peak_cost, found.peak_cost)
           << "replay must reproduce the search's peak";
-      expect_schedule_invariants(replay, name.rfind("queue", 0) == 0);
+      expect_schedule_invariants(replay, put_take(name));
     }
   }
 }
@@ -326,37 +291,34 @@ TEST(ScheduleSearch, ShardedTopKKeepsPerShardLinearizability) {
         factory, found.script, retired_unreclaimed_cost);
     ASSERT_EQ(replay.num_shards, 2);
     ASSERT_FALSE(replay.shard_tags.empty());
-    expect_schedule_invariants(replay, /*is_queue=*/false);
+    expect_schedule_invariants(replay, put_take(name));
+  }
+}
+
+// ------------------------------------------------------ put/take verbs
+
+// Every registered fixture's workloads speak its spec's verbs: enq/deq
+// exactly when the spec is kQueue or kRing (ring_mpmc's name says
+// neither), push/pop otherwise. The spec is read off a built fixture.
+TEST(ScheduleSearch, WorkloadsSpeakTheFixtureSpecsVerbs) {
+  for (const std::string& name : reclaim_fixture_names()) {
+    const SpecKind kind = reclaim_fixture(name)(kProcs).spec;
+    const std::set<Method> verbs =
+        kind == SpecKind::kQueue || kind == SpecKind::kRing
+            ? std::set<Method>{Method::kEnq, Method::kDeq}
+            : std::set<Method>{Method::kPush, Method::kPop};
+    auto shapes = workload_candidates(name, kProcs, 2);
+    shapes.push_back({"storm_workload", storm_workload(name, kProcs, 2)});
+    shapes.push_back({"symmetric", symmetric_storm_workload(name, kProcs, 2)});
+    for (const WorkloadCandidate& shape : shapes) {
+      std::set<Method> used;
+      for (const WorkloadOp& op : shape.workload) used.insert(op.method);
+      EXPECT_EQ(used, verbs) << name << " " << shape.name;
+    }
   }
 }
 
 // ------------------------------------------------------------- corpus
-
-std::vector<std::filesystem::path> corpus_files() {
-  std::vector<std::filesystem::path> files;
-  const std::filesystem::path dir(ABA_SCHEDULE_DIR);
-  if (std::filesystem::exists(dir)) {
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-      if (entry.path().extension() == ".sched") files.push_back(entry.path());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
-std::optional<ScheduleScript> load_script(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return ScheduleScript::parse(buffer.str());
-}
-
-SearchFixtureFactory fixture_of(const ScheduleScript& script) {
-  const int pool = script.meta.count("pool")
-                       ? std::stoi(script.meta.at("pool"))
-                       : kDefaultPoolPerProcess;
-  return reclaim_fixture(script.meta.at("fixture"), pool);
-}
 
 TEST(ScheduleCorpus, ReplaysAreBitIdenticalAndMatchGoldenBounds) {
   const auto files = corpus_files();
@@ -374,6 +336,12 @@ TEST(ScheduleCorpus, ReplaysAreBitIdenticalAndMatchGoldenBounds) {
     fixtures_seen.insert(fixture_name);
     const auto factory = fixture_of(*script);
     const CostFn cost = cost_by_name(script->meta.at("cost"));
+    const auto crashes = std::count_if(script->grants.begin(),
+                                       script->grants.end(), is_crash_grant);
+    if (crashes > 0 || script->meta.count("expect_verdict")) {
+      ASSERT_TRUE(script->meta.count("crashes"));
+      EXPECT_EQ(crashes, std::stoll(script->meta.at("crashes")));
+    }
 
     // Lease-mutant convictions (PR 10) are committed *because* they violate
     // the spec: replays must re-produce the failing verdict bit-identically
@@ -390,10 +358,6 @@ TEST(ScheduleCorpus, ReplaysAreBitIdenticalAndMatchGoldenBounds) {
           << "committed conviction no longer replays to a violation";
       EXPECT_EQ(first.verdict.detail, second.verdict.detail);
       EXPECT_EQ(trace_signature(first.trace), trace_signature(second.trace));
-      ASSERT_TRUE(script->meta.count("crashes"));
-      EXPECT_EQ(std::count_if(script->grants.begin(), script->grants.end(),
-                              [](int g) { return is_crash_grant(g); }),
-                std::stoll(script->meta.at("crashes")));
       continue;
     }
     ASSERT_TRUE(script->meta.count("expect_peak"));
@@ -421,14 +385,8 @@ TEST(ScheduleCorpus, ReplaysAreBitIdenticalAndMatchGoldenBounds) {
     // Crash schedules carry golden *recovery* bounds: after the victim is
     // killed mid-protocol, the survivors' final reclaimer stats must land
     // exactly where they did when the schedule was committed.
-    const bool has_crash =
-        std::any_of(script->grants.begin(), script->grants.end(),
-                    [](int g) { return is_crash_grant(g); });
+    const bool has_crash = crashes > 0;
     if (has_crash) {
-      ASSERT_TRUE(script->meta.count("crashes"));
-      EXPECT_EQ(std::count_if(script->grants.begin(), script->grants.end(),
-                              [](int g) { return is_crash_grant(g); }),
-                std::stoll(script->meta.at("crashes")));
       ASSERT_TRUE(script->meta.count("expect_expropriations"))
           << "crash schedule missing its recovery bound";
       EXPECT_EQ(first.final_stats.expropriations,
@@ -447,8 +405,7 @@ TEST(ScheduleCorpus, ReplaysAreBitIdenticalAndMatchGoldenBounds) {
       }
     }
     // A worst case must still be a correct execution (of the completed ops).
-    expect_schedule_invariants(first, fixture_name.rfind("queue", 0) == 0,
-                               has_crash);
+    expect_schedule_invariants(first, put_take(fixture_name), has_crash);
   }
   // The acceptance pair the ISSUE names must be in the committed corpus,
   // and so must the deferred-announce epoch fixtures (PR 9).

@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -41,9 +40,9 @@
 #include "reclaim/leaky.h"
 #include "reclaim/tagged.h"
 #include "sim/sim_platform.h"
-#include "spec/lin_checker.h"
 #include "spec/specs.h"
 #include "structures/sharded.h"
+#include "test_support.h"
 #include "util/rng.h"
 #include "util/shard.h"
 
@@ -54,6 +53,8 @@ using SimP = sim::SimPlatform;
 using NativeP = native::NativePlatform<native::Counted>;
 using harness::WorkloadOp;
 using spec::Method;
+using aba::testing::expect_sharded_contract;
+using aba::testing::random_container_workload;
 
 // ------------------------------------------------------------- routing
 
@@ -238,61 +239,6 @@ TEST(ShardedQueueSequential, PerShardFifoAndSteal) {
   EXPECT_EQ(q.last_shard(1), 0);
 }
 
-// --------------------------------------------- per-shard history checking
-
-// Splits a history by the invoker's shard tags and checks each sub-history
-// against Spec; also checks multiset conservation (every popped value was
-// pushed at least as many times as it was popped).
-template <class Spec>
-void expect_sharded_contract(const std::vector<spec::Op>& ops,
-                             const std::vector<int>& shard_of, int num_shards,
-                             Method take_method) {
-  ASSERT_EQ(ops.size(), shard_of.size());
-  std::vector<std::vector<spec::Op>> by_shard(
-      static_cast<std::size_t>(num_shards));
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    ASSERT_GE(shard_of[i], 0) << "op " << i << " missing its shard tag";
-    ASSERT_LT(shard_of[i], num_shards);
-    by_shard[static_cast<std::size_t>(shard_of[i])].push_back(ops[i]);
-  }
-  for (int s = 0; s < num_shards; ++s) {
-    const auto& sub = by_shard[static_cast<std::size_t>(s)];
-    const auto result = spec::check_linearizable<Spec>(sub, Spec::initial());
-    EXPECT_TRUE(result.linearizable)
-        << "shard " << s << " sub-history not linearizable\n"
-        << spec::explain(sub, result);
-  }
-  std::map<std::uint64_t, long> balance;  // pushes minus pops, per value
-  for (const auto& op : ops) {
-    if (op.method != take_method && op.ret == 1) ++balance[op.arg];
-  }
-  for (const auto& op : ops) {
-    if (op.method == take_method && op.ret != 0) {
-      const std::uint64_t value = op.ret - 1;  // pack_opt inverse
-      auto it = balance.find(value);
-      ASSERT_TRUE(it != balance.end() && it->second > 0)
-          << "popped value " << value << " never pushed (or popped twice)";
-      --it->second;
-    }
-  }
-}
-
-std::vector<WorkloadOp> random_workload(int n, int ops, std::uint64_t seed,
-                                        Method put, Method take) {
-  util::Xoshiro256 rng(seed);
-  std::vector<WorkloadOp> workload;
-  for (int pid = 0; pid < n; ++pid) {
-    for (int i = 0; i < ops; ++i) {
-      if (rng.chance(1, 2)) {
-        workload.push_back({pid, put, rng.below(100)});
-      } else {
-        workload.push_back({pid, take, 0});
-      }
-    }
-  }
-  return workload;
-}
-
 // --------------------------------------------- deterministic steal races
 
 // p0 is homed on shard 0 and holds its one element; p1 (homed on shard 1)
@@ -395,7 +341,7 @@ void sharded_stack_sweep() {
       harness::ScheduleLog log;
       harness::drive_random_schedule(
           world, invoker, n,
-          random_workload(n, 6, seed, Method::kPush, Method::kPop),
+          random_container_workload(n, 6, seed, Method::kPush, Method::kPop),
           seed * 811 + 17, &log);
       SCOPED_TRACE(::testing::Message() << "shards=" << kShards << " n=" << n
                                         << " seed=" << seed << "\n"
@@ -463,7 +409,7 @@ void sharded_queue_sweep() {
       harness::ScheduleLog log;
       harness::drive_random_schedule(
           world, invoker, n,
-          random_workload(n, 6, seed, Method::kEnq, Method::kDeq),
+          random_container_workload(n, 6, seed, Method::kEnq, Method::kDeq),
           seed * 823 + 19, &log);
       SCOPED_TRACE(::testing::Message() << "shards=" << kShards << " n=" << n
                                         << " seed=" << seed << "\n"

@@ -7,18 +7,21 @@ the malformed/out-of-range inputs the validator must reject with a clean
 exit code instead of a traceback.
 """
 
+import glob
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 import unittest
 
-TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                    os.pardir, os.pardir, "tools", "schedule_dump.py")
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                    os.pardir, os.pardir)
+TOOL = os.path.join(REPO, "tools", "schedule_dump.py")
 
 
-def run_tool(*paths):
-    return subprocess.run([sys.executable, TOOL, *paths],
+def run_tool(*paths, tool=TOOL):
+    return subprocess.run([sys.executable, tool, *paths],
                           capture_output=True, text=True)
 
 
@@ -106,6 +109,31 @@ class ScheduleDumpTest(unittest.TestCase):
         self.assertIn("grant runs: p0x1 p1x1", result.stdout)
         self.assertIn("warning", result.stderr)
         self.assertIn("stack_leased_hazrd", result.stderr)
+
+    def test_committed_corpus_dumps_without_warnings(self):
+        # Every committed script names a registered fixture, so the dump
+        # of the whole corpus writes nothing to stderr.
+        paths = sorted(glob.glob(os.path.join(REPO, "tests", "schedules",
+                                              "*.sched")))
+        self.assertTrue(paths)
+        result = run_tool(*paths)
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertEqual(result.stderr, "")
+
+    def test_fixtures_source_without_table_is_an_error(self):
+        # A checkout whose fixtures file has lost its kFixtures table must
+        # fail loudly instead of switching the unknown-name check off.
+        root = self._dir.name
+        os.makedirs(os.path.join(root, "tools"))
+        os.makedirs(os.path.join(root, "src", "sim"))
+        tool = shutil.copy(TOOL, os.path.join(root, "tools"))
+        self.write(os.path.join("src", "sim", "schedule_fixtures.cpp"),
+                   "// the table moved elsewhere\n")
+        path = self.write("meta.sched",
+                          "schedule-script v1\nprocesses 2\nend\n")
+        result = run_tool(path, tool=tool)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("no kFixtures table", result.stderr)
 
     def test_conviction_script_renders_prelude_and_verdict(self):
         # A lease-mutant conviction (PR 10): the expect_verdict line must

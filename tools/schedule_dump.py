@@ -19,23 +19,25 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-# Fixture names the engine registers: read from the registration table in
-# src/sim/schedule_search.cpp (kFixtures), so there is no second list to
+# Fixture names the engine registers: read from the registry table in
+# src/sim/schedule_fixtures.cpp (kFixtures), so there is no second list to
 # keep in sync. An unknown name is a warning rather than an error so the
 # dump stays usable on scripts from a newer engine, but a typo in a
-# hand-edited script still surfaces. Outside a checkout the check is off.
+# hand-edited script still surfaces. Outside a checkout (no source file)
+# the check is off; a source file without a readable table is an error,
+# since a moved table would otherwise switch the check off silently.
 def known_fixtures():
-    source = Path(__file__).resolve().parents[1] / "src/sim/schedule_search.cpp"
+    source = Path(__file__).resolve().parents[1] / "src/sim/schedule_fixtures.cpp"
     try:
         text = source.read_text(encoding="utf-8")
     except OSError:
         return None
-    table = text[text.find("kFixtures[] = {"):]
-    table = table[:table.find("\n};")]
-    return frozenset(re.findall(r'\{"([a-z0-9_]+)",', table))
-
-
-KNOWN_FIXTURES = known_fixtures()
+    start = text.find("kFixtures[] = {")
+    end = text.find("\n};", start)
+    names = re.findall(r'\{"([a-z0-9_]+)",', text[start:end])
+    if start < 0 or end < 0 or not names:
+        raise ValueError(f"no kFixtures table found in {source}")
+    return frozenset(names)
 
 
 def parse(path):
@@ -93,7 +95,7 @@ def run_length(grants):
     return runs
 
 
-def dump(path):
+def dump(path, known):
     script = parse(path)
     print(f"== {path}")
     print(f"   processes: {script['processes']}")
@@ -101,7 +103,7 @@ def dump(path):
         print(f"   meta {key}: {script['meta'][key]}")
 
     fixture = script["meta"].get("fixture")
-    if fixture is not None and KNOWN_FIXTURES and fixture not in KNOWN_FIXTURES:
+    if fixture is not None and known is not None and fixture not in known:
         print(f"schedule_dump: warning: {path}: unknown fixture "
               f"{fixture!r} (not in the registered fixture list — "
               f"typo, or a newer engine?)", file=sys.stderr)
@@ -149,12 +151,13 @@ def main(argv):
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    for path in argv[1:]:
-        try:
-            dump(path)
-        except (OSError, ValueError, IndexError) as e:
-            print(f"schedule_dump: {e}", file=sys.stderr)
-            return 1
+    try:
+        known = known_fixtures()
+        for path in argv[1:]:
+            dump(path, known)
+    except (OSError, ValueError, IndexError) as e:
+        print(f"schedule_dump: {e}", file=sys.stderr)
+        return 1
     return 0
 
 
