@@ -21,7 +21,8 @@
 // CAS retry loop waits), PlatformFenceT (the asymmetric StoreLoad scheme a
 // reclaimer issues) and PlatformRecord (the word types and alignment of a
 // multi-word record — a queue or stack node, a ring slot — so a platform
-// that isolates words on cache lines can isolate the record as a whole).
+// that isolates words on cache lines can isolate the record as a whole, or
+// pack it).
 //
 // Object constructors take (Env&, name, initial, BoundSpec): the environment
 // (a SimWorld for the simulator, an empty token natively), a debug name, the
@@ -108,13 +109,16 @@ using PlatformFenceT = typename PlatformFence<P>::type;
 // Record selection, same shape again. A record is a fixed group of words
 // that one algorithm step sequence treats as a unit (a node's value and
 // next, a ring slot's seq and value); it declares its words with the
-// trait's Register/Cas/WritableCas and derives from the trait's empty
-// Base. A platform opts in by exposing a member type `Record` with those
-// four names (NativePlatform's Fast policies: unpadded words, a
-// line-aligned Base). The default is the platform's own word types and an
-// unaligned Base, so on the simulator, the shm platform and the Counted
-// policy a record is laid out, constructed and stepped exactly as if it
-// declared its words directly.
+// trait's Register/Cas/WritableCas. A record that keeps a cache line of its
+// own (the Treiber node, the ring slots) also derives from the trait's
+// empty Base; a packed record (the MS-queue node) does not, so under an
+// isolating platform it is just its unpadded words, several to a line.
+// A platform opts in by exposing a member type `Record` with those four
+// names (NativePlatform's Fast policies: unpadded words, a line-aligned
+// Base). The default is the platform's own word types and an unaligned
+// Base, so on the simulator, the shm platform and the Counted policy a
+// record is laid out, constructed and stepped exactly as if it declared
+// its words directly.
 template <class P, class = void>
 struct PlatformRecord {
   using Register = typename P::Register;
@@ -126,9 +130,9 @@ struct PlatformRecord {
 template <class P>
 struct PlatformRecord<P, std::void_t<typename P::Record>> : P::Record {};
 
-// The check each record states beside its definition: a record whose
-// platform aligns it to a line fills exactly that line, so packing its
-// words never spills it onto a second one.
+// The check each line-owning record states beside its definition: a record
+// whose platform aligns it to a line fills exactly that line, so its words
+// never spill onto a second one.
 template <class Record>
 inline constexpr bool kRecordFillsItsLine =
     alignof(Record) < util::kCacheLineSize ||

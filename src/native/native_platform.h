@@ -20,14 +20,15 @@
 //       (a head, an announce or hazard entry, an epoch counter) sits alone
 //       on its own cache line (alignas(hardware_destructive_interference_
 //       size)), so independent objects never false-share; a multi-word
-//       record (a queue or stack node, a ring slot) is isolated as a whole
-//       instead: its words are unpadded and share the record's one line
-//       (Record below, PlatformRecord in core/platform.h). CAS retry loops
-//       in the algorithm layer pick up truncated exponential backoff via
-//       PlatformBackoffT. Memory orderings are seq_cst by default and relax
-//       to acquire/release only when the ABA_RELAXED_ORDERINGS build option
-//       is set (see the Fast policy below for the argument; tests always
-//       build without it).
+//       record (a stack node, a ring slot) is isolated as a whole instead:
+//       its words are unpadded and share the record's one line, and the
+//       MS-queue node is packed, its two words and nothing else, four
+//       nodes to a line (Record below, PlatformRecord in core/platform.h).
+//       CAS retry loops in the algorithm layer pick up truncated
+//       exponential backoff via PlatformBackoffT. Memory orderings are
+//       seq_cst by default and relax to acquire/release only when the
+//       ABA_RELAXED_ORDERINGS build option is set (see the Fast policy
+//       below for the argument; tests always build without it).
 //
 // Both instantiations satisfy the Platform concept, so every algorithm in
 // src/core and src/structures compiles unchanged against either.
@@ -261,9 +262,10 @@ struct NativePlatform {
   using Cas = Word<Policy::kIsolateCacheLines, false, true>;
   using WritableCas = Word<Policy::kIsolateCacheLines, true, true>;
 
-  // The words of a multi-word record (a queue node, a ring slot): never
-  // padded one by one. Under an isolating policy the record, not the word,
-  // takes the line; under Counted these are exactly the standalone types.
+  // The words of a multi-word record (a queue or stack node, a ring slot):
+  // never padded one by one. Under an isolating policy a record deriving
+  // from Base, not its word, takes the line, and a record without Base is
+  // its bare words; under Counted these are exactly the standalone types.
   struct Record {
     using Register = Word<false, true, false>;
     using Cas = Word<false, false, true>;

@@ -283,6 +283,11 @@ SearchOptions conviction_search_options(int context_bound,
           .prelude = std::move(prelude)};
 }
 
+SearchOptions mutation_search_options() {
+  return {.top_k = 1, .context_bound = 3, .max_executions = 256,
+          .check_spec = true, .stop_on_violation = true};
+}
+
 SearchFixtureFactory reclaim_fixture(const std::string& name,
                                      int pool_per_process) {
   const FixtureEntry& entry = fixture_entry(name);

@@ -423,14 +423,18 @@ struct SearchOptions {
 
 // The committed corpus's search depths, defined beside the fixture table:
 // the plain worst-case search every crash-free .sched was found at, the
-// crash search behind every *.crash.sched with a golden peak, and the
-// spec-driven search a lease-mutant conviction records in its meta.
+// crash search behind every *.crash.sched with a golden peak, the
+// spec-driven search a lease-mutant conviction records in its meta, and
+// the mutation harness's spec-driven budget, identical for a mutant and
+// every shipped twin (context bound 3 covers the park → storm → resume →
+// observe shape of a harmful ABA).
 SearchOptions corpus_search_options();
 SearchOptions crash_search_options();
 SearchOptions conviction_search_options(int context_bound,
                                         std::uint64_t max_executions,
                                         int max_crashes,
                                         std::vector<int> prelude = {});
+SearchOptions mutation_search_options();
 
 struct FoundSchedule {
   ScheduleScript script;

@@ -157,6 +157,23 @@ class MsQueue {
   R& reclaimer() { return reclaimer_; }
   const R& reclaimer() const { return reclaimer_; }
 
+  // A record (core/platform.h) that is packed, not given a line of its own:
+  // the node is exactly its two words, so under the native Fast policies it
+  // is 16 B, four nodes share a line, and none straddles one (ObjectArray's
+  // storage is 16-byte aligned). Sharing a line measured no cost to the
+  // queue, and its pool is a quarter of the line-per-node one
+  // (docs/DESIGN.md, "Pool storage"). Public so the layout tests can size it.
+  struct Node {
+    Node(typename P::Env& env, std::uint64_t initial_next)
+        : value(env, "qnode.value", 0, sim::BoundSpec::unbounded()),
+          next(env, "qnode.next", initial_next, sim::BoundSpec::unbounded()) {}
+    typename PlatformRecord<P>::Register value;
+    typename PlatformRecord<P>::WritableCas next;
+  };
+  static_assert(sizeof(Node) ==
+                sizeof(typename PlatformRecord<P>::Register) +
+                    sizeof(typename PlatformRecord<P>::WritableCas));
+
  private:
   // Runs before any node is allocated: the pool must leave the all-ones
   // index free for the null marker.
@@ -180,17 +197,6 @@ class MsQueue {
   }
   std::uint64_t index_mask() const { return (1ULL << options_.index_bits) - 1; }
   std::uint64_t tag_mask() const { return (1ULL << options_.tag_bits) - 1; }
-
-  // A record (core/platform.h): under the native Fast policies value and
-  // next share one line instead of taking a line each.
-  struct Node : PlatformRecord<P>::Base {
-    Node(typename P::Env& env, std::uint64_t initial_next)
-        : value(env, "qnode.value", 0, sim::BoundSpec::unbounded()),
-          next(env, "qnode.next", initial_next, sim::BoundSpec::unbounded()) {}
-    typename PlatformRecord<P>::Register value;
-    typename PlatformRecord<P>::WritableCas next;
-  };
-  static_assert(kRecordFillsItsLine<Node>);
 
   // Declaration order is construction order (the SimWorld ids and the shm
   // layout hash follow it): the nodes come after the reclaimer's words.

@@ -360,9 +360,9 @@ class MpscRing {
     return t >= h ? static_cast<std::size_t>(t - h) : 0;
   }
 
- private:
   // A record (core/platform.h): under the native Fast policies seq and
-  // value share one line instead of taking a line each.
+  // value share one line instead of taking a line each. Public so the
+  // layout tests can size it.
   struct Slot : PlatformRecord<P>::Base {
     explicit Slot(typename P::Env& env)
         : seq(env, "ring.seq", 0, sim::BoundSpec::unbounded()),
@@ -371,6 +371,8 @@ class MpscRing {
     typename PlatformRecord<P>::Register value;
   };
   static_assert(kRecordFillsItsLine<Slot>);
+
+ private:
   struct alignas(util::kCacheLineSize) ConsumerLocal {
     std::uint64_t pos = 0;
   };
@@ -530,7 +532,6 @@ class MpmcRing {
     return d > cap_ ? cap_ : static_cast<std::size_t>(d);
   }
 
- private:
   // A record, like MpscRing::Slot.
   struct Slot : PlatformRecord<P>::Base {
     Slot(typename P::Env& env, std::uint64_t initial_seq)
@@ -542,6 +543,7 @@ class MpmcRing {
   };
   static_assert(kRecordFillsItsLine<Slot>);
 
+ private:
   std::size_t cap_;
   std::uint64_t mask_;
   typename P::Cas head_;

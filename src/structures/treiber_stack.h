@@ -216,6 +216,20 @@ class TreiberStack {
   R& reclaimer() { return reclaimer_; }
   const R& reclaimer() const { return reclaimer_; }
 
+  // A record (core/platform.h): under the native Fast policies value and
+  // next share one line instead of taking a line each. Unlike the MS-queue
+  // node it keeps the whole line: packed four to a line it measured slower
+  // under contention (docs/DESIGN.md, "Pool storage"). Public so the layout
+  // tests can size it.
+  struct Node : PlatformRecord<P>::Base {
+    explicit Node(typename P::Env& env)
+        : value(env, "node.value", 0, sim::BoundSpec::unbounded()),
+          next(env, "node.next", kNullIndex, sim::BoundSpec::unbounded()) {}
+    typename PlatformRecord<P>::Register value;
+    typename PlatformRecord<P>::Register next;
+  };
+  static_assert(kRecordFillsItsLine<Node>);
+
  private:
   // Runs before any node is allocated. Indices are stored +1, so a head
   // with a bounded index field (max_index) must hold the pool size itself.
@@ -225,17 +239,6 @@ class TreiberStack {
     }
     return reclaimer_.pool_size();
   }
-
-  // A record (core/platform.h): under the native Fast policies value and
-  // next share one line instead of taking a line each.
-  struct Node : PlatformRecord<P>::Base {
-    explicit Node(typename P::Env& env)
-        : value(env, "node.value", 0, sim::BoundSpec::unbounded()),
-          next(env, "node.next", kNullIndex, sim::BoundSpec::unbounded()) {}
-    typename PlatformRecord<P>::Register value;
-    typename PlatformRecord<P>::Register next;
-  };
-  static_assert(kRecordFillsItsLine<Node>);
 
   // Declaration order is construction order (the SimWorld ids and the shm
   // layout hash follow it): the nodes come after the reclaimer's words.

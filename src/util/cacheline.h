@@ -6,10 +6,10 @@
 // process (per-process Local state, announce-array entries, hazard slots)
 // or that is a standalone contended word (the CAS object X, a head, the
 // epoch counter) is padded to kCacheLineSize so neighbours never
-// invalidate each other. A multi-word record (a queue or stack node, a
-// ring slot) is padded as a whole instead: its words are touched together
-// by one operation, so they share the record's one line (PlatformRecord,
-// core/platform.h).
+// invalidate each other. A multi-word record (a stack node, a ring slot)
+// is padded as a whole instead: its words are touched together by one
+// operation, so they share the record's one line; the MS-queue node is not
+// padded at all, four to a line (PlatformRecord, core/platform.h).
 //
 // We use std::hardware_destructive_interference_size where the library
 // provides it. GCC warns that the value can vary with -mtune (the constant

@@ -3,28 +3,34 @@
 // Every structure here holds a fixed pool of platform objects (nodes, ring
 // slots, announce and hazard words). Platform objects wrap std::atomic, so
 // they can neither be copied nor moved, and a std::vector cannot hold them
-// directly. ObjectArray makes one allocation aligned to alignof(T) and
-// constructs the elements in place, in index order, from a per-index
-// factory that returns T by prvalue (guaranteed elision: T is never moved).
+// directly. ObjectArray makes one allocation aligned to alignof(T), and to
+// at least operator new's default alignment (16 B on x86-64, so a 16-byte
+// element never straddles a cache line), and constructs the elements in
+// place, in index order, from a per-index factory that returns T by
+// prvalue (guaranteed elision: T is never moved).
 // Index order is a contract: SimWorld object ids and the shm arena's layout
 // hash both follow construction order. Elements are destroyed in reverse
 // order; if a constructor throws, the elements already built are destroyed
 // and the storage is freed before the exception propagates.
 //
-// Storage. On Linux an array of at least kHugePageBytes (2 MiB; no smaller
-// array can hold a huge page) gets an anonymous mapping of its own: it is
-// over-mapped by 2 MiB and trimmed at both ends, so it starts on a 2 MiB
-// boundary and ends at the array's page-rounded size; then it is advised
-// MADV_HUGEPAGE and pre-faulted with MADV_POPULATE_WRITE. One call replaces
-// a fault per 4 KiB page on first touch, and a huge page covers only memory
-// that construction writes anyway, so resident memory does not grow. Both
+// Storage. On Linux an array of at least kMappedArrayBytes (128 KiB,
+// glibc's default mmap threshold: the allocator would map such an array
+// anyway) gets an anonymous mapping of its own, exactly its page-rounded
+// size, pre-faulted with MADV_POPULATE_WRITE: one call replaces a fault per
+// 4 KiB page on first touch. An array of at least kHugePageBytes (2 MiB; no
+// smaller array can hold a huge page) is over-mapped by 2 MiB and trimmed
+// at both ends, so it starts on a 2 MiB boundary, and is advised
+// MADV_HUGEPAGE before the pre-fault. A huge page covers only memory that
+// construction writes anyway, so resident memory does not grow. Both
 // advice calls are best effort: with transparent huge pages off, or on a
 // kernel without MADV_POPULATE_WRITE (5.14), the pages fault in on first
 // touch as they would from the allocator. A failed mmap throws
 // std::bad_alloc. Smaller arrays, and every array elsewhere, come from
-// aligned operator new.
+// aligned operator new. Mapped arrays carry no allocator redzones, so
+// AddressSanitizer does not see an overrun past their last element.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -37,7 +43,9 @@
 
 namespace aba::util {
 
-// The smallest array that gets a huge-page-aligned mapping of its own.
+// The smallest array that gets a pre-faulted mapping of its own.
+inline constexpr std::size_t kMappedArrayBytes = std::size_t{128} << 10;
+// The smallest mapped array that is also aligned and advised for huge pages.
 inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
 
 namespace detail {
@@ -50,25 +58,30 @@ inline std::size_t page_rounded(std::size_t bytes) {
   return (bytes + page - 1) / page * page;
 }
 
-// An anonymous read-write mapping of page_rounded(bytes) that starts on a
-// kHugePageBytes boundary, advised for huge pages and pre-faulted.
-inline void* map_huge_aligned(std::size_t bytes) {
+// An anonymous read-write mapping of page_rounded(bytes), pre-faulted; at
+// kHugePageBytes and above it starts on a huge-page boundary and is advised
+// for huge pages.
+inline void* map_prefaulted(std::size_t bytes) {
   if (bytes > std::numeric_limits<std::size_t>::max() / 2) {
     throw std::bad_alloc();
   }
   const std::size_t length = page_rounded(bytes);
-  const std::size_t span = length + kHugePageBytes;
+  const bool huge = bytes >= kHugePageBytes;
+  const std::size_t span = huge ? length + kHugePageBytes : length;
   void* raw = mmap(nullptr, span, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (raw == MAP_FAILED) throw std::bad_alloc();
-  const auto base = reinterpret_cast<std::uintptr_t>(raw);
-  const std::uintptr_t start =
-      (base + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
-  const std::size_t head = start - base;
-  if (head > 0) munmap(raw, head);
-  munmap(reinterpret_cast<void*>(start + length), span - head - length);
-  void* data = reinterpret_cast<void*>(start);
-  madvise(data, length, MADV_HUGEPAGE);
+  void* data = raw;
+  if (huge) {
+    const auto base = reinterpret_cast<std::uintptr_t>(raw);
+    const std::uintptr_t start =
+        (base + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
+    const std::size_t head = start - base;
+    if (head > 0) munmap(raw, head);
+    munmap(reinterpret_cast<void*>(start + length), span - head - length);
+    data = reinterpret_cast<void*>(start);
+    madvise(data, length, MADV_HUGEPAGE);
+  }
 #ifdef MADV_POPULATE_WRITE
   madvise(data, length, MADV_POPULATE_WRITE);
 #endif
@@ -80,7 +93,7 @@ inline void unmap(void* data, std::size_t bytes) {
 }
 #else
 inline constexpr bool kMapsLargeArrays = false;
-inline void* map_huge_aligned(std::size_t) { throw std::bad_alloc(); }
+inline void* map_prefaulted(std::size_t) { throw std::bad_alloc(); }
 inline void unmap(void*, std::size_t) {}
 #endif
 
@@ -88,7 +101,8 @@ inline void unmap(void*, std::size_t) {}
 
 template <class T>
 class ObjectArray {
-  static_assert(alignof(T) <= kHugePageBytes);
+  // A mapping starts on a page boundary, and a page is at least 4 KiB.
+  static_assert(alignof(T) <= 4096);
 
  public:
   template <class Factory>
@@ -114,6 +128,9 @@ class ObjectArray {
   const T* data() const { return data_; }
 
  private:
+  static constexpr std::size_t kAlign =
+      std::max(alignof(T), std::size_t{__STDCPP_DEFAULT_NEW_ALIGNMENT__});
+
   static std::size_t bytes_for(std::size_t n) {
     if (n > std::numeric_limits<std::size_t>::max() / sizeof(T)) {
       throw std::bad_array_new_length();
@@ -122,12 +139,12 @@ class ObjectArray {
   }
 
   static bool mapped(std::size_t bytes) {
-    return detail::kMapsLargeArrays && bytes >= kHugePageBytes;
+    return detail::kMapsLargeArrays && bytes >= kMappedArrayBytes;
   }
 
   static T* allocate(std::size_t bytes) {
-    if (mapped(bytes)) return static_cast<T*>(detail::map_huge_aligned(bytes));
-    return static_cast<T*>(::operator new(bytes, std::align_val_t{alignof(T)}));
+    if (mapped(bytes)) return static_cast<T*>(detail::map_prefaulted(bytes));
+    return static_cast<T*>(::operator new(bytes, std::align_val_t{kAlign}));
   }
 
   void destroy() {
@@ -135,7 +152,7 @@ class ObjectArray {
     if (mapped(bytes_)) {
       detail::unmap(data_, bytes_);
     } else {
-      ::operator delete(data_, std::align_val_t{alignof(T)});
+      ::operator delete(data_, std::align_val_t{kAlign});
     }
   }
 

@@ -254,6 +254,11 @@ struct AbaRandomCase {
   std::uint64_t seed;
 };
 
+// Names each case by its fields (gtest would dump the struct's bytes).
+void PrintTo(const AbaRandomCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_ops" << c.ops_per_process << "_seed" << c.seed;
+}
+
 class Fig4RandomLinearizable : public ::testing::TestWithParam<AbaRandomCase> {};
 
 TEST_P(Fig4RandomLinearizable, HistoryIsLinearizable) {

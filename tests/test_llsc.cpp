@@ -302,6 +302,14 @@ struct LlscRandomCase {
   bool initially_linked;
 };
 
+// Names each case by its fields. gtest would dump the struct's bytes,
+// uninitialised padding included, so the test names would change from one
+// build to the next.
+void PrintTo(const LlscRandomCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_ops" << c.ops_per_process << "_seed" << c.seed
+      << (c.initially_linked ? "_linked" : "_unlinked");
+}
+
 class LlscRandom
     : public ::testing::TestWithParam<std::tuple<int, LlscRandomCase>> {};
 

@@ -46,19 +46,9 @@ using aba::testing::corpus_files;
 using aba::testing::fixture_of;
 using aba::testing::load_script;
 
-// The mutation-harness budget: identical for the mutant and every shipped
-// reclaimer. Pool of 2 nodes/process makes index recycling reachable within
-// a couple of storm cycles; context bound 3 covers the park → storm →
-// resume → observe shape of a harmful ABA.
-SearchOptions mutation_budget() {
-  SearchOptions options;
-  options.top_k = 1;
-  options.context_bound = 3;
-  options.max_executions = 256;
-  options.check_spec = true;
-  options.stop_on_violation = true;
-  return options;
-}
+// The mutation harness searches with mutation_search_options(), identical
+// for the mutant and every shipped reclaimer. Pool of 2 nodes/process makes
+// index recycling reachable within a couple of storm cycles.
 constexpr int kMutationPool = 2;
 constexpr int kMutationCycles = 2;
 
@@ -77,7 +67,7 @@ SweepOutcome sweep_workloads(const std::string& fixture_name) {
   for (const auto& candidate :
        workload_candidates(fixture_name, 2, kMutationCycles)) {
     ScheduleExplorer explorer(factory, 2, candidate.workload,
-                              pool_pressure_cost, mutation_budget());
+                              pool_pressure_cost, mutation_search_options());
     const SearchResult result = explorer.run();
     outcome.executions += result.executions;
     if (!result.violations.empty()) {
@@ -259,7 +249,7 @@ TEST(DporRegression, BoundedExhaustiveSearchPrunesNodesAndReplays) {
 
   SearchResult results[2];
   for (const bool dpor : {true, false}) {
-    SearchOptions options = mutation_budget();
+    SearchOptions options = mutation_search_options();
     options.max_executions = 20000;
     options.stop_on_violation = false;  // Exhaust; don't stop at the first.
     options.dpor = dpor;

@@ -342,11 +342,11 @@ static_assert(
 // ------------------------------------------------------------ record layout
 //
 // Under the isolating policies the record, not the word, is the unit of
-// cache-line isolation: a two-word record (the shape of a queue or stack
-// node and a ring slot) is one line, while a standalone word still takes a
-// line of its own. Under Counted the record words are the standalone types,
-// which is what keeps the Counted ledgers and the Fast ≡ Counted trace
-// comparisons unchanged.
+// cache-line isolation: a two-word record deriving from the trait's Base
+// (the shape of a stack node and a ring slot) is one line, while a
+// standalone word still takes a line of its own. Under Counted the record
+// words are the standalone types, which is what keeps the Counted ledgers
+// and the Fast ≡ Counted trace comparisons unchanged.
 template <class P>
 struct TwoWordRecord : PlatformRecord<P>::Base {
   explicit TwoWordRecord(typename P::Env& env)
@@ -376,17 +376,6 @@ TYPED_TEST(NativeLayout, TwoWordRecordIsExactlyOneLine) {
   static_assert(sizeof(typename PlatformRecord<P>::WritableCas) ==
                 sizeof(std::uint64_t));
 
-  // Instantiating each structure runs the static_assert beside its record:
-  // the node or slot packs onto exactly one line on this policy.
-  static_assert(sizeof(structures::MsQueue<P>) > 0);
-  static_assert(sizeof(structures::MsQueue<
-                       P, reclaim::DeferredEpochReclaimer<P>>) > 0);
-  static_assert(sizeof(structures::TreiberStack<
-                       P, structures::TaggedCasHead<P>,
-                       reclaim::CachedHazardPointerReclaimer<P>>) > 0);
-  static_assert(sizeof(structures::MpscRing<P>) > 0);
-  static_assert(sizeof(structures::MpmcRing<P>) > 0);
-
   // In a pool the records sit back to back, one line apart, line-aligned.
   typename P::Env env;
   util::ObjectArray<Record> pool(4, [&](std::size_t) { return Record(env); });
@@ -405,6 +394,56 @@ TYPED_TEST(NativeLayout, TwoWordRecordIsExactlyOneLine) {
   EXPECT_EQ(pool[1].value.read(), 7u);
   EXPECT_EQ(pool[1].next.read(), 9u);
   EXPECT_EQ(pool[0].next.read(), 0u);
+}
+
+// The MS-queue node is packed: its two words and nothing else, four nodes
+// to a line, and in a pool none straddles a line.
+TYPED_TEST(NativeLayout, MsQueueNodeIsPackedFourToALine) {
+  using P = native::NativePlatform<TypeParam>;
+  using Node = typename structures::MsQueue<
+      P, reclaim::DeferredEpochReclaimer<P>>::Node;
+  static_assert(sizeof(Node) == 16);
+  static_assert(sizeof(typename structures::MsQueue<P>::Node) == 16);
+  static_assert(util::kCacheLineSize / sizeof(Node) == 4);
+
+  // A small pool comes from operator new, a large one (request_queue_open's
+  // 49,153 nodes, outside AddressSanitizer's heap redzones) from its own
+  // mapping; both keep every node on one line.
+  typename P::Env env;
+  for (const std::size_t n : {std::size_t{9}, std::size_t{3 * 16384 + 1}}) {
+    util::ObjectArray<Node> pool(n, [&](std::size_t) { return Node(env, 0); });
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      const auto at = reinterpret_cast<std::uintptr_t>(&pool[i]);
+      ASSERT_EQ(at / util::kCacheLineSize,
+                (at + sizeof(Node) - 1) / util::kCacheLineSize)
+          << "node " << i << " of " << n;
+    }
+    const auto line = [&](std::size_t i) {
+      return reinterpret_cast<std::uintptr_t>(&pool[i]) / util::kCacheLineSize;
+    };
+    EXPECT_LE(line(n - 1) - line(0) + 1, (n + 3) / 4 + 1) << n << " nodes";
+    pool[1].value.write(7);
+    EXPECT_TRUE(pool[1].next.cas(0, 9));
+    EXPECT_EQ(pool[0].next.read(), 0u);
+    EXPECT_EQ(pool[2].value.read(), 0u);
+  }
+}
+
+// The Treiber node and the ring slots keep a line each: packing measured
+// slower on the Treiber stack (docs/DESIGN.md, "Pool storage").
+TYPED_TEST(NativeLayout, TreiberNodeAndRingSlotsKeepALine) {
+  using P = native::NativePlatform<TypeParam>;
+  using TreiberNode = typename structures::TreiberStack<
+      P, structures::TaggedCasHead<P>,
+      reclaim::CachedHazardPointerReclaimer<P>>::Node;
+  using MpscSlot = typename structures::MpscRing<P>::Slot;
+  using MpmcSlot = typename structures::MpmcRing<P>::Slot;
+  static_assert(sizeof(TreiberNode) == util::kCacheLineSize);
+  static_assert(alignof(TreiberNode) == util::kCacheLineSize);
+  static_assert(sizeof(MpscSlot) == util::kCacheLineSize);
+  static_assert(alignof(MpscSlot) == util::kCacheLineSize);
+  static_assert(sizeof(MpmcSlot) == util::kCacheLineSize);
+  static_assert(alignof(MpmcSlot) == util::kCacheLineSize);
 }
 
 TYPED_TEST(NativeLayout, StandaloneWordsKeepALineEach) {

@@ -1389,7 +1389,8 @@ TYPED_TEST(NativeReclaimStress, StackBalancedAccounting) {
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 1500;
   typename NativeP::Env env;
-  // Pool sized so even the leaky reclaimer survives every push.
+  // Pool sized so even the leaky reclaimer survives every push. At 192 KB
+  // it is a mapped ObjectArray, outside AddressSanitizer's heap redzones.
   Stack stack(env, kThreads,
               std::make_unique<structures::TaggedCasHead<NativeP>>(env, kThreads),
               Stack::partition(kThreads, kOpsPerThread + 1));
@@ -1640,7 +1641,9 @@ TEST(LeasedNativePolicy, EpochFastAndAsymmetricMatchCounted) {
 // head (reclamation IS the ABA answer) + cached guards + the
 // membarrier-or-fallback fence pair, checked by value conservation. Under
 // TSan the fence header degrades both sides to seq_cst thread fences, so
-// the sanitizer checks the protocol it can model.
+// the sanitizer checks the protocol it can model. The two tests' node
+// pools (375 KB) are mapped ObjectArrays, outside AddressSanitizer's heap
+// redzones.
 TEST(NativeAsymmetricFenceStress, CachedHazardStackBalancedAccounting) {
   using Stack = structures::TreiberStack<AsymP, structures::RawCasHead<AsymP>,
                                          CachedHazardPointerReclaimer<AsymP>>;

@@ -464,12 +464,7 @@ TEST(RingScripted, QuiescentFullRefusesSolo) {
 // history the capacity-strict BoundedQueueSpec accepts.
 TEST(RingModelCheck, MpmcSurvivesSpecDrivenScheduleSearch) {
   const auto factory = search::reclaim_fixture("ring_mpmc");
-  search::SearchOptions options;
-  options.top_k = 1;
-  options.context_bound = 3;
-  options.max_executions = 256;
-  options.check_spec = true;
-  options.stop_on_violation = true;
+  search::SearchOptions options = search::mutation_search_options();
   // The ring is not solo-terminating (a producer parked between claiming a
   // slot and publishing its sequence word makes a consumer spin), so bound
   // each path: without this cut the DFS deepens one frame per futile spin

@@ -402,6 +402,11 @@ struct StackRandomCase {
   std::uint64_t seed;
 };
 
+// Names each case by its fields (gtest would dump the struct's bytes).
+void PrintTo(const StackRandomCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_ops" << c.ops_per_process << "_seed" << c.seed;
+}
+
 std::vector<StackRandomCase> stack_cases() {
   std::vector<StackRandomCase> cases;
   for (int n : {2, 3}) {

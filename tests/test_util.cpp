@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <deque>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -472,9 +473,13 @@ struct Logged {
   std::vector<int>* log;
 };
 
-// Enough Logged elements for the mapped path, one more than a huge page
+// Enough Logged elements for a huge-page mapping, one more than a huge page
 // holds, so the page-rounded size is not a multiple of the huge page.
 constexpr std::size_t kMappedElements = kHugePageBytes / sizeof(Logged) + 1;
+// Enough for a mapping under a huge page: one more than kMappedArrayBytes
+// holds, so the page-rounded size is not a multiple of 128 KiB either.
+constexpr std::size_t kMidElements = kMappedArrayBytes / sizeof(Logged) + 1;
+static_assert(kMidElements * sizeof(Logged) < kHugePageBytes);
 
 // from - 1, from - 2, ..., 0: the destruction log of elements [0, from).
 std::vector<int> countdown(std::size_t from) {
@@ -484,7 +489,7 @@ std::vector<int> countdown(std::size_t from) {
 }
 
 TEST(ObjectArray, DestroysInReverseOrder) {
-  for (const std::size_t n : {std::size_t{4}, kMappedElements}) {
+  for (const std::size_t n : {std::size_t{4}, kMidElements, kMappedElements}) {
     std::vector<int> log;
     {
       ObjectArray<Logged> a(n, [&](std::size_t i) {
@@ -500,7 +505,7 @@ TEST(ObjectArray, ThrowingConstructorDestroysBuiltPrefix) {
   // Elements [0, throw_at) were built and are destroyed, last first;
   // element throw_at never finished constructing. The storage itself is
   // freed (LeakSanitizer checks the allocator path in the sanitizer build).
-  for (const std::size_t n : {std::size_t{6}, kMappedElements}) {
+  for (const std::size_t n : {std::size_t{6}, kMidElements, kMappedElements}) {
     const std::size_t throw_at = n / 2;
     std::vector<int> log;
     EXPECT_THROW(
@@ -543,6 +548,98 @@ TEST(ObjectArray, MappedArrayStartsOnAHugePageBoundary) {
 }
 
 #if defined(__linux__)
+// The address ranges mapped in this process, from /proc/self/maps.
+using Range = std::pair<std::uintptr_t, std::uintptr_t>;
+std::vector<Range> mapped_ranges() {
+  std::vector<Range> ranges;
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    Range r{};
+    char dash = 0;
+    std::istringstream(line) >> std::hex >> r.first >> dash >> r.second;
+    ranges.push_back(r);
+  }
+  return ranges;
+}
+
+// The range holding `at`, or null.
+const Range* range_of(const std::vector<Range>& ranges, std::uintptr_t at) {
+  for (const Range& r : ranges) {
+    if (r.first <= at && at < r.second) return &r;
+  }
+  return nullptr;
+}
+
+// An array of at least kMappedArrayBytes and under kHugePageBytes is mapped
+// on its own too: page-aligned, built in index order, resident once built,
+// and exactly its page-rounded size: when the array is gone, the address
+// space around it is as it was before, page for page. (Untrimmed, the
+// mapping may merge with a neighbouring anonymous one in /proc/self/maps,
+// so its own entry cannot be read off directly.)
+TEST(ObjectArray, MidSizeMappingIsExactlyThePageRoundedArray) {
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const std::uintptr_t bytes = kMidElements * sizeof(Logged);
+  const std::uintptr_t rounded = (bytes + page - 1) / page * page;
+  std::vector<int> log;
+  log.reserve(kMidElements);
+  std::vector<std::size_t> calls;
+  calls.reserve(kMidElements);
+  const auto before = mapped_ranges();
+  auto a = std::make_unique<ObjectArray<Logged>>(
+      kMidElements, [&](std::size_t i) {
+        calls.push_back(i);
+        return Logged(static_cast<int>(i), &log, -1);
+      });
+  const auto at = reinterpret_cast<std::uintptr_t>(a->data());
+  EXPECT_EQ(at % page, 0u);
+  for (std::size_t i = 0; i < kMidElements; ++i) ASSERT_EQ(calls[i], i);
+  std::vector<unsigned char> resident(rounded / page);
+  ASSERT_EQ(mincore(reinterpret_cast<void*>(at), rounded, resident.data()), 0);
+  for (const unsigned char r : resident) EXPECT_TRUE(r & 1);
+  const auto during = mapped_ranges();
+  EXPECT_NE(range_of(during, at), nullptr);
+  EXPECT_NE(range_of(during, at + rounded - 1), nullptr);
+  a.reset();
+  const auto after = mapped_ranges();
+  for (std::uintptr_t p = at - page; p <= at + rounded; p += page) {
+    ASSERT_EQ(range_of(after, p) != nullptr, range_of(before, p) != nullptr)
+        << "the page at " << std::hex << p << ", array at " << at;
+  }
+}
+
+// A mapped array is resident before any element is written: the mapping
+// is pre-faulted. Empty elements make construction write nothing, so only
+// the pre-fault can have brought the pages in. Skipped on a kernel without
+// MADV_POPULATE_WRITE (before 5.14), where the advice is a no-op.
+struct Empty {};
+
+TEST(ObjectArray, MappedArraysArePrefaulted) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+#ifdef MADV_POPULATE_WRITE
+  void* probe = mmap(nullptr, page, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(probe, MAP_FAILED);
+  const bool populates = madvise(probe, page, MADV_POPULATE_WRITE) == 0;
+  munmap(probe, page);
+  if (!populates) GTEST_SKIP() << "the kernel lacks MADV_POPULATE_WRITE";
+#else
+  GTEST_SKIP() << "built without MADV_POPULATE_WRITE";
+#endif
+  for (const std::size_t n : {kMappedArrayBytes, kHugePageBytes + 1}) {
+    ObjectArray<Empty> a(n, [](std::size_t) { return Empty{}; });
+    const std::size_t pages = (n + page - 1) / page;
+    std::vector<unsigned char> resident(pages);
+    ASSERT_EQ(mincore(const_cast<Empty*>(a.data()), pages * page,
+                      resident.data()),
+              0);
+    EXPECT_EQ(std::count_if(resident.begin(), resident.end(),
+                            [](unsigned char r) { return (r & 1) != 0; }),
+              static_cast<std::ptrdiff_t>(pages))
+        << n << " bytes";
+  }
+}
+
 // The mapping is trimmed to the array's page-rounded size: a huge page
 // never covers memory that construction did not touch, which is what keeps
 // resident memory where the allocator path had it.
@@ -563,23 +660,11 @@ TEST(ObjectArray, MappingIsExactlyThePageRoundedArray) {
   errno = 0;
   EXPECT_EQ(mincore(reinterpret_cast<void*>(at + rounded), page, &resident), -1);
   EXPECT_EQ(errno, ENOMEM);
-  std::ifstream maps("/proc/self/maps");
-  ASSERT_TRUE(maps.is_open());
-  std::string line;
-  bool found = false;
-  while (std::getline(maps, line)) {
-    std::uintptr_t lo = 0;
-    std::uintptr_t hi = 0;
-    char dash = 0;
-    std::istringstream range(line);
-    range >> std::hex >> lo >> dash >> hi;
-    if (lo <= at && at < hi) {
-      found = true;
-      EXPECT_EQ(lo, at) << line;
-      EXPECT_EQ(hi - lo, rounded) << line;
-    }
-  }
-  EXPECT_TRUE(found);
+  const auto ranges = mapped_ranges();
+  const Range* range = range_of(ranges, at);
+  ASSERT_NE(range, nullptr);
+  EXPECT_EQ(range->first, at);
+  EXPECT_EQ(range->second - range->first, rounded);
 }
 #endif
 
