@@ -119,12 +119,14 @@ SearchFixture make_sharded_stack_fixture(int n, int pool) {
 
 // One registered fixture: its corpus `fixture` meta name, the factory, the
 // spec its histories are checked against (which also picks the workloads'
-// put/take verbs), and whether the per-process pool applies.
+// put/take verbs), whether the per-process pool applies, and the grant cut
+// every search of it inherits (SearchFixture::max_grants_per_execution).
 struct FixtureEntry {
   const char* name;
   SearchFixture (*make)(int n, int pool);
   SpecKind spec;
   bool uses_pool;
+  std::uint64_t max_grants_per_execution = 0;
 };
 
 using Hazard = reclaim::HazardPointerReclaimer<SimP>;
@@ -167,7 +169,10 @@ constexpr FixtureEntry kFixtures[] = {
      true},
     {"sharded_stack_hazard_cached", make_sharded_stack_fixture,
      SpecKind::kShardedStack, true},
-    {"ring_mpmc", make_ring_fixture, SpecKind::kRing, false},
+    // Not solo-terminating: a producer parked mid-publish makes a consumer
+    // spin, so each path is cut at 256 grants (~5x a full clean run of the
+    // widest workload candidate at two cycles).
+    {"ring_mpmc", make_ring_fixture, SpecKind::kRing, false, 256},
     // ---- The crash-robust shm tier, sim-hosted (sim/sim_lease.h): the
     // hazard/epoch cores over LeasedBook with the real PidLeaseTable
     // protocol on a simulated shared-segment arena. Crash grants (`!p`)
@@ -226,6 +231,78 @@ const FixtureEntry& fixture_entry(const std::string& name) {
   return kFixtures[0];
 }
 
+}  // namespace
+
+// The corpus manifest: one row per committed tests/schedules/*.sched file
+// and everything the search that regenerates it needs (CorpusRow). Columns:
+// file, fixture, mode, processes, pool per process, cycles, workload,
+// context bound, executions, crashes, prelude.
+const std::vector<CorpusRow>& corpus_manifest() {
+  using enum CorpusMode;
+  constexpr int kPool = kDefaultPoolPerProcess;
+  static const std::vector<CorpusRow> rows = {
+      // The symmetric-storm crash searches (crash_search_options depth).
+      {"queue_epoch.crash.sched", "queue_epoch", kCrash,
+       2, kPool, 24, "symmetric_storm", 3, 48, 1, {}},
+      {"queue_hazard.crash.sched", "queue_hazard", kCrash,
+       2, kPool, 24, "symmetric_storm", 3, 48, 1, {}},
+      {"queue_hazard_cached.crash.sched", "queue_hazard_cached", kCrash,
+       2, kPool, 24, "symmetric_storm", 3, 48, 1, {}},
+      {"stack_epoch.crash.sched", "stack_epoch", kCrash,
+       2, kPool, 24, "symmetric_storm", 3, 48, 1, {}},
+      {"stack_hazard.crash.sched", "stack_hazard", kCrash,
+       2, kPool, 24, "symmetric_storm", 3, 48, 1, {}},
+      {"stack_hazard_cached.crash.sched", "stack_hazard_cached", kCrash,
+       2, kPool, 24, "symmetric_storm", 3, 48, 1, {}},
+      // The crash-free storm searches (corpus_search_options depth); the
+      // three-process ones run shorter storms, since every extra parked
+      // reader multiplies the branching factor.
+      {"queue_epoch.sched", "queue_epoch", kPlain,
+       2, kPool, 12, "storm", 3, 128, 0, {}},
+      {"queue_epoch_deferred.sched", "queue_epoch_deferred", kPlain,
+       2, kPool, 12, "storm", 3, 128, 0, {}},
+      {"queue_hazard.sched", "queue_hazard", kPlain,
+       2, kPool, 12, "storm", 3, 128, 0, {}},
+      {"queue_hazard_cached.sched", "queue_hazard_cached", kPlain,
+       2, kPool, 12, "storm", 3, 128, 0, {}},
+      {"queue_hazard_cached.n3.sched", "queue_hazard_cached", kPlain,
+       3, kPool, 8, "storm", 3, 128, 0, {}},
+      {"sharded_stack_hazard_cached.sched", "sharded_stack_hazard_cached",
+       kPlain, 2, kPool, 12, "storm", 3, 128, 0, {}},
+      {"stack_epoch.sched", "stack_epoch", kPlain,
+       2, kPool, 12, "storm", 3, 128, 0, {}},
+      {"stack_epoch.n3.sched", "stack_epoch", kPlain,
+       3, kPool, 8, "storm", 3, 128, 0, {}},
+      {"stack_epoch_deferred.sched", "stack_epoch_deferred", kPlain,
+       2, kPool, 12, "storm", 3, 128, 0, {}},
+      {"stack_hazard.sched", "stack_hazard", kPlain,
+       2, kPool, 12, "storm", 3, 128, 0, {}},
+      {"stack_hazard_cached.sched", "stack_hazard_cached", kPlain,
+       2, kPool, 12, "storm", 3, 128, 0, {}},
+      {"stack_hazard_cached.wl.sched", "stack_hazard_cached", kWorkloadSearch,
+       2, kPool, 12, "", 3, 128, 0, {}},
+      // The lease-mutant convictions: a two-node pool makes index recycling
+      // reachable, and each mutant's channel needs one workload shape. The
+      // no_restamp channel is unreachable for the fewest-ops-first DFS order
+      // in budget, so its prelude stages the opening — the stormer's first
+      // two pushes (16 grants to p0), then a reader parked mid-pop holding
+      // its snapshot (6 grants to p2); the searcher still finds the kill
+      // point and every suffix interleaving itself.
+      {"stack_leased_mutant_no_quarantine.crash.sched",
+       "stack_leased_mutant_no_quarantine", kConviction,
+       2, 2, 5, "crossed_storm", 3, 20000, 1, {}},
+      {"stack_leased_mutant_no_restamp.crash.sched",
+       "stack_leased_mutant_no_restamp", kConviction,
+       3, 2, 3, "storm", 3, 20000, 1, {{0, 16}, {2, 6}}},
+      {"stack_leased_mutant_stale_confirm.crash.sched",
+       "stack_leased_mutant_stale_confirm", kConviction,
+       2, 2, 4, "storm", 3, 20000, 1, {}},
+  };
+  return rows;
+}
+
+namespace {
+
 // Process 0's retire storm of `cycles` put/take pairs (values base + i)
 // against every other process taking `reader_takes` times.
 std::vector<harness::WorkloadOp> storm(PutTake verbs, int num_processes,
@@ -269,20 +346,6 @@ SearchOptions crash_search_options() {
           .max_crashes = 1};
 }
 
-SearchOptions conviction_search_options(int context_bound,
-                                        std::uint64_t max_executions,
-                                        int max_crashes,
-                                        std::vector<int> prelude) {
-  return {.top_k = 1,
-          .context_bound = context_bound,
-          .max_executions = max_executions,
-          .max_grants = 1ull << 30,  // Let max_executions be the budget.
-          .max_crashes = max_crashes,
-          .check_spec = true,
-          .stop_on_violation = true,
-          .prelude = std::move(prelude)};
-}
-
 SearchOptions mutation_search_options() {
   return {.top_k = 1, .context_bound = 3, .max_executions = 256,
           .check_spec = true, .stop_on_violation = true};
@@ -295,6 +358,7 @@ SearchFixtureFactory reclaim_fixture(const std::string& name,
   return [&entry, pool_per_process](int n) {
     SearchFixture fx = entry.make(n, pool_per_process);
     fx.spec = entry.spec;
+    fx.max_grants_per_execution = entry.max_grants_per_execution;
     return fx;
   };
 }

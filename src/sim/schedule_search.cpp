@@ -364,10 +364,11 @@ void ScheduleExplorer::dfs(std::unique_ptr<Live> live, SleepSet sleep) {
       result_.budget_exhausted = true;
       return;
     }
-    if (options_.max_grants_per_execution != 0 &&
-        live->runner.grants().size() >= options_.max_grants_per_execution) {
+    const std::uint64_t cut =
+        live->runner.fixture().max_grants_per_execution;
+    if (cut != 0 && live->runner.grants().size() >= cut) {
       // Bounded-wait cut for non-solo-terminating fixtures: abandon this
-      // path before its spin loop exhausts the stack (see SearchOptions).
+      // path before its spin loop exhausts the stack (see SearchFixture).
       ++result_.truncated_paths;
       return;
     }

@@ -55,8 +55,9 @@
 //     conflict with everything). Sleep sets prune by Mazurkiewicz-trace
 //     equivalence of *final* states; a peak attained only in the skipped
 //     intermediate order can in principle be missed, which is why the
-//     corpus-hygiene test re-asserts every committed golden peak against
-//     the pruned search, and why `SearchOptions::dpor` can be switched off.
+//     corpus-hygiene test regenerates every committed script, golden peak
+//     included, with the pruned search, and why `SearchOptions::dpor` can
+//     be switched off.
 //     Sleep sets engage only when context_bound == kUnboundedContextBound:
 //     under a finite preemption budget they are UNSOUND, because the
 //     commuted representative of a slept order can need a different number
@@ -87,13 +88,14 @@
 //     (epoch lag × retire backlog) this is the outer loop every new
 //     structure plugs into.
 //
-// Four translation units implement this header: schedule_search.cpp (the
+// Five translation units implement this header: schedule_search.cpp (the
 // engine: ScheduleRunner, ScheduleExplorer with its DPOR state key, and
 // search_workloads), schedule_script.cpp (script I/O and cost functions),
-// schedule_verdicts.cpp (check_history) and schedule_fixtures.cpp (the
-// kFixtures registry, harness_fixture, put_take, the workload shapes and
-// the corpus search depths). Only the fixtures TU sees concrete structures
-// and reclaimers.
+// schedule_verdicts.cpp (check_history), schedule_fixtures.cpp (the
+// kFixtures registry, the corpus manifest, harness_fixture, put_take, the
+// workload shapes and the search depths) and schedule_corpus.cpp
+// (regenerate: one manifest row to its committed file's text). Only the
+// fixtures TU sees concrete structures and reclaimers.
 //
 // Everything here is deterministic: the search uses no randomness, fixture
 // construction is replayable, and two replays of the same script produce
@@ -182,6 +184,17 @@ struct SearchFixture {
   // Capacity for SpecKind::kRing fixtures (BoundedQueueSpec initial state);
   // ignored by the other kinds.
   std::uint64_t ring_capacity = 0;
+  // Per-schedule grant bound: every search of this fixture cuts a DFS path
+  // whose grant sequence reaches this length (counted in
+  // SearchResult::truncated_paths). 0 = unbounded, which is correct for the
+  // lock-free fixtures — every op solo-terminates, so paths end on their
+  // own. Fixtures with blocking wait loops (the bounded rings: a producer
+  // parked between claiming a slot and publishing its sequence word makes a
+  // consumer spin indefinitely) need this cut — each futile spin iteration
+  // extends the process's observation history, so the DPOR state key never
+  // recurs and the DFS would otherwise deepen one frame per grant until the
+  // stack overflows.
+  std::uint64_t max_grants_per_execution = 0;
   // Death oracle wired into the reclaimer (is_dead == world->is_crashed).
   // Owned here so it outlives the structure that holds a pointer to it.
   // Installing it is trace-neutral: with no crashes the reclaimers take no
@@ -202,8 +215,8 @@ inline constexpr int kDefaultPoolPerProcess = 48;
 
 // The registered fixtures over the simulator, keyed by the corpus
 // `fixture` meta value. The kFixtures table in schedule_fixtures.cpp is the
-// registry: one row per fixture gives its name, factory, SpecKind and pool
-// use. ABA_CHECK-fails on an unknown name.
+// registry: one row per fixture gives its name, factory, SpecKind, pool use
+// and per-schedule grant cut. ABA_CHECK-fails on an unknown name.
 SearchFixtureFactory reclaim_fixture(
     const std::string& name, int pool_per_process = kDefaultPoolPerProcess);
 std::vector<std::string> reclaim_fixture_names();
@@ -409,31 +422,17 @@ struct SearchOptions {
   // inside the prelude are charged against the same budgets as searched
   // grants, so a conviction's recorded context bound stays honest.
   std::vector<int> prelude = {};
-  // Per-schedule grant bound: a DFS path whose grant sequence reaches this
-  // length is cut (counted in SearchResult::truncated_paths). 0 = unbounded,
-  // which is correct for the lock-free fixtures — every op solo-terminates,
-  // so paths end on their own. Fixtures with blocking wait loops (the
-  // bounded rings: a producer parked between claiming a slot and publishing
-  // its sequence word makes a consumer spin indefinitely) need this cut —
-  // each futile spin iteration extends the process's observation history,
-  // so the DPOR state key never recurs and the DFS would otherwise deepen
-  // one frame per grant until the stack overflows.
-  std::uint64_t max_grants_per_execution = 0;
 };
 
-// The committed corpus's search depths, defined beside the fixture table:
-// the plain worst-case search every crash-free .sched was found at, the
-// crash search behind every *.crash.sched with a golden peak, the
-// spec-driven search a lease-mutant conviction records in its meta, and
-// the mutation harness's spec-driven budget, identical for a mutant and
-// every shipped twin (context bound 3 covers the park → storm → resume →
-// observe shape of a harmful ABA).
+// Search depths, defined beside the fixture table: the plain worst-case
+// search of the crash-free corpus rows, the crash search of the
+// *.crash.sched rows with a golden peak, and the mutation harness's
+// spec-driven budget, identical for a mutant and every shipped twin
+// (context bound 3 covers the park → storm → resume → observe shape of a
+// harmful ABA). A corpus row's own budget columns override the first two
+// (corpus_options below).
 SearchOptions corpus_search_options();
 SearchOptions crash_search_options();
-SearchOptions conviction_search_options(int context_bound,
-                                        std::uint64_t max_executions,
-                                        int max_crashes,
-                                        std::vector<int> prelude = {});
 SearchOptions mutation_search_options();
 
 struct FoundSchedule {
@@ -464,7 +463,7 @@ struct SearchResult {
   std::uint64_t pruned_states = 0;
   std::uint64_t pruned_sleep = 0;
   std::uint64_t replayed_grants = 0;
-  // Paths cut by SearchOptions::max_grants_per_execution before completing.
+  // Paths cut by SearchFixture::max_grants_per_execution before completing.
   std::uint64_t truncated_paths = 0;
   bool budget_exhausted = false;
 
@@ -549,5 +548,61 @@ class ScheduleExplorer {
   // configuration hash.
   std::unordered_map<std::uint64_t, double> visited_;
 };
+
+// --------------------------------------------------------------- corpus
+
+// How a committed tests/schedules/*.sched file is found.
+enum class CorpusMode : std::uint8_t {
+  kPlain,           // The workload's worst retired_unreclaimed schedule.
+  kCrash,           // The first top-K crash schedule whose replay recovers
+                    // (a confirmed expropriation in the final stats).
+  kWorkloadSearch,  // search_workloads over every workload candidate.
+  kConviction,      // A spec violation against a deliberately broken
+                    // reclaimer, under pool_pressure_cost.
+};
+
+// One committed corpus file and the whole search that regenerates it. The
+// manifest (corpus_manifest(), beside kFixtures) has exactly one row per
+// file under tests/schedules/; CorpusHygiene.* checks both directions.
+struct CorpusRow {
+  const char* file;
+  const char* fixture;
+  CorpusMode mode;
+  int procs;
+  int pool;
+  int cycles;
+  // A workload_candidates name, or "symmetric_storm"
+  // (symmetric_storm_workload); empty for kWorkloadSearch, which tries
+  // every candidate.
+  const char* workload;
+  int context_bound;
+  std::uint64_t max_executions;
+  int max_crashes;
+  // Forced grant prefix (SearchOptions::prelude) as (pid, grants) runs.
+  std::vector<std::pair<int, int>> prelude;
+};
+
+const std::vector<CorpusRow>& corpus_manifest();
+
+// The row's search: its mode's options with the row's budget columns and
+// prelude, and the workload it names (not for kWorkloadSearch rows).
+SearchOptions corpus_options(const CorpusRow& row);
+std::vector<harness::WorkloadOp> corpus_workload(const CorpusRow& row);
+
+// Stamps the golden bounds a corpus replay is checked against: fixture,
+// cost, expect_peak, expect_peak_grant and expect_grants. ABA_CHECK-fails
+// on a peak that is not an integer a long long holds (a wrapped unsigned
+// counter reads as about 2^64).
+void stamp_golden(ScheduleScript& script, const std::string& fixture,
+                  const ReplayResult& replay);
+
+// Runs the row's search and returns the full text of its file: the `#`
+// header, then the found script with its goldens stamped, each checked by
+// two fresh replays. Throws std::runtime_error when the search finds no
+// such schedule or a replay disagrees; ABA_CHECK-fails unless exactly one
+// manifest row names row.file. `schedule_search_demo --regenerate=DIR`
+// writes this text; CorpusHygiene.EveryCommittedScriptRegeneratesByteForByte
+// compares it with the committed bytes.
+std::string regenerate(const CorpusRow& row);
 
 }  // namespace aba::search

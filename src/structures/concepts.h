@@ -14,11 +14,11 @@
 // a producer parked between reserving a position and publishing its slot
 // sequence stalls consumers at that position (and symmetrically a claimed-
 // but-unbumped pop stalls a wrapping producer) — so MpscRing/MpmcRing
-// try_* are not lock-free. The simulator bounds these spins with
-// max_grants_per_execution; on native platforms a descheduled peer can
-// stall the operation for its whole quantum. Callers that need bounded
-// completion must use SpscRing (wait-free: reads and writes only) or
-// schedule around the stall.
+// try_* are not lock-free. The simulator bounds these spins with the ring
+// fixture's max_grants_per_execution; on native platforms a descheduled
+// peer can stall the operation for its whole quantum. Callers that need
+// bounded completion must use SpscRing (wait-free: reads and writes only)
+// or schedule around the stall.
 //
 // What distinguishes the families is *why* try_push may refuse:
 //

@@ -11,26 +11,29 @@
 //     replayed grants than PR 5's plain DFS while reaching the same peak
 //     and the same conviction; with an unbounded context bound, sleep
 //     sets + state caching must exhaust a space plain DFS cannot finish.
-//   * CORPUS HYGIENE — every committed tests/schedules/*.sched golden
-//     expect_peak is still what the search finds at the committed depth
-//     (equality for plain schedules; the crash emitter picks a recovering
-//     candidate from the top-K, so crash goldens assert containment).
+//   * CORPUS HYGIENE — every committed tests/schedules/*.sched file has
+//     exactly one corpus-manifest row, and regenerating each row (the same
+//     search::regenerate that schedule_search_demo --regenerate runs)
+//     reproduces the committed bytes: golden peaks, crash recovery bounds
+//     and the lease-mutant convictions alike.
 //   * n>2 AND WORKLOAD SEARCH — three-process fixtures search and verify
 //     clean, the outer workload search returns the argmax candidate and
 //     stamps the winning shape into script meta, and crash grants compose
 //     with DPOR + spec checking (conservation-only verdicts).
 //   * LEASE-MUTANT ZOO (PR 10) — the shm-tier death-handshake mutants
-//     (reclaim/mutant.h: LeaseMutation) are each convicted by a bounded
-//     crash-enabled search at their committed budget, the convictions
-//     replay deterministically, the shipped protocol twins survive the
+//     (reclaim/mutant.h: LeaseMutation) are each convicted by the bounded
+//     crash-enabled search of their manifest row (checked by the corpus
+//     regeneration above), the shipped protocol twins survive the
 //     identical budget shapes, and a searched (not scripted) mid-batch
 //     crash on the pending-window reclaimer verifies clean while actually
 //     exercising the survivor's re-home path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/schedule_search.h"
@@ -43,8 +46,7 @@ namespace {
 
 using aba::testing::candidate_workload;
 using aba::testing::corpus_files;
-using aba::testing::fixture_of;
-using aba::testing::load_script;
+using aba::testing::read_text;
 
 // The mutation harness searches with mutation_search_options(), identical
 // for the mutant and every shipped reclaimer. Pool of 2 nodes/process makes
@@ -125,113 +127,41 @@ TEST(MutantCatch, AllShippedStackReclaimersSurviveTheIdenticalBudget) {
 //                  the epoch collector frees it against a stale stamp
 //                  while a reader still holds a pre-crash snapshot of it.
 //
-// Each budget below is the committed one (schedule_search_demo --convict,
-// stamped into tests/schedules/*_leased_mutant_*.crash.sched meta). The
-// no_restamp channel is unreachable for the blind fewest-ops-first DFS
-// order — its budget stages the opening (the stormer's first two pushes,
-// then a reader parked mid-pop) as a search prelude; the searcher still
-// has to discover the kill point and every suffix interleaving itself.
-struct LeaseBudget {
-  std::string mutant;
-  std::string shipped_twin;  // Same protocol with the mutation off.
-  int procs = 2;
-  int cycles = 4;
-  std::string workload = "storm";
-  std::vector<int> prelude;
-  std::uint64_t max_executions = 20000;
-};
-
-std::vector<int> no_restamp_prelude() {
-  std::vector<int> grants(16, 0);  // Stormer: two pushes staged.
-  grants.insert(grants.end(), 6, 2);  // Reader: parked mid-pop, snapshot held.
-  return grants;
-}
-
-LeaseBudget stale_confirm_budget() {
-  return {"stack_leased_mutant_stale_confirm", "stack_leased_hazard",
-          2, 4, "storm", {}, 20000};
-}
-LeaseBudget no_quarantine_budget() {
-  return {"stack_leased_mutant_no_quarantine", "stack_leased_hazard",
-          2, 5, "crossed_storm", {}, 20000};
-}
-LeaseBudget no_restamp_budget() {
-  return {"stack_leased_mutant_no_restamp", "stack_leased_epoch",
-          3, 3, "storm", no_restamp_prelude(), 20000};
-}
-
-SearchResult run_lease_search(const std::string& fixture_name,
-                              const LeaseBudget& budget) {
-  const SearchOptions options = conviction_search_options(
-      /*context_bound=*/3, budget.max_executions, /*max_crashes=*/1,
-      budget.prelude);
-  const auto workload = candidate_workload(fixture_name, budget.procs,
-                                           budget.cycles, budget.workload);
-  ABA_CHECK_MSG(!workload.empty(), "unknown lease-budget workload");
-  ScheduleExplorer explorer(reclaim_fixture(fixture_name, kMutationPool),
-                            budget.procs, workload, pool_pressure_cost,
-                            options);
-  return explorer.run();
-}
-
-void expect_lease_conviction(const LeaseBudget& budget) {
-  const SearchResult result = run_lease_search(budget.mutant, budget);
-  ASSERT_TRUE(result.violation_found())
-      << budget.mutant << " survived its committed budget ("
-      << result.executions << " schedules explored)";
-  const ScheduleScript& script = result.violations[0].script;
-  EXPECT_EQ(std::count_if(script.grants.begin(), script.grants.end(),
-                          is_crash_grant),
-            1)
-      << "a lease conviction needs exactly the one allowed crash";
-
-  // The conviction is evidence: two fresh replays must both re-produce the
-  // failing verdict and agree bit-for-bit.
-  const auto factory = reclaim_fixture(budget.mutant, kMutationPool);
-  const ReplayResult first =
-      ScheduleExplorer::replay(factory, script, pool_pressure_cost);
-  const ReplayResult second =
-      ScheduleExplorer::replay(factory, script, pool_pressure_cost);
-  EXPECT_TRUE(first.verdict.checked);
-  EXPECT_FALSE(first.verdict.ok) << "conviction did not replay";
-  EXPECT_EQ(first.verdict.detail, result.violations[0].detail);
-  EXPECT_EQ(first.trace.size(), second.trace.size());
-  EXPECT_EQ(first.verdict.detail, second.verdict.detail);
-  EXPECT_EQ(first.peak_cost, second.peak_cost);
-}
-
-TEST(LeaseMutantCatch, StaleConfirmSeizesALiveLease) {
-  expect_lease_conviction(stale_confirm_budget());
-}
-
-TEST(LeaseMutantCatch, NoQuarantineFreesAPossiblyLinkedNode) {
-  expect_lease_conviction(no_quarantine_budget());
-}
-
-TEST(LeaseMutantCatch, NoRestampFreesAnOrphanUnderAParkedReader) {
-  expect_lease_conviction(no_restamp_budget());
-}
-
+// Each mutant's conviction is the kConviction row of the corpus manifest
+// that commits it (CorpusHygiene.EveryCommittedScriptRegeneratesByteForByte
+// re-runs that search, and the regenerated file pins exactly one crash and
+// a deterministic failing replay).
 TEST(LeaseMutantCatch, ShippedTwinsSurviveTheIdenticalBudgetShapes) {
-  // Full-budget survival of all seven shipped leased fixtures is the CI
-  // model-check job's (schedule_search_demo --convict over the shipped
-  // names — 20000-execution budgets run for minutes). Here each mutant's
-  // protocol twin gets the identical budget *shape* — same processes,
-  // pool, cycles, workload, context bound, crash allowance, prelude — with
-  // the execution cap lowered to keep the suite fast. Every mutant above
-  // convicts well inside this cap, so a clean pass is still discriminating.
-  for (LeaseBudget budget : {stale_confirm_budget(), no_quarantine_budget(),
-                             no_restamp_budget()}) {
-    SCOPED_TRACE(budget.shipped_twin + " under the " + budget.mutant +
-                 " budget");
-    budget.max_executions = 2000;
-    const SearchResult result =
-        run_lease_search(budget.shipped_twin, budget);
+  // A full 20000-execution survival search runs for minutes, so each
+  // mutant's protocol twin gets the identical budget *shape* of the
+  // mutant's manifest row — same processes, pool,
+  // cycles, workload, context bound, crash allowance, prelude — with the
+  // execution cap lowered to keep the suite fast. no_quarantine and
+  // no_restamp convict well inside this cap (in 5 and 474 schedules), so
+  // their twins' clean passes discriminate; stale_confirm needs about
+  // 11 200, so its twin's pass here is a smoke check.
+  const std::map<std::string, std::string> twin_of = {
+      {"stack_leased_mutant_stale_confirm", "stack_leased_hazard"},
+      {"stack_leased_mutant_no_quarantine", "stack_leased_hazard"},
+      {"stack_leased_mutant_no_restamp", "stack_leased_epoch"}};
+  int rows = 0;
+  for (const CorpusRow& row : corpus_manifest()) {
+    if (row.mode != CorpusMode::kConviction) continue;
+    ++rows;
+    const std::string& twin = twin_of.at(row.fixture);
+    SCOPED_TRACE(twin + " under the " + row.fixture + " budget");
+    SearchOptions options = corpus_options(row);
+    options.max_executions = 2000;
+    ScheduleExplorer explorer(reclaim_fixture(twin, row.pool), row.procs,
+                              corpus_workload(row), pool_pressure_cost,
+                              options);
+    const SearchResult result = explorer.run();
     EXPECT_FALSE(result.violation_found())
         << (result.violations.empty() ? std::string()
                                       : result.violations[0].detail);
     EXPECT_GT(result.executions, 0u);
   }
+  EXPECT_EQ(rows, 3) << "expected the three lease-mutant conviction rows";
 }
 
 // ------------------------------------------------------ DPOR regressions
@@ -319,115 +249,40 @@ TEST(DporRegression, UnboundedSearchExhaustsWherePlainDfsCannot) {
 
 // --------------------------------------------------------- corpus hygiene
 
-TEST(CorpusHygiene, GoldenPeaksAreStillTheSearchMaxima) {
-  // Re-runs the search each corpus schedule was found by — same workload,
-  // same cost, the committed search depth — and checks the golden
-  // expect_peak is still what the search attains. A plain schedule's
-  // golden must match the search maximum exactly (a higher search result
-  // means the golden went stale; lower means the searcher regressed). The
-  // crash emitter commits the first *recovering* top-K candidate, not
-  // necessarily the argmax, so crash goldens assert the search still
-  // reaches at least the committed peak.
-  const auto files = corpus_files();
-  ASSERT_FALSE(files.empty());
-  for (const auto& path : files) {
-    SCOPED_TRACE(path.filename().string());
-    const auto script = load_script(path);
-    ASSERT_TRUE(script.has_value());
-    // Lease-mutant convictions carry expect_verdict instead of expect_peak;
-    // their hygiene check (re-running the recorded conviction search) is
-    // ConvictionScriptsStillConvictWithinTheirRecordedBudget below.
-    if (script->meta.count("expect_verdict")) continue;
-    ASSERT_TRUE(script->meta.count("fixture"));
-    ASSERT_TRUE(script->meta.count("cost"));
-    ASSERT_TRUE(script->meta.count("expect_peak"));
-
-    const double golden = std::stod(script->meta.at("expect_peak"));
-    const bool is_crash_script = script->meta.count("crashes") &&
-                                 std::stoi(script->meta.at("crashes")) > 0;
-
-    // The committed search depth.
-    ScheduleExplorer explorer(
-        fixture_of(*script), script->num_processes, script->workload,
-        cost_by_name(script->meta.at("cost")),
-        is_crash_script ? crash_search_options() : corpus_search_options());
-    const SearchResult result = explorer.run();
-    ASSERT_NE(result.top(), nullptr);
-    if (is_crash_script) {
-      EXPECT_GE(result.top()->peak_cost, golden)
-          << "search no longer reaches the committed crash peak";
-    } else {
-      EXPECT_EQ(result.top()->peak_cost, golden)
-          << "golden peak went stale or the searcher regressed";
-    }
+TEST(CorpusHygiene, ManifestHasExactlyOneRowPerCommittedScript) {
+  std::set<std::string> rows;
+  for (const CorpusRow& row : corpus_manifest()) {
+    EXPECT_TRUE(rows.insert(row.file).second)
+        << "two manifest rows write " << row.file;
   }
+  std::set<std::string> files;
+  for (const auto& path : corpus_files()) {
+    files.insert(path.filename().string());
+  }
+  EXPECT_EQ(rows, files)
+      << "a committed script has no manifest row, or a row has no file";
 }
 
-TEST(CorpusHygiene, ConvictionScriptsStillConvictWithinTheirRecordedBudget) {
-  // A committed conviction script is a *search certificate*, not just a
-  // replayable anecdote: its meta records the full budget of the search
-  // that found it (search_context_bound / search_executions /
-  // search_crashes / search_cycles, plus search_prelude — the staged
-  // prefix, recoverable as the script's own leading grants). Re-running
-  // that exact search must convict again without exceeding the recorded
-  // execution budget (≥ semantics: finding it sooner is fine; needing more
-  // schedules than committed means the searcher or the mutant regressed).
-  int convictions_seen = 0;
-  for (const auto& path : corpus_files()) {
-    SCOPED_TRACE(path.filename().string());
-    const auto script = load_script(path);
-    ASSERT_TRUE(script.has_value());
-    if (!script->meta.count("expect_verdict")) continue;
-    ++convictions_seen;
-    ASSERT_EQ(script->meta.at("expect_verdict"), "violation");
-    for (const char* key :
-         {"fixture", "cost", "workload", "pool", "search_context_bound",
-          "search_executions", "search_crashes", "search_cycles"}) {
-      ASSERT_TRUE(script->meta.count(key)) << "conviction meta missing " << key;
+TEST(CorpusHygiene, EveryCommittedScriptRegeneratesByteForByte) {
+  // Each row's search, re-run at its recorded budget, must write back the
+  // committed file exactly: a higher or lower golden peak, a different
+  // crash schedule or recovery bound, or a conviction that moved or needs
+  // more than the row's execution budget all show up as a byte difference.
+  // regenerate() itself checks every found script with two fresh replays
+  // (same peak, trace length, verdict detail and expropriations).
+  for (const CorpusRow& row : corpus_manifest()) {
+    SCOPED_TRACE(row.file);
+    const std::string committed =
+        read_text(std::filesystem::path(ABA_SCHEDULE_DIR) / row.file);
+    ASSERT_FALSE(committed.empty()) << "no committed file for this row";
+    try {
+      EXPECT_EQ(committed, regenerate(row))
+          << "regenerate with schedule_search_demo --regenerate=DIR and "
+             "diff against tests/schedules/";
+    } catch (const std::runtime_error& e) {
+      ADD_FAILURE() << e.what();
     }
-    const auto factory = fixture_of(*script);
-    const CostFn cost = cost_by_name(script->meta.at("cost"));
-
-    // The committed script still replays to the failing verdict,
-    // deterministically.
-    const ReplayResult first = ScheduleExplorer::replay(factory, *script, cost);
-    const ReplayResult second =
-        ScheduleExplorer::replay(factory, *script, cost);
-    EXPECT_TRUE(first.verdict.checked);
-    EXPECT_FALSE(first.verdict.ok) << "committed conviction no longer replays";
-    EXPECT_EQ(first.verdict.detail, second.verdict.detail);
-    EXPECT_EQ(first.trace.size(), second.trace.size());
-
-    // The recorded search still finds it within budget.
-    std::vector<int> prelude;
-    if (script->meta.count("search_prelude")) {
-      const std::size_t staged =
-          std::stoul(script->meta.at("search_prelude"));
-      ASSERT_LE(staged, script->grants.size());
-      prelude.assign(script->grants.begin(),
-                     script->grants.begin() +
-                         static_cast<std::ptrdiff_t>(staged));
-    }
-    const SearchOptions options = conviction_search_options(
-        std::stoi(script->meta.at("search_context_bound")),
-        std::stoull(script->meta.at("search_executions")),
-        std::stoi(script->meta.at("search_crashes")), std::move(prelude));
-    const auto workload =
-        candidate_workload(script->meta.at("fixture"), script->num_processes,
-                           std::stoi(script->meta.at("search_cycles")),
-                           script->meta.at("workload"));
-    ASSERT_FALSE(workload.empty());
-    ScheduleExplorer explorer(factory, script->num_processes, workload, cost,
-                              options);
-    const SearchResult result = explorer.run();
-    EXPECT_TRUE(result.violation_found())
-        << "the recorded search budget no longer convicts ("
-        << result.executions << " schedules explored)";
-    EXPECT_LE(result.executions,
-              std::stoull(script->meta.at("search_executions")));
   }
-  EXPECT_EQ(convictions_seen, 3)
-      << "expected the three committed lease-mutant convictions";
 }
 
 // ------------------------------------------- n>2, workloads, crash compose

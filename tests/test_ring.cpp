@@ -461,16 +461,13 @@ TEST(RingScripted, QuiescentFullRefusesSolo) {
 // The schedule-search engine over the ring_mpmc fixture (a capacity-2
 // MpmcRing on the simulator, reclaimer-free) with spec verdicts on: every
 // explored interleaving of every adversarial workload shape must produce a
-// history the capacity-strict BoundedQueueSpec accepts.
+// history the capacity-strict BoundedQueueSpec accepts. The ring is not
+// solo-terminating (a producer parked between claiming a slot and publishing
+// its sequence word makes a consumer spin), so its kFixtures row cuts every
+// path at 256 grants.
 TEST(RingModelCheck, MpmcSurvivesSpecDrivenScheduleSearch) {
   const auto factory = search::reclaim_fixture("ring_mpmc");
-  search::SearchOptions options = search::mutation_search_options();
-  // The ring is not solo-terminating (a producer parked between claiming a
-  // slot and publishing its sequence word makes a consumer spin), so bound
-  // each path: without this cut the DFS deepens one frame per futile spin
-  // grant until the stack overflows. 256 grants is ~5x a full clean run of
-  // the widest candidate workload.
-  options.max_grants_per_execution = 256;
+  const search::SearchOptions options = search::mutation_search_options();
   std::uint64_t executions = 0;
   for (const auto& candidate : search::workload_candidates("ring_mpmc", 2, 2)) {
     search::ScheduleExplorer explorer(factory, 2, candidate.workload,
@@ -481,6 +478,19 @@ TEST(RingModelCheck, MpmcSurvivesSpecDrivenScheduleSearch) {
         << candidate.name << ": " << result.violations.front().detail;
   }
   EXPECT_GT(executions, 0u);
+}
+
+// Every search of the fixture inherits the cut, with no option set: the
+// corpus-depth storm search (twelve cycles, a spinning consumer) finishes
+// by truncating its spin paths instead of overflowing the stack.
+TEST(RingModelCheck, CorpusStormSearchIsCutAtTheFixture) {
+  search::ScheduleExplorer explorer(
+      search::reclaim_fixture("ring_mpmc"), 2,
+      search::storm_workload("ring_mpmc", 2, 12),
+      search::retired_unreclaimed_cost, search::corpus_search_options());
+  const search::SearchResult result = explorer.run();
+  EXPECT_GT(result.truncated_paths, 0u);
+  EXPECT_GT(result.executions, 0u);
 }
 
 // ------------------------------------------------------------ cross-process

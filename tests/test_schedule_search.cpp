@@ -217,6 +217,25 @@ TEST(ScheduleScript, ParseRejectsMalformedInput) {
           .has_value());
 }
 
+// A golden peak is written as a long long. A mutant's unsigned
+// retired_unreclaimed that wraps below zero reaches the cost function as
+// ~2^64, which has no long long value: stamping it must die rather than
+// write an undefined conversion into the corpus.
+TEST(ScheduleScriptDeath, GoldenPeakOutsideLongLongDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ScheduleScript script;
+  ReplayResult replay;
+  replay.peak_cost = 0x1p64;
+  EXPECT_DEATH(stamp_golden(script, "stack_hazard", replay),
+               "golden peak is not an integer");
+  replay.peak_cost = 12.5;
+  EXPECT_DEATH(stamp_golden(script, "stack_hazard", replay),
+               "golden peak is not an integer");
+  replay.peak_cost = 15;
+  stamp_golden(script, "stack_hazard", replay);
+  EXPECT_EQ(script.meta.at("expect_peak"), "15");
+}
+
 TEST(ScheduleScript, AllStandardFixturesConstruct) {
   for (const std::string& name : reclaim_fixture_names()) {
     const SearchFixture fixture = reclaim_fixture(name)(kProcs);

@@ -145,13 +145,18 @@ inline std::vector<std::filesystem::path> corpus_files() {
   return files;
 }
 
+// One corpus file's bytes (empty if it cannot be read).
+inline std::string read_text(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 // Reads and parses one corpus file; nullopt if it does not parse.
 inline std::optional<search::ScheduleScript> load_script(
     const std::filesystem::path& path) {
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return search::ScheduleScript::parse(buffer.str());
+  return search::ScheduleScript::parse(read_text(path));
 }
 
 // The factory a corpus script names: its `fixture` meta at its `pool` meta
