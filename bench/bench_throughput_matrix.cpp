@@ -34,10 +34,11 @@
 //                             pairs spread over --shards per-shard heads
 //                             with home-shard routing and bounded stealing;
 //     adaptive_sharded_stack, adaptive_sharded_queue
-//                           — the structures/adaptive_sharded.h facades
+//                           — the sharded stack/queue under
+//                             structures/adaptive_sharded.h's AdaptiveWidth,
 //                             picking their active width at runtime from
 //                             measured CAS-failure rates; the record's
-//                             "shards" field is the width the facade had
+//                             "shards" field is the width they had
 //                             settled on when the cell ended.
 //
 //   ring family (structures/ring_buffer.h; reclaimer = "none" — the
@@ -484,8 +485,7 @@ Cell run_adaptive_stack(int n, double secs) {
       structures::AdaptiveShardedStack<P, Head, R, kAdaptiveMaxShards>;
   typename P::Env env;
   Stack stack(env, n, Stack::make_heads(env, n),
-              pool_per_thread_per_shard<R>(n, kAdaptiveMaxShards),
-              structures::AdaptiveOptions{});
+              pool_per_thread_per_shard<R>(n, kAdaptiveMaxShards));
   Cell cell = run_pairs(stack, n, secs);
   cell.shards = stack.active_shards();
   return cell;
@@ -495,8 +495,7 @@ template <class P, class R>
 Cell run_adaptive_queue(int n, double secs) {
   using Queue = structures::AdaptiveShardedQueue<P, R, kAdaptiveMaxShards>;
   typename P::Env env;
-  Queue queue(env, n, pool_per_thread_per_shard<R>(n, kAdaptiveMaxShards),
-              structures::AdaptiveOptions{});
+  Queue queue(env, n, pool_per_thread_per_shard<R>(n, kAdaptiveMaxShards));
   Cell cell = run_pairs(queue, n, secs);
   cell.shards = queue.active_shards();
   return cell;

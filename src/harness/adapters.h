@@ -214,17 +214,17 @@ class ContainerInvoker : public Invoker {
 
 // ----------------------------------------------------- sharded structures
 //
-// The sharded wrappers (structures/sharded.h) and the adaptive facades
-// (structures/adaptive_sharded.h) are Containers too — the plain
-// ContainerInvoker drives them unchanged when only the composite history
-// matters. The tagging variant additionally records, per completed op, the
-// shard the operation landed on (Impl::last_shard(p), thread-private so
-// querying it costs no shared steps), which is what lets the test suite
-// split one history into per-shard sub-histories and check each shard
-// against the *exact* stack/queue spec — the "linearizable as a multiset
-// per shard" contract. For an adaptive facade the landing shard, not the
-// width at the time, is the linearizability unit, so the tags split its
-// history even as the facade moves its active width mid-run.
+// The sharded structures (structures/sharded.h), under either width policy,
+// are Containers too — the plain ContainerInvoker drives them unchanged
+// when only the composite history matters. The tagging variant
+// additionally records, per completed op, the shard the operation landed
+// on (Impl::last_shard(p), thread-private so querying it costs no shared
+// steps), which is what lets the test suite split one history into
+// per-shard sub-histories and check each shard against the *exact*
+// stack/queue spec — the "linearizable as a multiset per shard" contract.
+// Under AdaptiveWidth the landing shard, not the width at the time, is the
+// linearizability unit, so the tags split the history even as the active
+// width moves mid-run.
 
 // Hooks a Base invoker's on_complete to tag each history index with the
 // shard its operation landed on. Base's Impl must expose last_shard(p).

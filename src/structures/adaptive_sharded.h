@@ -1,25 +1,15 @@
-// Contention-adaptive sharding facade — pick the shard count at runtime,
-// from measured contention, instead of at compile time.
+// Contention-adaptive sharding — pick the shard count at runtime, from
+// measured contention, instead of at compile time.
 //
-// structures/sharded.h fixes kShards when the binary is built; the right
-// value depends on the deployment (thread count, core count, workload mix)
-// and the ROADMAP's "adaptive shard count" item asks for the structure to
-// find its own operating point. This facade does that without migrating a
-// single element:
-//
-//   * The backing store is ONE wide instantiation —
-//     ShardedTreiberStack/MsQueue<..., kMaxShards> (default 8, the widest
-//     E9 sweeps) — so all per-shard machinery (independent heads,
-//     per-shard reclaimers over disjoint index spaces) is exactly the
-//     compile-time layer's.
-//   * Routing happens here, against a runtime `active` shard count that
-//     walks the power-of-two ladder 1..kMaxShards (the same points the
-//     compile-time sweep instantiates). Puts route home = pid % active and
-//     fall through the active set under pool pressure, then the parked
-//     remainder (capacity stays elastic across the full width). Takes
-//     probe the active set home-first, then steal across ALL kMaxShards —
-//     so shrinking the active set strands nothing: elements left in
-//     deactivated shards drain through the steal scan.
+// AdaptiveWidth is the sharded router's width policy (structures/sharded.h)
+// for deployments where the right shard count is not known at build time.
+// The structure is the ordinary ShardedTreiberStack/MsQueue at its widest
+// point, kMax shards (default 8, the widest E9 sweeps); the policy keeps a
+// runtime `active` count on the power-of-two ladder 1..kMax and migrates
+// no element. Puts route home = pid % active and fall through the active
+// set under pool pressure, then the parked remainder (capacity stays
+// elastic across the full width). Takes probe the active set home-first,
+// then steal across ALL kMax shards, so a shrink strands nothing.
 //
 // The contention signal is the per-shard CAS-failure rate: each shard
 // carries a ContentionProbe (padded relaxed counter, bumped only on failed
@@ -28,26 +18,20 @@
 // data path) an adaptation step: failures-per-op over the window above
 // grow_threshold doubles the active count, below shrink_threshold halves
 // it. Hysteresis comes from the threshold gap plus settle_checks windows
-// of cooldown after every switch, so the facade settles instead of
+// of cooldown after every switch, so the width settles instead of
 // oscillating around a boundary.
 //
-// Semantics are the sharded layer's relaxed pool, unchanged: every shard
-// is an ordinary linearizable TreiberStack/MsQueue (routing is arithmetic
-// on thread-private values plus instrumentation counters that are not
-// Platform objects — no shared steps, no schedule perturbation), the
-// composite conserves the value multiset, and "empty" is a full-width
-// per-scan observation. tests/test_adaptive.cpp checks the contract and
-// drives deterministic grow/shrink schedules.
+// Semantics are the sharded layer's relaxed pool, unchanged: the counters
+// are not Platform objects (no shared steps, no schedule perturbation),
+// and "empty" is a full-width per-scan observation. tests/test_sharded.cpp
+// runs the sharded contract under both width policies and drives
+// deterministic grow/shrink schedules.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <vector>
 
-#include "core/platform.h"
 #include "reclaim/reclaimer.h"
 #include "reclaim/tagged.h"
 #include "structures/contention.h"
@@ -58,42 +42,75 @@
 
 namespace aba::structures {
 
-// Tuning knobs, shared by both facades. Defaults suit the bench loops;
-// tests shrink the windows to drive decisions deterministically.
+// Tuning knobs. Defaults suit the bench loops; tests shrink the windows to
+// drive decisions deterministically.
 struct AdaptiveOptions {
-  int initial_shards = 1;      // Clamped down to a power of two <= kMaxShards.
-  bool adaptive = true;        // false = pure runtime-dispatch (fixed width).
+  int initial_shards = 1;  // Clamped down to a power of two <= kMax.
   std::uint32_t sample_interval = 128;  // Per-process ops between checks.
   double grow_threshold = 0.10;    // CAS failures per op that doubles width.
   double shrink_threshold = 0.01;  // ...and that halves it.
   int settle_checks = 2;  // Windows skipped after a switch (hysteresis).
 };
 
-namespace detail {
-
-// The runtime router + adaptation engine over any wide sharded backing
-// (the Wide type supplies shard(s) and kShardCount; the derived facade
-// constructs it and names the verbs).
-template <class Wide>
-class AdaptiveRouter {
+// The runtime width policy (see the header comment and FixedWidth in
+// structures/sharded.h for the hooks the router calls).
+class AdaptiveWidth {
  public:
-  static constexpr int kMaxShards = Wide::kShardCount;
-  static_assert((kMaxShards & (kMaxShards - 1)) == 0,
-                "the active-width ladder is powers of two");
+  using Options = AdaptiveOptions;
 
-  // Current operating point (a power of two in [1, kMaxShards]).
-  int active_shards() const {
+  AdaptiveWidth(const Options& options, int n, int shards)
+      : options_(options),
+        max_shards_(shards),
+        probes_(static_cast<std::size_t>(shards)),
+        per_proc_(static_cast<std::size_t>(n)) {
+    ABA_CHECK_MSG((shards & (shards - 1)) == 0,
+                  "the active-width ladder is powers of two");
+    ABA_CHECK(options_.initial_shards >= 1);
+    ABA_CHECK(options_.sample_interval >= 1);
+    active_.value.store(clamp_width(options_.initial_shards),
+                        std::memory_order_relaxed);
+  }
+
+  // Current operating point (a power of two in [1, kMax]).
+  int active(int /*shards*/) const {
     return active_.value.load(std::memory_order_relaxed);
   }
 
-  // Pins the operating point by hand (rounded down to a power of two in
-  // [1, kMaxShards]) — the pure runtime-dispatch mode: deployments tune the
-  // shard count without recompiling, typically with adaptive=false. Safe at
-  // any time: takes always scan the full width, so narrowing strands no
-  // parked elements.
-  void set_active_shards(int width) {
-    active_.value.store(clamp_width(width), std::memory_order_relaxed);
+  // Active set home-first (pool-pressure fall-through), then the parked
+  // remainder: attempts [0, active) probe cyclically within the active
+  // prefix, attempts [active, kMax) are the parked shards in index order —
+  // every shard visited exactly once.
+  static int probe(int home, int attempt, int active) {
+    return attempt < active ? util::probe_shard(home, attempt, active)
+                            : attempt;
   }
+
+  template <class Shard>
+  void attach(Shard& shard, int s) {
+    shard.set_contention_probe(&probes_[static_cast<std::size_t>(s)]);
+  }
+
+  void on_op(int p) {
+    auto& mine = per_proc_[static_cast<std::size_t>(p)];
+    mine.ops.fetch_add(1, std::memory_order_relaxed);
+    if (++mine.since_check >= options_.sample_interval) {
+      mine.since_check = 0;
+      maybe_adapt();
+    }
+  }
+
+  // Everything the next adaptation decisions read: the width, the
+  // cooldown, the window's progress past its baselines, and each process's
+  // distance to its next check. Absolute counts stay out — configurations
+  // that differ only there have the same future.
+  void mix_into(reclaim::Fingerprint& fp) const {
+    fp.mix(static_cast<std::uint64_t>(active(max_shards_)));
+    fp.mix(static_cast<std::uint64_t>(settle_));
+    fp.mix(total_ops() - last_ops_);
+    fp.mix(cas_failures() - last_fails_);
+    for (const auto& proc : per_proc_) fp.mix(proc.since_check);
+  }
+
   // Times the operating point moved (monotonic; introspection/tests).
   std::uint64_t switches() const {
     return switches_.load(std::memory_order_relaxed);
@@ -104,107 +121,26 @@ class AdaptiveRouter {
     return total;
   }
 
-  // Same thread-private contract as ShardRouter::last_shard — what the
-  // sharded test adapters tag histories with.
-  int last_shard(int p) const {
-    return per_proc_[static_cast<std::size_t>(p)].last_shard;
-  }
-
-  void detach(int p) { wide_.detach(p); }
-  std::size_t pool_size() const { return wide_.pool_size(); }
-  std::size_t unreclaimed(int p) const { return wide_.unreclaimed(p); }
-
-  // Reclamation observability (see ShardRouter): the facade is a pure
-  // router over the wide backing, so its aggregate IS the backing's.
-  reclaim::ReclaimStats reclaim_stats() const { return wide_.reclaim_stats(); }
-  reclaim::ReclaimPhase reclaim_phase(int p) const {
-    return wide_.reclaim_phase(p);
-  }
-
-  Wide& wide() { return wide_; }
-
- protected:
-  template <class... Args>
-  explicit AdaptiveRouter(const AdaptiveOptions& options, int n, Args&&... args)
-      : options_(options),
-        wide_(std::forward<Args>(args)...),
-        per_proc_(static_cast<std::size_t>(n)) {
-    ABA_CHECK(n >= 1);
-    ABA_CHECK(options_.initial_shards >= 1);
-    ABA_CHECK(options_.sample_interval >= 1);
-    active_.value.store(clamp_width(options_.initial_shards),
-                        std::memory_order_relaxed);
-    for (int s = 0; s < kMaxShards; ++s) {
-      wide_.shard(s).set_contention_probe(&probes_[static_cast<std::size_t>(s)]);
-    }
-  }
-
-  // Active set home-first (pool-pressure fall-through), then the parked
-  // remainder: attempts [0, active) probe cyclically within the active
-  // prefix, attempts [active, kMaxShards) are the parked shards in index
-  // order — every shard visited exactly once.
-  static int probe(int home, int attempt, int active) {
-    return attempt < active ? util::probe_shard(home, attempt, active)
-                            : attempt;
-  }
-
-  template <class Put>  // Put: (Shard&, p) -> bool
-  bool routed_put(int p, Put put) {
-    const int active = active_shards();
-    const int home = util::home_shard(p, active);
-    for (int attempt = 0; attempt < kMaxShards; ++attempt) {
-      const int s = probe(home, attempt, active);
-      if (put(wide_.shard(s), p)) {
-        finish_op(p, s);
-        return true;
-      }
-    }
-    finish_op(p, home);
-    return false;
-  }
-
-  template <class Take>  // Take: (Shard&, p) -> std::optional<uint64_t>
-  std::optional<std::uint64_t> routed_take(int p, Take take) {
-    const int active = active_shards();
-    const int home = util::home_shard(p, active);
-    // Full-width scan: parked shards must stay drainable after a shrink.
-    for (int attempt = 0; attempt < kMaxShards; ++attempt) {
-      const int s = probe(home, attempt, active);
-      const std::optional<std::uint64_t> value = take(wide_.shard(s), p);
-      if (value.has_value()) {
-        finish_op(p, s);
-        return value;
-      }
-    }
-    finish_op(p, home);
-    return std::nullopt;
-  }
-
  private:
-  static int clamp_width(int width) {
+  int clamp_width(int width) const {
     int clamped = 1;  // Non-positive inputs clamp up to the ladder's floor.
-    while (clamped * 2 <= width && clamped * 2 <= kMaxShards) clamped *= 2;
+    while (clamped * 2 <= width && clamped * 2 <= max_shards_) clamped *= 2;
     return clamped;
   }
 
-  void finish_op(int p, int landed) {
-    auto& mine = per_proc_[static_cast<std::size_t>(p)];
-    mine.last_shard = landed;
-    mine.ops.fetch_add(1, std::memory_order_relaxed);
-    if (++mine.since_check >= options_.sample_interval) {
-      mine.since_check = 0;
-      if (options_.adaptive) maybe_adapt();
+  std::uint64_t total_ops() const {
+    std::uint64_t ops = 0;
+    for (const auto& proc : per_proc_) {
+      ops += proc.ops.load(std::memory_order_relaxed);
     }
+    return ops;
   }
 
   // One process at a time recomputes the global failure rate; everyone
   // else skips (the data path never blocks on adaptation).
   void maybe_adapt() {
     if (adapt_lock_.value.exchange(true, std::memory_order_acquire)) return;
-    std::uint64_t ops = 0;
-    for (const auto& proc : per_proc_) {
-      ops += proc.ops.load(std::memory_order_relaxed);
-    }
+    const std::uint64_t ops = total_ops();
     const std::uint64_t fails = cas_failures();
     const std::uint64_t delta_ops = ops - last_ops_;
     if (delta_ops >= options_.sample_interval) {
@@ -216,32 +152,33 @@ class AdaptiveRouter {
       } else {
         const double rate = static_cast<double>(delta_fails) /
                             static_cast<double>(delta_ops);
-        const int width = active_shards();
-        if (rate > options_.grow_threshold && width < kMaxShards) {
-          active_.value.store(width * 2, std::memory_order_relaxed);
-          switches_.fetch_add(1, std::memory_order_relaxed);
-          settle_ = options_.settle_checks;
+        const int width = active(max_shards_);
+        if (rate > options_.grow_threshold && width < max_shards_) {
+          switch_to(width * 2);
         } else if (rate < options_.shrink_threshold && width > 1) {
-          active_.value.store(width / 2, std::memory_order_relaxed);
-          switches_.fetch_add(1, std::memory_order_relaxed);
-          settle_ = options_.settle_checks;
+          switch_to(width / 2);
         }
       }
     }
     adapt_lock_.value.store(false, std::memory_order_release);
   }
 
-  // Hot per-process state, one cache line each: the op counter and the
-  // last-shard tag are written on every routed operation.
+  void switch_to(int width) {
+    active_.value.store(width, std::memory_order_relaxed);
+    switches_.fetch_add(1, std::memory_order_relaxed);
+    settle_ = options_.settle_checks;
+  }
+
+  // Hot per-process state, one cache line each: the op counter is written
+  // on every routed operation.
   struct alignas(util::kCacheLineSize) PerProcess {
     std::atomic<std::uint64_t> ops{0};
     std::uint32_t since_check = 0;  // Owner-only.
-    int last_shard = -1;
   };
 
-  AdaptiveOptions options_;
-  Wide wide_;
-  std::array<ContentionProbe, kMaxShards> probes_;
+  Options options_;
+  int max_shards_;
+  std::vector<ContentionProbe> probes_;
   std::vector<PerProcess> per_proc_;
   util::Padded<std::atomic<int>> active_;
   util::Padded<std::atomic<bool>> adapt_lock_;
@@ -252,84 +189,12 @@ class AdaptiveRouter {
   int settle_ = 0;
 };
 
-}  // namespace detail
-
-// ------------------------------------------------------------------- stack
-
 template <Platform P, class Head, class R = reclaim::TaggedReclaimer<P>,
-          int kMaxShards = 8>
-class AdaptiveShardedStack
-    : public detail::AdaptiveRouter<
-          ShardedTreiberStack<P, Head, R, kMaxShards>> {
-  static_assert(reclaim::ReclaimerFor<R, P>,
-                "R must satisfy the Reclaimer concept for platform P");
-  using Wide = ShardedTreiberStack<P, Head, R, kMaxShards>;
-  using Router = detail::AdaptiveRouter<Wide>;
+          int kMax = 8>
+using AdaptiveShardedStack =
+    ShardedTreiberStack<P, Head, R, kMax, AdaptiveWidth>;
 
- public:
-  using Shard = typename Wide::Shard;
-
-  AdaptiveShardedStack(typename P::Env& env, int n,
-                       std::array<std::unique_ptr<Head>, kMaxShards> heads,
-                       int per_process_per_shard, AdaptiveOptions options = {})
-      : Router(options, n, env, n, std::move(heads), per_process_per_shard) {}
-
-  static std::array<std::unique_ptr<Head>, kMaxShards> make_heads(
-      typename P::Env& env, int n) {
-    return Wide::make_heads(env, n);
-  }
-
-  bool push(int p, std::uint64_t value) {
-    return this->routed_put(
-        p, [value](Shard& shard, int pid) { return shard.push(pid, value); });
-  }
-
-  std::optional<std::uint64_t> pop(int p) {
-    return this->routed_take(
-        p, [](Shard& shard, int pid) { return shard.pop(pid); });
-  }
-
-  // Uniform structure verbs (structures/concepts.h).
-  bool try_push(int p, std::uint64_t value) { return push(p, value); }
-  std::optional<std::uint64_t> try_pop(int p) { return pop(p); }
-};
-
-// ------------------------------------------------------------------- queue
-
-template <Platform P, class R = reclaim::TaggedReclaimer<P>,
-          int kMaxShards = 8>
-class AdaptiveShardedQueue
-    : public detail::AdaptiveRouter<ShardedMsQueue<P, R, kMaxShards>> {
-  static_assert(reclaim::ReclaimerFor<R, P>,
-                "R must satisfy the Reclaimer concept for platform P");
-  using Wide = ShardedMsQueue<P, R, kMaxShards>;
-  using Router = detail::AdaptiveRouter<Wide>;
-
- public:
-  using Shard = typename Wide::Shard;
-  using QueueOptions = typename Wide::Options;
-
-  AdaptiveShardedQueue(typename P::Env& env, int n,
-                       int nodes_per_process_per_shard,
-                       AdaptiveOptions options = {},
-                       QueueOptions queue_options = {})
-      : Router(options, n, env, n, nodes_per_process_per_shard,
-               queue_options) {}
-
-  bool enqueue(int p, std::uint64_t value) {
-    return this->routed_put(p, [value](Shard& shard, int pid) {
-      return shard.enqueue(pid, value);
-    });
-  }
-
-  std::optional<std::uint64_t> dequeue(int p) {
-    return this->routed_take(
-        p, [](Shard& shard, int pid) { return shard.dequeue(pid); });
-  }
-
-  // Uniform structure verbs (structures/concepts.h).
-  bool try_push(int p, std::uint64_t value) { return enqueue(p, value); }
-  std::optional<std::uint64_t> try_pop(int p) { return dequeue(p); }
-};
+template <Platform P, class R = reclaim::TaggedReclaimer<P>, int kMax = 8>
+using AdaptiveShardedQueue = ShardedMsQueue<P, R, kMax, AdaptiveWidth>;
 
 }  // namespace aba::structures

@@ -1,8 +1,8 @@
 // The uniform structure API: one concept pair, one verb vocabulary.
 //
-// Every application structure in this repository — stacks, queues, sharded
-// and adaptive facades, and the ring-buffer family — speaks the same two
-// verbs:
+// Every application structure in this repository — stacks, queues, their
+// sharded forms under either width policy, and the ring-buffer family —
+// speaks the same two verbs:
 //
 //   bool try_push(int p, std::uint64_t v)         — may refuse (full / pool
 //                                                    pressure);
@@ -25,8 +25,8 @@
 //   UnboundedContainer — refusal is an implementation artifact (a reclaimer
 //       that cannot produce a safe node under pool pressure). The abstract
 //       object has no capacity; the specs treat a refused put as a legal
-//       no-op at any state. TreiberStack, MsQueue and the sharded/adaptive
-//       facades are these.
+//       no-op at any state. TreiberStack, MsQueue and their sharded
+//       forms are these.
 //
 //   BoundedContainer — capacity is part of the abstract object: the
 //       structure additionally exposes capacity() (the exact bound) and

@@ -9,8 +9,8 @@
 // predictable branch per failed attempt, nothing per success). The counter
 // is ordinary process memory, not a Platform object: it takes no simulated
 // steps, never perturbs deterministic schedules, and costs no shared steps
-// in the paper's model — it is instrumentation for the adaptive sharding
-// facade (structures/adaptive_sharded.h), which samples failure *rates*
+// in the paper's model — it is instrumentation for the adaptive width
+// policy (structures/adaptive_sharded.h), which samples failure *rates*
 // (failures per routed operation) to pick its operating point.
 #pragma once
 

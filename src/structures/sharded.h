@@ -41,6 +41,10 @@
 // kShards is a compile-time parameter: the probe loops unroll, and under
 // the native Fast policy each shard's head word is already alone on its
 // cache line (native_platform.h WordStorage), so shards never false-share.
+//
+// How many of the kShards take new work is the router's one policy, the
+// Width parameter: FixedWidth below, or AdaptiveWidth
+// (structures/adaptive_sharded.h), which moves it at run time.
 #pragma once
 
 #include <array>
@@ -60,6 +64,29 @@
 
 namespace aba::structures {
 
+// A width policy names its Options, is built from (options, n, kShards),
+// and supplies the router's hooks: active(kShards) is the width puts route
+// over, probe() the attempt-th shard of a scan, attach() sees each shard
+// once, on_op(p) runs after every routed operation, and mix_into() adds
+// the policy's routing state to the reclaim fingerprint.
+//
+// FixedWidth keeps every shard active. Its hooks are empty or fold to the
+// compile-time kShards, so the sharded path pays nothing for the policy.
+struct FixedWidth {
+  struct Options {};
+
+  FixedWidth(const Options& /*options*/, int /*n*/, int /*shards*/) {}
+
+  static constexpr int active(int shards) { return shards; }
+  static constexpr int probe(int home, int attempt, int active) {
+    return util::probe_shard(home, attempt, active);
+  }
+  template <class Shard>
+  static void attach(Shard& /*shard*/, int /*s*/) {}
+  static void on_op(int /*p*/) {}
+  static void mix_into(reclaim::Fingerprint& /*fp*/) {}
+};
+
 namespace detail {
 
 // The shard an operation last landed on, per process. Thread-private (one
@@ -69,14 +96,16 @@ namespace detail {
 // history op to its shard.
 using LastShard = util::Padded<int>;
 
-// The routing core both sharded wrappers share: owns the shard array and
-// the per-process last-shard tags, and implements the one probe/steal
-// contract the tests pin — home shard first, then the cyclic scan, failed
-// or empty operations charged to the home shard. The derived wrapper
-// constructs the shards (heads vs queue options differ) and names the
-// verbs (push/pop vs enqueue/dequeue).
-template <class Shard, int kShards>
+// The routing core both sharded structures share: owns the shard array,
+// the per-process last-shard tags and the width policy, and implements the
+// one probe/steal contract the tests pin — home shard first, then the
+// scan, failed or empty operations charged to the home shard. The derived
+// structure supplies the shards (heads vs queue options differ) and names
+// the verbs (push/pop vs enqueue/dequeue).
+template <class Shard, int kShards, class Width>
 class ShardRouter {
+  static_assert(kShards >= 1, "need at least one shard");
+
  public:
   static constexpr int kShardCount = kShards;
 
@@ -87,25 +116,12 @@ class ShardRouter {
     return last_[static_cast<std::size_t>(p)].value;
   }
 
-  static constexpr int home_shard_of(int p) {
-    return util::home_shard(p, kShards);
-  }
+  // The number of shards puts are routed over (kShardCount under
+  // FixedWidth). Takes always scan all kShardCount.
+  int active_shards() const { return width_.active(kShards); }
+  const Width& width_policy() const { return width_; }
 
-  Shard& shard(int s) { return *shards_[s]; }
   const Shard& shard(int s) const { return *shards_[s]; }
-
-  std::size_t pool_size() const {
-    std::size_t total = 0;
-    for (const auto& s : shards_) total += s->pool_size();
-    return total;
-  }
-
-  // Aggregate deferred-garbage introspection (sum over shards).
-  std::size_t unreclaimed(int p) const {
-    std::size_t total = 0;
-    for (const auto& s : shards_) total += s->reclaimer().unreclaimed(p);
-    return total;
-  }
 
   // Composite observability for the schedule-search engine: stats sum over
   // shards, and a process's phase is the most vulnerable one any shard's
@@ -127,7 +143,8 @@ class ShardRouter {
   }
   // Per-shard fingerprints plus the routing tags: the last-shard values
   // steer the next operation's probe order, so two configurations that
-  // differ only there have different futures.
+  // differ only there have different futures. The width policy adds its
+  // own steering state (nothing under FixedWidth).
   std::uint64_t reclaim_fingerprint() const {
     reclaim::Fingerprint fp;
     for (const auto& s : shards_) {
@@ -138,6 +155,7 @@ class ShardRouter {
     for (const auto& tag : last_) {
       fp.mix(static_cast<std::uint64_t>(tag.value));
     }
+    width_.mix_into(fp);
     return fp.value();
   }
 
@@ -148,24 +166,33 @@ class ShardRouter {
   }
 
  protected:
-  explicit ShardRouter(int n) : last_(static_cast<std::size_t>(n)) {
+  // make_shard(s) builds shard s; the width policy then sees each shard.
+  template <class MakeShard>  // MakeShard: (int s) -> std::unique_ptr<Shard>
+  ShardRouter(int n, const typename Width::Options& width,
+              MakeShard make_shard)
+      : last_(static_cast<std::size_t>(n)), width_(width, n, kShards) {
     ABA_CHECK(n >= 1);
     for (auto& l : last_) l.value = -1;  // "No operation yet."
+    for (int s = 0; s < kShards; ++s) {
+      shards_[s] = make_shard(s);
+      width_.attach(*shards_[s], s);
+    }
   }
 
   // Home shard first; under pool pressure, fall through the probe sequence
   // to the first shard whose reclaimer can produce a node.
   template <class Put>  // Put: (Shard&, p) -> bool
   bool routed_put(int p, Put put) {
-    const int home = util::home_shard(p, kShards);
+    const int active = width_.active(kShards);
+    const int home = util::home_shard(p, active);
     for (int attempt = 0; attempt < kShards; ++attempt) {
-      const int s = util::probe_shard(home, attempt, kShards);
+      const int s = width_.probe(home, attempt, active);
       if (put(*shards_[s], p)) {
-        last_[static_cast<std::size_t>(p)].value = s;
+        land(p, s);
         return true;
       }
     }
-    last_[static_cast<std::size_t>(p)].value = home;
+    land(p, home);
     return false;
   }
 
@@ -174,23 +201,29 @@ class ShardRouter {
   // relaxed semantics make; see header comment).
   template <class Take>  // Take: (Shard&, p) -> std::optional<uint64_t>
   std::optional<std::uint64_t> routed_take(int p, Take take) {
-    const int home = util::home_shard(p, kShards);
+    const int active = width_.active(kShards);
+    const int home = util::home_shard(p, active);
     for (int attempt = 0; attempt < kShards; ++attempt) {
-      const int s = util::probe_shard(home, attempt, kShards);
+      const int s = width_.probe(home, attempt, active);
       const std::optional<std::uint64_t> value = take(*shards_[s], p);
       if (value.has_value()) {
-        last_[static_cast<std::size_t>(p)].value = s;
+        land(p, s);
         return value;
       }
     }
-    last_[static_cast<std::size_t>(p)].value = home;
+    land(p, home);
     return std::nullopt;
   }
 
-  std::array<std::unique_ptr<Shard>, kShards> shards_;
-
  private:
+  void land(int p, int s) {
+    last_[static_cast<std::size_t>(p)].value = s;
+    width_.on_op(p);
+  }
+
+  std::array<std::unique_ptr<Shard>, kShards> shards_;
   std::vector<LastShard> last_;
+  [[no_unique_address]] Width width_;
 };
 
 }  // namespace detail
@@ -198,13 +231,12 @@ class ShardRouter {
 // ------------------------------------------------------------------- stack
 
 template <Platform P, class Head, class R = reclaim::TaggedReclaimer<P>,
-          int kShards = 4>
+          int kShards = 4, class Width = FixedWidth>
 class ShardedTreiberStack
-    : public detail::ShardRouter<TreiberStack<P, Head, R>, kShards> {
-  static_assert(kShards >= 1, "need at least one shard");
+    : public detail::ShardRouter<TreiberStack<P, Head, R>, kShards, Width> {
   static_assert(reclaim::ReclaimerFor<R, P>,
                 "R must satisfy the Reclaimer concept for platform P");
-  using Router = detail::ShardRouter<TreiberStack<P, Head, R>, kShards>;
+  using Router = detail::ShardRouter<TreiberStack<P, Head, R>, kShards, Width>;
 
  public:
   using Shard = TreiberStack<P, Head, R>;
@@ -215,15 +247,14 @@ class ShardedTreiberStack
   // with no cross-shard coordination).
   ShardedTreiberStack(typename P::Env& env, int n,
                       std::array<std::unique_ptr<Head>, kShards> heads,
-                      int per_process_per_shard)
-      : Router(n) {
-    ABA_CHECK(per_process_per_shard >= 1);
-    for (int s = 0; s < kShards; ++s) {
-      this->shards_[s] = std::make_unique<Shard>(
-          env, n, std::move(heads[static_cast<std::size_t>(s)]),
-          Shard::partition(n, per_process_per_shard));
-    }
-  }
+                      int per_process_per_shard,
+                      typename Width::Options width = {})
+      : Router(n, width, [&](int s) {
+          ABA_CHECK(per_process_per_shard >= 1);
+          return std::make_unique<Shard>(
+              env, n, std::move(heads[static_cast<std::size_t>(s)]),
+              Shard::partition(n, per_process_per_shard));
+        }) {}
 
   // Convenience for heads constructible from (Env&, n) — RawCasHead,
   // TaggedCasHead. LL/SC heads wrap an external object; build those arrays
@@ -252,26 +283,25 @@ class ShardedTreiberStack
 
 // ------------------------------------------------------------------- queue
 
-template <Platform P, class R = reclaim::TaggedReclaimer<P>, int kShards = 4>
-class ShardedMsQueue : public detail::ShardRouter<MsQueue<P, R>, kShards> {
-  static_assert(kShards >= 1, "need at least one shard");
+template <Platform P, class R = reclaim::TaggedReclaimer<P>, int kShards = 4,
+          class Width = FixedWidth>
+class ShardedMsQueue
+    : public detail::ShardRouter<MsQueue<P, R>, kShards, Width> {
   static_assert(reclaim::ReclaimerFor<R, P>,
                 "R must satisfy the Reclaimer concept for platform P");
-  using Router = detail::ShardRouter<MsQueue<P, R>, kShards>;
+  using Router = detail::ShardRouter<MsQueue<P, R>, kShards, Width>;
 
  public:
   using Shard = MsQueue<P, R>;
-  using Options = typename Shard::Options;
+  using QueueOptions = typename Shard::Options;
 
   ShardedMsQueue(typename P::Env& env, int n, int nodes_per_process_per_shard,
-                 Options options = {})
-      : Router(n) {
-    ABA_CHECK(nodes_per_process_per_shard >= 1);
-    for (int s = 0; s < kShards; ++s) {
-      this->shards_[s] =
-          std::make_unique<Shard>(env, n, nodes_per_process_per_shard, options);
-    }
-  }
+                 QueueOptions queue = {}, typename Width::Options width = {})
+      : Router(n, width, [&](int /*s*/) {
+          ABA_CHECK(nodes_per_process_per_shard >= 1);
+          return std::make_unique<Shard>(env, n, nodes_per_process_per_shard,
+                                         queue);
+        }) {}
 
   bool enqueue(int p, std::uint64_t value) {
     return this->routed_put(p, [value](Shard& shard, int pid) {

@@ -208,7 +208,7 @@ class TreiberStack {
     if constexpr (requires { reclaimer_.detach(p); }) reclaimer_.detach(p);
   }
 
-  // Attaches the CAS-failure telemetry the adaptive sharding facade reads
+  // Attaches the CAS-failure telemetry the adaptive width policy reads
   // (structures/contention.h). Set before concurrent use; null disables.
   void set_contention_probe(ContentionProbe* probe) { probe_ = probe; }
 

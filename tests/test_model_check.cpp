@@ -132,29 +132,33 @@ TEST(MutantCatch, AllShippedStackReclaimersSurviveTheIdenticalBudget) {
 // re-runs that search, and the regenerated file pins exactly one crash and
 // a deterministic failing replay).
 TEST(LeaseMutantCatch, ShippedTwinsSurviveTheIdenticalBudgetShapes) {
-  // A full 20000-execution survival search runs for minutes, so each
-  // mutant's protocol twin gets the identical budget *shape* of the
-  // mutant's manifest row — same processes, pool,
-  // cycles, workload, context bound, crash allowance, prelude — with the
-  // execution cap lowered to keep the suite fast. no_quarantine and
-  // no_restamp convict well inside this cap (in 5 and 474 schedules), so
-  // their twins' clean passes discriminate; stale_confirm needs about
-  // 11 200, so its twin's pass here is a smoke check.
-  const std::map<std::string, std::string> twin_of = {
-      {"stack_leased_mutant_stale_confirm", "stack_leased_hazard"},
-      {"stack_leased_mutant_no_quarantine", "stack_leased_hazard"},
-      {"stack_leased_mutant_no_restamp", "stack_leased_epoch"}};
+  // Full 20000-execution survival searches of the three twins take about
+  // 20 s, so each mutant's protocol twin gets the identical budget *shape*
+  // of the mutant's manifest row — same processes, pool, cycles, workload,
+  // context bound, crash allowance, prelude — with the execution cap
+  // lowered to just past the point where the mutant convicts, so every
+  // twin's clean pass discriminates: no_quarantine and no_restamp convict
+  // in 5 and 474 schedules (cap 2 000), stale_confirm in about 11 200
+  // (cap 12 000).
+  struct Twin {
+    std::string fixture;
+    std::uint64_t max_executions;
+  };
+  const std::map<std::string, Twin> twin_of = {
+      {"stack_leased_mutant_stale_confirm", {"stack_leased_hazard", 12000}},
+      {"stack_leased_mutant_no_quarantine", {"stack_leased_hazard", 2000}},
+      {"stack_leased_mutant_no_restamp", {"stack_leased_epoch", 2000}}};
   int rows = 0;
   for (const CorpusRow& row : corpus_manifest()) {
     if (row.mode != CorpusMode::kConviction) continue;
     ++rows;
-    const std::string& twin = twin_of.at(row.fixture);
-    SCOPED_TRACE(twin + " under the " + row.fixture + " budget");
+    const Twin& twin = twin_of.at(row.fixture);
+    SCOPED_TRACE(twin.fixture + " under the " + row.fixture + " budget");
     SearchOptions options = corpus_options(row);
-    options.max_executions = 2000;
-    ScheduleExplorer explorer(reclaim_fixture(twin, row.pool), row.procs,
-                              corpus_workload(row), pool_pressure_cost,
-                              options);
+    options.max_executions = twin.max_executions;
+    ScheduleExplorer explorer(reclaim_fixture(twin.fixture, row.pool),
+                              row.procs, corpus_workload(row),
+                              pool_pressure_cost, options);
     const SearchResult result = explorer.run();
     EXPECT_FALSE(result.violation_found())
         << (result.violations.empty() ? std::string()
