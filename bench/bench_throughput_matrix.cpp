@@ -991,11 +991,6 @@ int main(int argc, char** argv) {
                                 : "off");
   report.add_context("asymmetric_fence_scheme",
                      util::AsymmetricFence::scheme_name());
-#ifdef ABA_RELAXED_ORDERINGS
-  report.add_context("relaxed_orderings_option", "on");
-#else
-  report.add_context("relaxed_orderings_option", "off");
-#endif
 #ifdef NDEBUG
   report.add_context("build", "NDEBUG");
 #else
@@ -1014,11 +1009,11 @@ int main(int argc, char** argv) {
   // platform (plain release publish + compiler barrier; the scan carries
   // the membarrier heavy side). Same "fast" platform label — the fence
   // field is what distinguishes the cells. Skipped entirely when the
-  // asymmetric fast side is compiled out (TSan, non-Linux,
-  // -DABA_ASYMMETRIC_FENCE=OFF): there the fallback runs seq_cst fences
-  // on both sides, so the cells would mislabel a symmetric scheme as
-  // "asymmetric" — and labelling them "seq_cst" instead would collide
-  // with the real seq_cst cells in bench_compare's key space.
+  // asymmetric fast side is compiled out (TSan, non-Linux): there the
+  // fallback runs seq_cst fences on both sides, so the cells would
+  // mislabel a symmetric scheme as "asymmetric" — and labelling them
+  // "seq_cst" instead would collide with the real seq_cst cells in
+  // bench_compare's key space.
   if constexpr (util::AsymmetricFence::kCompiledAsymmetric) {
     using AsymP = native::NativePlatform<native::FastAsymmetric>;
     const char* ord = orderings_label<native::FastAsymmetric>();

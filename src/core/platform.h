@@ -7,14 +7,15 @@
 //   Cas         — atomic Read() / CAS()            (not writable)
 //   WritableCas — atomic Read() / CAS() / Write()
 //
-// Two platforms implement the concept:
+// Three platforms implement the concept:
 //   aba::sim::SimPlatform      — objects live in a SimWorld; every access is
 //                                a scheduled, traceable step (see sim_world.h)
 //   aba::native::NativePlatform<Policy> — objects are std::atomic<uint64_t>;
-//                                the policy (Counted or Fast) selects step
-//                                counting, bound checking, memory orderings,
-//                                cache-line isolation and contention backoff
-//                                (see native/native_platform.h)
+//                                the policy selects step counting, bound
+//                                checking, memory orderings, the fence
+//                                scheme, cache-line isolation and contention
+//                                backoff (see native/native_platform.h)
+//   aba::shm::ShmPlatform      — seq_cst atomics in a shared arena
 //
 // Three traits let a platform tune what the algorithms do without changing
 // a step they take, each defaulting to "nothing": PlatformBackoffT (what a
@@ -22,7 +23,8 @@
 // reclaimer issues) and PlatformRecord (the word types and alignment of a
 // multi-word record — a queue or stack node, a ring slot — so a platform
 // that isolates words on cache lines can isolate the record as a whole, or
-// pack it).
+// pack it). A fourth, kPlatformOrdersStoreLoad, is what the StoreLoad-
+// shaped protocols check before they compile.
 //
 // Object constructors take (Env&, name, initial, BoundSpec): the environment
 // (a SimWorld for the simulator, an empty token natively), a debug name, the
@@ -105,6 +107,17 @@ struct PlatformFence<P, std::void_t<typename P::Fence>> {
 
 template <class P>
 using PlatformFenceT = typename PlatformFence<P>::type;
+
+// StoreLoad ordering: whether a process's write is visible before its next
+// read of a different word, as in the paper's sequentially consistent
+// model. Figure 4's DRead (write A[q], re-read X), the register-array
+// LL/SC, the hazard publish→revalidate and the epoch announce→validate
+// each need it, and acquire/release cannot give it. Every platform states
+// it as a member (NativePlatform derives it from its policy's orderings);
+// those protocols static_assert it, the reclaimers accepting a
+// PlatformFenceT with a heavy side instead.
+template <class P>
+inline constexpr bool kPlatformOrdersStoreLoad = P::kOrdersStoreLoad;
 
 // Record selection, same shape again. A record is a fixed group of words
 // that one algorithm step sequence treats as a unit (a node's value and

@@ -41,6 +41,14 @@ namespace aba::core {
 
 template <Platform P>
 class SequenceReservation {
+  // A DRead writes A[q] and then re-reads X, and an LL announces and then
+  // re-reads the CAS word: a StoreLoad pair that no fence pair carries here
+  // (core/platform.h).
+  static_assert(kPlatformOrdersStoreLoad<P>,
+                "SequenceReservation needs a platform that orders StoreLoad: "
+                "the Figure 4 register and the register-array LL/SC write an "
+                "announcement and then re-read another word");
+
  public:
   // `codec` defines announcement packing; `seq_domain` is the number of
   // distinct sequence numbers. The correct domain is 2n+2; smaller domains

@@ -26,12 +26,11 @@
 //       nodes to a line (Record below, PlatformRecord in core/platform.h).
 //       CAS retry loops in the algorithm layer pick up truncated
 //       exponential backoff via PlatformBackoffT. Memory orderings are
-//       seq_cst by default and relax to acquire/release only when the
-//       ABA_RELAXED_ORDERINGS build option is set (see the Fast policy
-//       below for the argument; tests always build without it).
+//       seq_cst; FastRelaxed and FastAsymmetric (below) are the
+//       acquire/release policies. No build option changes a policy.
 //
-// Both instantiations satisfy the Platform concept, so every algorithm in
-// src/core and src/structures compiles unchanged against either.
+// Every instantiation satisfies the Platform concept, so every algorithm in
+// src/core and src/structures compiles unchanged against any of them.
 #pragma once
 
 #include <atomic>
@@ -81,6 +80,7 @@ struct Counted {
   static constexpr bool kCheckBounds = true;
   static constexpr bool kIsolateCacheLines = false;
   using Backoff = util::NullBackoff;
+  using Fence = util::NoFence;  // The orderings carry StoreLoad.
   static constexpr std::memory_order kLoadOrder = std::memory_order_seq_cst;
   static constexpr std::memory_order kStoreOrder = std::memory_order_seq_cst;
   static constexpr std::memory_order kCasSuccessOrder = std::memory_order_seq_cst;
@@ -94,39 +94,19 @@ struct Fast {
   static constexpr bool kCheckBounds = false;
   static constexpr bool kIsolateCacheLines = true;
   using Backoff = util::ExpBackoff;
-#ifdef ABA_RELAXED_ORDERINGS
-  // Relaxed-orderings mode. Operations on a *single* atomic word are
-  // linearizable under any ordering (C++ guarantees a per-object total
-  // modification order plus coherence), which covers the single-CAS-word
-  // constructions (Figure 3, Moir-style tags) on their own. What acquire/
-  // release adds is the publication edge across *different* words: a store
-  // or successful CAS releases everything the process wrote before it (node
-  // payloads, announce entries), and a load acquires it. What it does NOT
-  // give is seq_cst's single total order across different words (IRIW-style
-  // agreements), which the paper's interleaving model assumes — so this
-  // mode is an opt-in for benchmarks and applications whose cross-word
-  // reasoning is publication-shaped (the structures layer), and the
-  // paper-faithful seq_cst mode stays the default for all tests.
-  static constexpr std::memory_order kLoadOrder = std::memory_order_acquire;
-  static constexpr std::memory_order kStoreOrder = std::memory_order_release;
-  static constexpr std::memory_order kCasSuccessOrder = std::memory_order_acq_rel;
-  static constexpr std::memory_order kCasFailureOrder = std::memory_order_acquire;
-#else
+  using Fence = util::NoFence;
   static constexpr std::memory_order kLoadOrder = std::memory_order_seq_cst;
   static constexpr std::memory_order kStoreOrder = std::memory_order_seq_cst;
   static constexpr std::memory_order kCasSuccessOrder = std::memory_order_seq_cst;
   static constexpr std::memory_order kCasFailureOrder = std::memory_order_seq_cst;
-#endif
 };
 
-// FastRelaxed — Fast with the acquire/release orderings applied
-// unconditionally, no build option. Only for workloads whose soundness
-// argument is single-word (Figure 3's LlscSingleCas: all shared state is
-// one CAS word, and single-object linearizability holds under any
-// ordering) or publication-shaped (the structures layer: release-publish a
-// node, acquire-read it). The Figure 4 announce-array protocol must NOT
-// run on it: its DRead writes A[q] and then re-reads X, a StoreLoad pair
-// whose ordering only seq_cst provides.
+// FastRelaxed — Fast with acquire/release orderings. Only for workloads
+// whose soundness argument is single-word (Figure 3's LlscSingleCas: one
+// CAS word is linearizable under any ordering) or publication-shaped (the
+// structures layer: release-publish a node, acquire-read it). It lacks
+// seq_cst's StoreLoad order, so the Figure 4 register, the register-array
+// LL/SC and the hazard and epoch reclaimers refuse to compile on it.
 struct FastRelaxed : Fast {
   static constexpr std::memory_order kLoadOrder = std::memory_order_acquire;
   static constexpr std::memory_order kStoreOrder = std::memory_order_release;
@@ -146,13 +126,14 @@ struct FastRelaxed : Fast {
 // util/asymmetric_fence.h — before each scan. Soundness of everything
 // *else* on this policy is the FastRelaxed publication argument.
 //
-// Do NOT run the Figure 4 announce-array register or the classic (eager)
-// epoch reclaimer on this policy: their StoreLoad protocols have no
-// scan-shaped heavy side to carry the fence, so they need seq_cst orderings
-// (the Fast policy). The *deferred* epoch variant (DeferredEpochReclaimer)
-// is the exception that makes epoch viable here: its advance path is
-// scan-shaped and carries Fence::heavy() exactly like the hazard scan, so
-// the per-op announce drops to a plain store + Fence::light().
+// The Figure 4 announce-array register and the classic (eager) epoch
+// reclaimer refuse to compile on this policy: their StoreLoad protocols
+// have no scan-shaped heavy side to carry the fence, so they need seq_cst
+// orderings (the Fast policy). The *deferred* epoch variant
+// (DeferredEpochReclaimer) is the exception that makes epoch viable here:
+// its advance path is scan-shaped and carries Fence::heavy() exactly like
+// the hazard scan, so the per-op announce drops to a plain store +
+// Fence::light().
 struct FastAsymmetric : FastRelaxed {
   using Fence = util::AsymmetricFence;
 };
@@ -187,20 +168,6 @@ using BoundMember =
 struct NoRecordAlign {};
 struct alignas(util::kCacheLineSize) LineRecordAlign {};
 
-// Forwards the policy's fence scheme (if any) to the platform surface,
-// where the PlatformFenceT trait (core/platform.h) picks it up. Policies
-// without a Fence member get util::NoFence — their orderings carry the
-// StoreLoad edges themselves.
-template <class Policy, class = void>
-struct PolicyFence {
-  using type = util::NoFence;
-};
-
-template <class Policy>
-struct PolicyFence<Policy, std::void_t<typename Policy::Fence>> {
-  using type = typename Policy::Fence;
-};
-
 }  // namespace detail
 
 template <class Policy = Counted>
@@ -208,7 +175,13 @@ struct NativePlatform {
   struct Env {};
 
   using Backoff = typename Policy::Backoff;
-  using Fence = typename detail::PolicyFence<Policy>::type;
+  using Fence = typename Policy::Fence;
+  // Only seq_cst orders a write before a later read of another word.
+  static constexpr bool kOrdersStoreLoad =
+      Policy::kLoadOrder == std::memory_order_seq_cst &&
+      Policy::kStoreOrder == std::memory_order_seq_cst &&
+      Policy::kCasSuccessOrder == std::memory_order_seq_cst &&
+      Policy::kCasFailureOrder == std::memory_order_seq_cst;
 
   // One platform word. Register, Cas and WritableCas differ only in which
   // of write() and cas() they offer; kIsolated puts the word alone on a

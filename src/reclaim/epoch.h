@@ -20,8 +20,8 @@
 //   EagerAnnounce (default, kName "epoch") — the textbook per-op protocol:
 //       every begin_op announces, every end_op writes quiescent. The
 //       announce-then-validate pair is a StoreLoad pattern, so on native
-//       platforms it needs seq_cst orderings — run it on Counted or Fast,
-//       not FastRelaxed/FastAsymmetric (E9's matrix makes that carve-out).
+//       platforms it needs seq_cst orderings — Counted or Fast; it does not
+//       compile on FastRelaxed or FastAsymmetric.
 //       Step sequence identical to the pre-mode reclaimer, which the
 //       committed schedule corpus counts on.
 //
@@ -158,12 +158,17 @@ class EpochBasedReclaimer {
   // Starved allocates between heavy advance re-attempts while the epoch is
   // frozen (the allocate() pressure-path throttle; heavy platforms only).
   static constexpr std::uint64_t kCoastStride = 64;
-  // The eager announce-validate pair is StoreLoad-shaped with no heavy side
-  // to carry it: it must not compile on platforms whose orderings are
-  // relaxed-with-fence (FastAsymmetric). Deferred mode is that heavy side.
-  static_assert(kDeferred || !kHeavyAdvance,
-                "eager epoch needs seq_cst orderings; use "
-                "DeferredEpochReclaimer on asymmetric-fence platforms");
+  // Announce-then-validate is a StoreLoad pair (core/platform.h). Eager
+  // mode has no heavy side to carry a fence, so it needs the platform's
+  // orderings; deferred mode's advance is that heavy side.
+  static_assert(kDeferred || kPlatformOrdersStoreLoad<P>,
+                "eager EpochBasedReclaimer needs a platform that orders "
+                "StoreLoad: announce-then-validate has no heavy side; use "
+                "DeferredEpochReclaimer on an asymmetric-fence platform");
+  static_assert(!kDeferred || kPlatformOrdersStoreLoad<P> || kHeavyAdvance,
+                "DeferredEpochReclaimer needs a platform that orders "
+                "StoreLoad or a fence with a heavy side: announce-then-"
+                "validate");
 
   EpochBasedReclaimer(Env& env, int n, FreeLists initial_free)
       : n_(n),

@@ -72,9 +72,9 @@
 // Memory orderings: publish-then-revalidate is a StoreLoad pattern (the
 // guard write must be visible before the revalidation read of a different
 // word), exactly like the Figure 4 announce-array register. On native
-// platforms run it under seq_cst orderings — Counted or Fast — or under
+// platforms it runs under seq_cst orderings — Counted or Fast — or under
 // FastAsymmetric, where the fence pair above replaces seq_cst's per-access
-// cost. Never under plain FastRelaxed.
+// cost. It does not compile on plain FastRelaxed.
 //
 // Crash robustness (reclaim/death.h): every scan first sweeps the book for
 // dead processes and — after the two-phase suspect/confirm handshake —
@@ -128,6 +128,12 @@ class HazardPointerReclaimer {
   // at least this many retires so the membarrier cost amortizes to noise.
   static constexpr std::size_t kHeavyScanFloor = 256;
   static constexpr bool kHeavyScan = !std::is_same_v<Fence, util::NoFence>;
+  // Publish-then-revalidate is a StoreLoad pair (core/platform.h), in both
+  // guard modes: the platform's orderings carry it, or the fence pair does.
+  static_assert(kPlatformOrdersStoreLoad<P> || kHeavyScan,
+                "HazardPointerReclaimer needs a platform that orders "
+                "StoreLoad or a fence with a heavy side: publish-then-"
+                "revalidate");
 
   HazardPointerReclaimer(Env& env, int n, FreeLists initial_free)
       : n_(n),

@@ -126,6 +126,8 @@ struct ShmPlatform {
   };
 
   using Backoff = util::ExpBackoff;
+  // Every access is seq_cst (core/platform.h).
+  static constexpr bool kOrdersStoreLoad = true;
 
   class Register {
    public:

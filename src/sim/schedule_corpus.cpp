@@ -186,18 +186,25 @@ std::string regenerate(const CorpusRow& row) {
     if (first.peak_cost != found.peak_cost || !replays_agree(first, second)) {
       fail("the worst case's replay is not deterministic");
     }
-    stamp_golden(script, row.fixture, first);
     if (crash_row) {
       const auto& final_stats = first.final_stats;
       script.meta["crashes"] = std::to_string(crash_count(script));
       script.meta["expect_expropriations"] =
           std::to_string(final_stats.expropriations);
-      script.meta["expect_final_retired"] =
-          std::to_string(final_stats.retired_unreclaimed);
-      script.meta["expect_final_free"] = std::to_string(final_stats.free_nodes);
-      script.meta["expect_quarantined"] =
-          std::to_string(final_stats.quarantined);
+      // No count of nodes exceeds the pool: one that does is an unsigned
+      // counter wrapped below zero, refused before it is stamped.
+      for (const auto& [key, count] :
+           {std::pair{"expect_final_retired", final_stats.retired_unreclaimed},
+            std::pair{"expect_final_free", final_stats.free_nodes},
+            std::pair{"expect_quarantined", final_stats.quarantined}}) {
+        if (count > final_stats.pool_size) {
+          fail(std::string(key) + " " + std::to_string(count) +
+               " exceeds the pool of " + std::to_string(final_stats.pool_size));
+        }
+        script.meta[key] = std::to_string(count);
+      }
     }
+    stamp_golden(script, row.fixture, first);
     return header(row.mode) + script.serialize();
   }
   fail(crash_row ? "no recovering crash schedule"

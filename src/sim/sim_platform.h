@@ -15,6 +15,9 @@ namespace aba::sim {
 
 struct SimPlatform {
   using Env = SimWorld;
+  // One step at a time, each visible from the next on: the paper's
+  // sequentially consistent interleavings (core/platform.h).
+  static constexpr bool kOrdersStoreLoad = true;
 
   class Register {
    public:

@@ -32,11 +32,12 @@
 //                                     becomes a real fence and the scheme
 //                                     degenerates to the symmetric one.
 //
-// Compile-time gating: the asymmetric fast side is only emitted when
-// ABA_ASYMMETRIC_FENCE is defined (CMake option, default ON), on Linux,
-// and NOT under ThreadSanitizer — TSan does not model membarrier's
-// cross-thread ordering, so under TSan both sides are plain seq_cst
-// fences and the protocol is exactly the symmetric one it can check.
+// Compile-time gating: the asymmetric fast side is emitted on Linux and
+// NOT under ThreadSanitizer — TSan does not model membarrier's cross-thread
+// ordering, so under TSan both sides are plain seq_cst fences and the
+// protocol is exactly the symmetric one it can check. No build option
+// selects it: a platform opts in by type (NativePlatform<FastAsymmetric>),
+// and NativePlatform<Fast> is the symmetric, seq_cst side.
 #pragma once
 
 #include <atomic>
@@ -49,8 +50,7 @@
 #endif
 #endif
 
-#if defined(ABA_ASYMMETRIC_FENCE) && defined(__linux__) && \
-    !defined(ABA_DETAIL_TSAN)
+#if defined(__linux__) && !defined(ABA_DETAIL_TSAN)
 #define ABA_DETAIL_ASYM_FENCE_COMPILED 1
 #include <sys/mman.h>
 #include <sys/syscall.h>

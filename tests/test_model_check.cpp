@@ -289,6 +289,35 @@ TEST(CorpusHygiene, EveryCommittedScriptRegeneratesByteForByte) {
   }
 }
 
+TEST(CorpusHygiene, WrappedFinalCountIsRefusedNotStamped) {
+  // The no-quarantine lease mutant frees an expropriated node that is still
+  // counted as retired, so its unsigned retired_unreclaimed wraps below
+  // zero, and a crash search at the crash rows' depth ranks such schedules
+  // first. Regenerating its file as a crash row must refuse that count by
+  // the row's error, not stamp ~2^64 as expect_final_retired.
+  const auto& rows = corpus_manifest();
+  const auto named = [&](std::string_view file) {
+    return *std::find_if(rows.begin(), rows.end(), [&](const CorpusRow& r) {
+      return r.file == file;
+    });
+  };
+  CorpusRow row = named("stack_hazard.crash.sched");
+  const CorpusRow& mutant = named("stack_leased_mutant_no_quarantine.crash.sched");
+  row.file = mutant.file;
+  row.fixture = mutant.fixture;
+  try {
+    regenerate(row);
+    ADD_FAILURE() << "a crash golden of the mutant was stamped";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("expect_final_retired "
+                                         "18446744073709551"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("exceeds the pool"), std::string::npos)
+        << e.what();
+  }
+}
+
 // ------------------------------------------- n>2, workloads, crash compose
 
 TEST(ModelCheck, ThreeProcessSpecSearchRunsClean) {

@@ -23,6 +23,8 @@
 #include "native/native_platform.h"
 #include "reclaim/epoch.h"
 #include "reclaim/hazard_pointer.h"
+#include "shm/shm_platform.h"
+#include "sim/sim_platform.h"
 #include "spec/lin_checker.h"
 #include "spec/specs.h"
 #include "structures/ms_queue.h"
@@ -338,6 +340,18 @@ static_assert(
 static_assert(
     std::is_same_v<aba::PlatformFenceT<native::NativePlatform<native::Counted>>,
                    util::NoFence>);
+// StoreLoad order is a property of the platform type: the seq_cst policies,
+// the simulator and the shm platform give it; acquire/release does not, so
+// the StoreLoad-shaped protocols refuse the relaxed policies (the
+// compile_fail.* ctests, tests/compile_fail/).
+static_assert(aba::kPlatformOrdersStoreLoad<native::NativePlatform<native::Counted>>);
+static_assert(aba::kPlatformOrdersStoreLoad<native::NativePlatform<native::Fast>>);
+static_assert(aba::kPlatformOrdersStoreLoad<sim::SimPlatform>);
+static_assert(aba::kPlatformOrdersStoreLoad<shm::ShmPlatform>);
+static_assert(
+    !aba::kPlatformOrdersStoreLoad<native::NativePlatform<native::FastRelaxed>>);
+static_assert(
+    !aba::kPlatformOrdersStoreLoad<native::NativePlatform<native::FastAsymmetric>>);
 
 // ------------------------------------------------------------ record layout
 //
@@ -397,13 +411,17 @@ TYPED_TEST(NativeLayout, TwoWordRecordIsExactlyOneLine) {
 }
 
 // The MS-queue node is packed: its two words and nothing else, four nodes
-// to a line, and in a pool none straddles a line.
+// to a line, and in a pool none straddles a line. The deferred-epoch queue
+// (request_queue_open's) is checked where that reclaimer compiles: not on
+// FastRelaxed, which cannot order its announce-then-validate.
 TYPED_TEST(NativeLayout, MsQueueNodeIsPackedFourToALine) {
   using P = native::NativePlatform<TypeParam>;
-  using Node = typename structures::MsQueue<
-      P, reclaim::DeferredEpochReclaimer<P>>::Node;
+  using Node = typename structures::MsQueue<P>::Node;
   static_assert(sizeof(Node) == 16);
-  static_assert(sizeof(typename structures::MsQueue<P>::Node) == 16);
+  if constexpr (!std::is_same_v<TypeParam, native::FastRelaxed>) {
+    static_assert(sizeof(typename structures::MsQueue<
+                         P, reclaim::DeferredEpochReclaimer<P>>::Node) == 16);
+  }
   static_assert(util::kCacheLineSize / sizeof(Node) == 4);
 
   // A small pool comes from operator new, a large one (request_queue_open's
@@ -430,16 +448,24 @@ TYPED_TEST(NativeLayout, MsQueueNodeIsPackedFourToALine) {
 }
 
 // The Treiber node and the ring slots keep a line each: packing measured
-// slower on the Treiber stack (docs/DESIGN.md, "Pool storage").
+// slower on the Treiber stack (docs/DESIGN.md, "Pool storage"). The
+// cached-hazard stack is checked where that reclaimer compiles: not on
+// FastRelaxed, which cannot order its publish-then-revalidate.
 TYPED_TEST(NativeLayout, TreiberNodeAndRingSlotsKeepALine) {
   using P = native::NativePlatform<TypeParam>;
-  using TreiberNode = typename structures::TreiberStack<
-      P, structures::TaggedCasHead<P>,
-      reclaim::CachedHazardPointerReclaimer<P>>::Node;
+  using TreiberNode =
+      typename structures::TreiberStack<P, structures::TaggedCasHead<P>>::Node;
   using MpscSlot = typename structures::MpscRing<P>::Slot;
   using MpmcSlot = typename structures::MpmcRing<P>::Slot;
   static_assert(sizeof(TreiberNode) == util::kCacheLineSize);
   static_assert(alignof(TreiberNode) == util::kCacheLineSize);
+  if constexpr (!std::is_same_v<TypeParam, native::FastRelaxed>) {
+    using HazardNode = typename structures::TreiberStack<
+        P, structures::TaggedCasHead<P>,
+        reclaim::CachedHazardPointerReclaimer<P>>::Node;
+    static_assert(sizeof(HazardNode) == util::kCacheLineSize);
+    static_assert(alignof(HazardNode) == util::kCacheLineSize);
+  }
   static_assert(sizeof(MpscSlot) == util::kCacheLineSize);
   static_assert(alignof(MpscSlot) == util::kCacheLineSize);
   static_assert(sizeof(MpmcSlot) == util::kCacheLineSize);
